@@ -94,6 +94,9 @@ class TriangleContext:
         self.rho = np.clip(w0 - self.phi, 0.0, None)
         self.F = np.asarray(dist.cdf(self.g))
         self.atoms = dist.atoms
+        # triangle masks, built once per grid: {b <= a} and its complement
+        self.lower = np.tri(G, dtype=bool)
+        self.upper = ~self.lower
         self._c_cache: dict[int, np.ndarray] = {}
 
     def lone_values(self, k: int) -> np.ndarray:
@@ -130,10 +133,14 @@ class TriangleContext:
 
         Splitting the arrival X at b and a gives
 
-            F(b) T(a, b) + int_b^a T(a, x) dF(x) + int_a^1 T(x, a) dF(x),
+            F(b) T(a, b) + int_(b, a] T(a, x) dF(x) + int_(a, 1] T(x, a) dF(x),
 
-        computed against the density via per-cell linear interpolation of T
-        and against atoms by direct (bilinear) evaluation of the integrand.
+        computed against the density via per-cell linear interpolation of T.
+        Atoms follow the library convention (the CDF is right-continuous): an
+        atom x* <= b is already inside F(b) T(a, b) and adds nothing more.  An
+        atom x* > b moves the state to (a v x*, a ^ x*), which does not depend
+        on b, so each atom costs one bilinear evaluation along the a axis,
+        added to every column with b < x*.
         """
         G = self.grid.size
         g, rho, phi = self.g, self.rho, self.phi
@@ -146,18 +153,14 @@ class TriangleContext:
         col_suffix = pcol[-1, np.arange(G)] - pcol[np.arange(G), np.arange(G)]
         out = self.F[None, :] * T + row_part + col_suffix[:, None]
         for x_star, mass in self.atoms:
-            # atoms with x <= b are already inside the F(b) T(a, b) term
-            alo = np.maximum(g, x_star)[:, None]
-            mid = np.minimum(np.maximum(x_star, g[None, :]), g[:, None])
-            vals = self.bilinear(T, np.broadcast_to(alo, (G, G)), mid)
-            out = out + mass * np.where(g[None, :] < x_star, vals, T)
+            u = self.bilinear(T, np.maximum(g, x_star), np.minimum(g, x_star))
+            out[:, : np.searchsorted(g, x_star)] += mass * u[:, None]
         return out
 
-
-def _mirror(T: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(T.shape[0], 1)
-    T[iu] = T.T[iu]
-    return T
+    def mirror(self, T: np.ndarray) -> np.ndarray:
+        """Copy the triangle {b <= a} of T onto {b > a}, in place."""
+        T[self.upper] = T.T[self.upper]
+        return T
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ def grid_tables(
     key = (dist.cache_key(), grid.size, grid.check_consistency)
     if key not in _TABLE_CACHE:
         ctx = TriangleContext(dist, grid)
-        base = _mirror(np.add.outer(ctx.g, ctx.g) / 2.0)
+        base = ctx.mirror(np.add.outer(ctx.g, ctx.g) / 2.0)
         _TABLE_CACHE[key] = (ctx, [StageTables(base, base.copy())])
     ctx, tables = _TABLE_CACHE[key]
     while len(tables) <= n:
@@ -193,20 +196,20 @@ def grid_tables(
         a_col = ctx.g[:, None]
         cb = c[None, :]
         if grid.check_consistency:
-            _check_pass_dominance(a_col, cb, dminus, grid.consistency_slack)
-            _check_pass_dominance(a_col, cb, dplus, grid.consistency_slack)
+            _check_pass_dominance(ctx.lower, a_col, cb, dminus, grid.consistency_slack)
+            _check_pass_dominance(ctx.lower, a_col, cb, dplus, grid.consistency_slack)
         Lnew = np.where(a_col - cb > BRANCH_TOL, (a_col + cb) / 2.0, dminus)
         Hnew = np.where(a_col - np.maximum(cb, dplus) > BRANCH_TOL, (a_col + cb) / 2.0, dplus)
         tables.append(
-            StageTables(_mirror(Lnew), _mirror(Hnew), _mirror(dminus), _mirror(dplus))
+            StageTables(ctx.mirror(Lnew), ctx.mirror(Hnew), ctx.mirror(dminus), ctx.mirror(dplus))
         )
     return ctx, tables
 
 
-def _check_pass_dominance(a_col, cb, dmat, slack) -> None:
+def _check_pass_dominance(lower, a_col, cb, dmat, slack) -> None:
     """Whenever the rival's lone value c is at least a, passing must be worth
-    at least a too (the structural inequality behind the stage cases)."""
-    lower = np.tril(np.ones_like(dmat, dtype=bool))
+    at least a too (the structural inequality behind the stage cases) on the
+    triangle ``lower`` = {b <= a}."""
     mask = (cb - a_col >= -BRANCH_TOL) & lower
     bad = mask & (dmat < a_col - slack)
     if np.any(bad):

@@ -44,7 +44,13 @@ NO_RECALL = "no_recall"
 
 @dataclass(frozen=True)
 class Strategy:
-    """A (vectorized) behavioral decision rule for one player."""
+    """A (vectorized) behavioral decision rule for one player.
+
+    ``bid_prob`` must be a pure elementwise function of its arguments:
+    :func:`play` calls it with the values of the live runs only (those in
+    which nobody has taken an item yet), and only once per stage when both
+    seats hold the same strategy object.
+    """
 
     name: str
     bid_prob: Callable[[int, int, np.ndarray, np.ndarray | None], np.ndarray]
@@ -81,6 +87,11 @@ def _med(a, b, x):
     return np.maximum(b, np.minimum(a, x))
 
 
+def _bid_prob(strategy: Strategy, t: int, k: int, a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    p = np.clip(np.asarray(strategy.bid_prob(t, k, a, b), dtype=float), 0.0, 1.0)
+    return np.broadcast_to(p, a.shape)
+
+
 def play(
     d: ValueDistribution,
     n: int,
@@ -97,6 +108,10 @@ def play(
     still present at the last arrival bids for the best available item.
     Without recall, strategies act at every stage (two passes at the last
     arrival leave both players with nothing).
+
+    Each stage touches only the live runs: ``bid_prob`` sees their values
+    alone and is evaluated once when ``strat1 is strat2``, and the
+    survivor's lone value is computed only for runs in which someone bid.
     """
     if runs < 1:
         raise SpecValidationError("runs must be >= 1")
@@ -110,48 +125,48 @@ def play(
 
     pay1 = np.zeros(runs)
     pay2 = np.zeros(runs)
-    active = np.ones(runs, dtype=bool)
-    a_state = np.zeros(runs)
-    b_state = np.zeros(runs)
+    # runs still in play, with their (best, second-best) available values
+    live = np.arange(runs)
+    a = np.zeros(runs)
+    b = np.zeros(runs) if variant == FULL_RECALL else None
     c_by_k = prophet_values(d, n).values if variant == NO_RECALL else None
     taken_stage = np.zeros(runs, dtype=np.int32) if collect_traces else None
 
     for t in range(1, n + 1):
-        x = X[:, t - 1]
+        if live.size == 0:
+            break
+        x = X[live, t - 1]
         if variant == FULL_RECALL:
-            new_b = _med(a_state, b_state, x)
-            new_a = np.maximum(a_state, x)
-            a_state = np.where(active, new_a, a_state)
-            b_state = np.where(active, new_b, b_state)
-            a, b = a_state, b_state
+            a, b = np.maximum(a, x), _med(a, b, x)
         else:
-            a, b = x, None
+            a = x
         k = n - t
         if variant == FULL_RECALL and t == n:
-            bid1 = active
-            bid2 = active
+            bid1 = bid2 = np.ones(live.size, dtype=bool)
         else:
-            p1 = np.clip(np.asarray(strat1.bid_prob(t, k, a, b), dtype=float), 0.0, 1.0)
-            p2 = np.clip(np.asarray(strat2.bid_prob(t, k, a, b), dtype=float), 0.0, 1.0)
-            bid1 = active & (U1[:, t - 1] < np.broadcast_to(p1, a.shape))
-            bid2 = active & (U2[:, t - 1] < np.broadcast_to(p2, a.shape))
+            p1 = _bid_prob(strat1, t, k, a, b)
+            p2 = p1 if strat2 is strat1 else _bid_prob(strat2, t, k, a, b)
+            bid1 = U1[live, t - 1] < p1
+            bid2 = U2[live, t - 1] < p2
         any_bid = bid1 | bid2
         if not np.any(any_bid):
             continue
+        won = np.flatnonzero(any_bid)
+        rows = live[won]
+        # the lone bidder wins; a joint bid goes to player 1 on heads
+        w1 = bid1[won] & (~bid2[won] | coin[rows, t - 1])
         if variant == FULL_RECALL:
-            lone = b if k == 0 else np.asarray(d.order_max_with_vec(k, b))
+            lone = b[won] if k == 0 else np.asarray(d.order_max_with_vec(k, b[won]))
         else:
-            lone = np.full(runs, 0.0 if k == 0 else c_by_k[k - 1])
-        both = bid1 & bid2
-        only1 = bid1 & ~bid2
-        only2 = bid2 & ~bid1
-        w1 = only1 | (both & coin[:, t - 1])
-        w2 = only2 | (both & ~coin[:, t - 1])
-        pay1 = np.where(w1, a, np.where(w2, lone, pay1))
-        pay2 = np.where(w2, a, np.where(w1, lone, pay2))
+            lone = 0.0 if k == 0 else c_by_k[k - 1]
+        pay1[rows] = np.where(w1, a[won], lone)
+        pay2[rows] = np.where(w1, lone, a[won])
         if collect_traces:
-            taken_stage = np.where(any_bid & active, t, taken_stage)
-        active = active & ~any_bid
+            taken_stage[rows] = t
+        keep = ~any_bid
+        live, a = live[keep], a[keep]
+        if b is not None:
+            b = b[keep]
 
     # no-recall runs where nobody ever bid end with zero payoffs (already set)
     mean = (float(pay1.mean()), float(pay2.mean()))
@@ -422,9 +437,8 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
         v_br = np.maximum(bid_val, q * ck + (1.0 - q) * w_br)
         v_eq = p * bid_val + (1.0 - p) * (q * ck + (1.0 - q) * w_eq)
         # states only matter on the triangle; mirror for the next expectation
-        iu = np.triu_indices(grid_size, 1)
-        v_br[iu] = v_br.T[iu]
-        v_eq[iu] = v_eq.T[iu]
+        ctx.mirror(v_br)
+        ctx.mirror(v_eq)
     r_br = _grid_expectation(d, g, v_br[:, 0])
     r_eq = _grid_expectation(d, g, v_eq[:, 0])
     return float(r_br - r_eq)

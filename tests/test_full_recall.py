@@ -3,9 +3,10 @@ import pytest
 
 from selection_games import distributions as D
 from selection_games import full_recall as FR
+from selection_games.efficiency import ratios, tightness_family
 from selection_games.errors import SpecValidationError
 from selection_games.prophet import prophet_values
-from selection_games.testkit import beta_distribution, two_point_best_value
+from selection_games.testkit import GRID_BAND_TOL, beta_distribution, two_point_best_value
 
 SMALL = FR.GridConfig(size=401)
 
@@ -144,3 +145,83 @@ def test_band_for_mixed_law_brackets_components():
     mixed = D.mixture_with_uniform(0.5, D.discrete([(0.6, 1.0)]))
     b = FR.band(mixed, 3, SMALL)
     assert 0.0 < b.low <= b.high < 1.0
+
+
+# -- atom path of the grid engine --------------------------------------------------------
+
+
+def _dense_expect_over_arrival(ctx, T):
+    """Reference for TriangleContext.expect_over_arrival: the density part as
+    the engine computes it, plus every atom evaluated cell by cell over the
+    whole G x G grid; atoms at or below b add nothing beyond F(b) T(a, b)."""
+    G = ctx.grid.size
+    g, rho, phi = ctx.g, ctx.rho, ctx.phi
+    cells_row = T[:, :-1] * rho[None, :] + T[:, 1:] * phi[None, :]
+    crow = np.concatenate([np.zeros((G, 1)), np.cumsum(cells_row, axis=1)], axis=1)
+    row_part = crow[np.arange(G), np.arange(G)][:, None] - crow
+    cells_col = T[:-1, :] * rho[:, None] + T[1:, :] * phi[:, None]
+    pcol = np.concatenate([np.zeros((1, G)), np.cumsum(cells_col, axis=0)], axis=0)
+    col_suffix = pcol[-1, np.arange(G)] - pcol[np.arange(G), np.arange(G)]
+    out = ctx.F[None, :] * T + row_part + col_suffix[:, None]
+    for x_star, mass in ctx.atoms:
+        alo = np.maximum(g, x_star)[:, None]
+        mid = np.minimum(np.maximum(x_star, g[None, :]), g[:, None])
+        vals = ctx.bilinear(T, np.broadcast_to(alo, (G, G)), mid)
+        out = out + mass * np.where(g[None, :] < x_star, vals, 0.0)
+    return out
+
+
+EDGE_ATOMS = D.discrete([(0.0, 0.2), (0.25, 0.3), (0.6, 0.1), (1.0, 0.4)])
+
+
+@pytest.mark.parametrize(
+    "law",
+    [D.two_point(), tightness_family(0.1, 0.05), EDGE_ATOMS, D.mixture_with_uniform(0.3, EDGE_ATOMS)],
+    ids=["two_point", "tightness", "edge_atoms", "edge_atoms_mixture"],
+)
+def test_atom_path_matches_dense_reference(law, rng):
+    ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
+    assert 0.25 in ctx.g  # one atom sits exactly on a grid node
+    for _ in range(3):
+        T = ctx.mirror(rng.random((201, 201)))
+        np.testing.assert_allclose(
+            ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T), rtol=0, atol=1e-12
+        )
+
+
+def test_atomless_expectation_unchanged(rng):
+    ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=201))
+    T = ctx.mirror(rng.random((201, 201)))
+    assert np.array_equal(ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T))
+
+
+def test_mirror_copies_lower_triangle(rng):
+    ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=57))
+    T = rng.random((57, 57))
+    want = T.copy()
+    iu = np.triu_indices(57, 1)
+    want[iu] = want.T[iu]
+    assert np.array_equal(ctx.mirror(T), want)
+
+
+def test_unit_mass_on_two_point_grid():
+    ctx = FR.TriangleContext(D.two_point(), FR.GridConfig(size=101))
+    out = ctx.expect_over_arrival(np.ones((101, 101)))
+    assert np.max(np.abs(out - 1.0)) <= 1e-12
+
+
+def test_two_point_grid_band_matches_exact_recursion():
+    tp = D.two_point()
+    _, tables = FR.grid_tables(tp, 6, FR.GridConfig(size=1001))
+    for n in range(2, 7):
+        exact = FR.band(tp, n)
+        assert tables[n].low[0, 0] == pytest.approx(exact.low, abs=GRID_BAND_TOL)
+        assert tables[n].high[0, 0] == pytest.approx(exact.high, abs=GRID_BAND_TOL)
+
+
+def test_near_two_point_mixture_band_is_feasible():
+    mix = tightness_family(0.1, 0.05)
+    for n in (3, 4, 5):
+        ratios(mix, n, "full_recall")  # raises InconsistencyError on an infeasible band
+        b = FR.band(mix, n)
+        assert 2.0 * b.high <= mix.top_two_expectation(n)
