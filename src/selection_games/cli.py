@@ -90,7 +90,7 @@ def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
 
 
 def _grid(args) -> GridConfig:
-    return GridConfig(size=args.grid, quad_tol=args.quad_tol)
+    return GridConfig(size=args.grid)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -268,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--grid", type=int, default=1001, help="triangle grid resolution")
-        p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10)
+        p.add_argument(
+            "--quad-tol", dest="quad_tol", type=float, default=1e-10,
+            help="Simpson tolerance of the no-recall recursion (norecall)",
+        )
         if needs_seed:
             p.add_argument("--seed", type=int, default=0)
 

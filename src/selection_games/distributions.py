@@ -4,7 +4,19 @@ A ``ValueDistribution`` is a finite list of atoms plus a piecewise-polynomial
 density.  Everything downstream (prophet values, stage games, equilibrium
 recursions, efficiency ratios) asks this module for expectations, so the
 queries here are computed exactly wherever the integrand is polynomial
-against the density, and by adaptive composite Simpson quadrature otherwise.
+against the density:
+
+* order-statistic queries (``expect_max_with``, ``expect_order_max_with``,
+  ``order_max_with_vec``, ``top_two_expectation``) go through one kernel,
+  the lone-player value c_k(b) = b + int_b^1 (1 - F^k).  On every CDF
+  segment 1 - F^k is a polynomial; its antiderivative is built once per
+  (law, k) as a Chebyshev series, so a query is one elementwise series
+  evaluation and depends on its floor b alone;
+* ``sample`` inverts the CDF: in closed form on constant-density pieces,
+  and otherwise by Newton steps bracketed between two knots of a per-piece
+  CDF table, with bisection for the rare draw Newton leaves unsettled;
+* ``partial_expectation`` of an arbitrary integrand uses adaptive composite
+  Simpson quadrature.
 
 Conventions fixed once and used everywhere:
 
@@ -29,6 +41,16 @@ import numpy as np
 from .errors import IntegrationError, SpecValidationError
 
 MASS_TOL = 1e-12
+
+#: knots of the per-piece CDF table that brackets each inverse-CDF draw
+SAMPLE_KNOTS = 1025
+#: Newton steps per draw; a draw whose last step changed its CDF value by
+#: more than ``4 * eps`` finishes by bisection inside its knot bracket
+NEWTON_STEPS = 3
+_SETTLED_STEP = 4.0 * np.finfo(float).eps
+#: bisection steps of that fallback: a knot bracket of width w shrinks to
+#: w * 2**-42, finer than the 2**-50 of bisecting the whole piece
+FALLBACK_BISECTIONS = 42
 
 _LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -285,80 +307,93 @@ class ValueDistribution:
             total += hi - max(lo, 1.0)
         return float(total)
 
-    def _survival_power_integral(self, lo: float, n: int) -> float:
-        """Exact integral of 1 - F(x)^n over [lo, 1]."""
-        lo = min(max(lo, 0.0), 1.0)
-        total = 0.0
-        for seg in self._segments:
-            a, b = max(lo, seg.lo), min(1.0, seg.hi)
-            if b <= a:
-                continue
-            deg = (len(seg.coeffs) - 1) * n
-            m = max(4, deg // 2 + 2)
-            total += _gauss_on(a, b, lambda x: 1.0 - np.clip(seg(x), 0.0, 1.0) ** n, m)
-        return float(total)
+    @cached_property
+    def _lone_kernels(self) -> dict[int, tuple]:
+        """Per order k, filled on first use: ``(suffix, series)`` where
+        ``series[i](x)`` = int_x^hi (1 - F^k) on segment i and ``suffix[i]``
+        = int_lo_i^1 (1 - F^k)."""
+        return {}
+
+    def _lone_kernel(self, k: int) -> tuple[np.ndarray, tuple[np.polynomial.Chebyshev, ...]]:
+        kernels = self._lone_kernels
+        if k not in kernels:
+            series = []
+            for seg in self._segments:
+                # np.polynomial loads on first use, not at import
+                poly = np.polynomial
+                F = poly.Chebyshev.cast(poly.Polynomial(seg.coeffs), domain=[seg.lo, seg.hi])
+                # F**k would stop at the class's cap of 100 on the power
+                Fk = poly.Chebyshev(poly.chebyshev.chebpow(F.coef, k, maxpower=None), domain=F.domain)
+                series.append(-(1.0 - Fk).integ(lbnd=seg.hi))
+            suffix = np.zeros(len(series) + 1)
+            for i in range(len(series) - 1, -1, -1):
+                suffix[i] = suffix[i + 1] + series[i](self._segments[i].lo)
+            kernels[k] = (suffix, tuple(series))
+        return kernels[k]
+
+    def _lone_values(self, n: int, ks) -> np.ndarray:
+        """c_n(b) = b + int_b^1 (1 - F^n) at every floor b of ``ks``: the one
+        kernel behind every order-statistic query.
+
+        Each floor b in segment i costs one series evaluation,
+        b + suffix[i + 1] + series[i](b), so the value depends on b alone and
+        not on the other floors of the call.
+        """
+        if n < 1:
+            raise SpecValidationError("order statistic index n must be >= 1")
+        ks = np.clip(np.asarray(ks, dtype=float), 0.0, 1.0)
+        suffix, series = self._lone_kernel(n)
+        idx = np.searchsorted(self._seg_lows, ks, side="right") - 1
+        out = np.empty_like(ks)
+        for i, R in enumerate(series):
+            mask = idx == i
+            if np.any(mask):
+                b = ks[mask]
+                out[mask] = b + suffix[i + 1] + R(b)
+        return np.where(ks >= 1.0, ks, out)
+
+    def _lone_value(self, n: int, k: float) -> float:
+        return float(self._lone_values(n, np.array([k], dtype=float))[0])
 
     def expect_max_with(self, k: float) -> float:
         """E(X v k) for k in [0, 1], computed as k + integral_k^1 (1 - F)."""
-        k = min(max(k, 0.0), 1.0)
-        return float(k + self._survival_power_integral(k, 1))
+        return self._lone_value(1, k)
 
     def expect_order_max_with(self, n: int, k: float) -> float:
         """E(max(X_1..X_n) v k) = k + integral_k^1 (1 - F^n)."""
-        if n < 1:
-            raise SpecValidationError("order statistic index n must be >= 1")
-        k = min(max(k, 0.0), 1.0)
-        return float(k + self._survival_power_integral(k, n))
+        return self._lone_value(n, k)
 
     def order_max_with_vec(self, n: int, ks: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`expect_order_max_with` over an array of floors."""
-        ks = np.clip(np.asarray(ks, dtype=float), 0.0, 1.0)
-        # suffix integrals of (1 - F^n) at segment boundaries
-        segs = self._segments
-        suffix = np.zeros(len(segs) + 1)
-        for i in range(len(segs) - 1, -1, -1):
-            seg = segs[i]
-            deg = (len(seg.coeffs) - 1) * n
-            m = max(4, deg // 2 + 2)
-            part = _gauss_on(seg.lo, min(seg.hi, 1.0), lambda x: 1.0 - np.clip(seg(x), 0.0, 1.0) ** n, m)
-            suffix[i] = suffix[i + 1] + part
-        idx = np.clip(np.searchsorted(self._seg_lows, ks, side="right") - 1, 0, len(segs) - 1)
-        out = np.empty_like(ks)
-        xs, ws = _leggauss(32)
-        for i, seg in enumerate(segs):
-            mask = idx == i
-            if not np.any(mask):
-                continue
-            k = ks[mask]
-            b = min(seg.hi, 1.0)
-            mid = (k + b) / 2.0
-            half = (b - k) / 2.0
-            nodes = mid[:, None] + half[:, None] * xs[None, :]
-            vals = 1.0 - np.clip(_poly_eval(seg.coeffs, nodes), 0.0, 1.0) ** n
-            out[mask] = suffix[i + 1] + half * (vals @ ws)
-        return ks + np.where(ks >= 1.0, 0.0, out)
+        """Vectorized :meth:`expect_order_max_with` over an array of floors;
+        each value depends on its own floor alone."""
+        return self._lone_values(n, ks)
 
     def top_two_expectation(self, n: int) -> float:
-        """E(first order statistic + second order statistic) of n samples."""
+        """E(first order statistic + second order statistic) of n samples,
+        as n c_{n-1}(0) - (n - 2) c_n(0), from E[X_(n-1)] = n E[max of n - 1]
+        - (n - 1) E[max of n]."""
         if n < 2:
             raise SpecValidationError("top_two_expectation requires n >= 2")
-
-        def tail(x, seg):
-            F = np.clip(seg(x), 0.0, 1.0)
-            # P(max > x) + P(second-best > x)
-            return (1.0 - F**n) + (1.0 - F**n - n * F ** (n - 1) * (1.0 - F))
-
-        total = 0.0
-        for seg in self._segments:
-            b = min(seg.hi, 1.0)
-            if b <= seg.lo:
-                continue
-            deg = (len(seg.coeffs) - 1) * n
-            m = max(4, deg // 2 + 2)
-            total += _gauss_on(seg.lo, b, lambda x: tail(x, seg), m)
-        return float(total)
+        return n * self._lone_value(n - 1, 0.0) - (n - 2) * self._lone_value(n, 0.0)
 
     # -- sampling -------------------------------------------------------------
+
+    @cached_property
+    def _sample_tables(self) -> tuple:
+        """Per density piece: None for a constant density (inverted in closed
+        form), else ``(knots, cdf, anti, anti_lo, mass)`` with the
+        within-piece CDF ``cdf`` at ``SAMPLE_KNOTS`` equally spaced knots."""
+        tables = []
+        for p in self.pieces:
+            if len(p.coeffs) == 1:
+                tables.append(None)
+                continue
+            anti = _poly_antideriv(p.coeffs)
+            anti_lo = _poly_eval(anti, p.lo)
+            knots = np.linspace(p.lo, p.hi, SAMPLE_KNOTS)
+            cdf = np.maximum.accumulate((_poly_eval(anti, knots) - anti_lo) / p.mass)
+            tables.append((knots, cdf, anti, anti_lo, p.mass))
+        return tuple(tables)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
         """i.i.d. draws; deterministic given the generator state."""
@@ -374,28 +409,16 @@ class ValueDistribution:
         for i, (x, _) in enumerate(self.atoms):
             out[comp == i] = x
         base = len(self.atoms)
-        for j, p in enumerate(self.pieces):
+        for j, (p, table) in enumerate(zip(self.pieces, self._sample_tables)):
             mask = comp == base + j
             if not np.any(mask):
                 continue
             target = (u[mask] - edges[base + j]) / (edges[base + j + 1] - edges[base + j])
-            if len(p.coeffs) == 1:
+            if table is None:
                 # constant density: invert in closed form
                 out[mask] = p.lo + target * (p.hi - p.lo)
-                continue
-            # invert the within-piece CDF by bisection
-            anti = _poly_antideriv(p.coeffs)
-            lo_val = _poly_eval(anti, p.lo)
-            mass = p.mass
-            lo = np.full(target.shape, p.lo)
-            hi = np.full(target.shape, p.hi)
-            for _ in range(50):
-                mid = (lo + hi) / 2.0
-                cm = (_poly_eval(anti, mid) - lo_val) / mass
-                takes = cm < target
-                lo = np.where(takes, mid, lo)
-                hi = np.where(takes, hi, mid)
-            out[mask] = (lo + hi) / 2.0
+            else:
+                out[mask] = _invert_piece(p, table, target)
         if scalar:
             return float(out[0])
         return out
@@ -404,6 +427,38 @@ class ValueDistribution:
 
     def cache_key(self) -> tuple:
         return (self.atoms, tuple((p.lo, p.hi, p.coeffs) for p in self.pieces))
+
+
+def _invert_piece(p: DensityPiece, table: tuple, target: np.ndarray) -> np.ndarray:
+    """Solve cdf(x) = target on one piece: a knot bracket from the table, a
+    linear-interpolation start, then Newton steps clipped to the bracket."""
+    knots, cdf, anti, anti_lo, mass = table
+    j = np.clip(np.searchsorted(cdf, target, side="right") - 1, 0, len(knots) - 2)
+    lo, hi = knots[j], knots[j + 1]
+    rise = cdf[j + 1] - cdf[j]
+    frac = np.divide(target - cdf[j], rise, out=np.zeros_like(target), where=rise > 0.0)
+    x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+    for _ in range(NEWTON_STEPS):
+        resid = (_poly_eval(anti, x) - anti_lo) / mass - target
+        slope = np.maximum(p(x) / mass, np.finfo(float).tiny)
+        nxt = np.clip(x - resid / slope, lo, hi)
+        # the step's size in probability units, where rounding sets the floor
+        moved = np.abs(nxt - x) * slope
+        x = nxt
+    slow = np.flatnonzero(moved > _SETTLED_STEP)
+    if slow.size:
+        x[slow] = _bisect_piece(anti, anti_lo, mass, target[slow], lo[slow], hi[slow])
+    return x
+
+
+def _bisect_piece(anti, anti_lo, mass, target, lo, hi) -> np.ndarray:
+    """Bisection of the within-piece CDF on the brackets [lo, hi]."""
+    for _ in range(FALLBACK_BISECTIONS):
+        mid = (lo + hi) / 2.0
+        takes = (_poly_eval(anti, mid) - anti_lo) / mass < target
+        lo = np.where(takes, mid, lo)
+        hi = np.where(takes, hi, mid)
+    return (lo + hi) / 2.0
 
 
 # -- constructors ----------------------------------------------------------------

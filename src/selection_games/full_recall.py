@@ -39,10 +39,9 @@ BRANCH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Triangle-grid resolution and quadrature knobs."""
+    """Triangle-grid resolution and consistency-check knobs."""
 
     size: int = 1001
-    quad_tol: float = 1e-10
     check_consistency: bool = True
     consistency_slack: float = 1e-9
 
@@ -327,9 +326,20 @@ def uniform_fr_best_threshold() -> float:
     return _root_pass_value_equals_a(0.0)
 
 
+def uniform_pass_value(k: int, a, b):
+    """Both-pass continuation d_k(a, b) of the uniform law for k in {1, 2}
+    arrivals to come, elementwise in a >= b: the expected value of the
+    (k - 1)-arrival game after one more arrival."""
+    if k == 1:
+        return a / 2.0 + (1.0 + b * b) / 4.0
+    if k == 2:
+        return (1.0 + a * a) / 2.0 + (b**3 - a**3) / 6.0
+    raise SpecValidationError("uniform pass values are closed-form for k in {1, 2}")
+
+
 def _uniform_lh2(a: float, b: float) -> tuple[float, float]:
     c2 = (2.0 + b**3) / 3.0
-    d2 = (1.0 + a * a) / 2.0 + (b**3 - a**3) / 6.0
+    d2 = uniform_pass_value(2, a, b)
     return (selector_L(a, c2, d2), selector_H(a, c2, d2))
 
 
@@ -354,7 +364,8 @@ def uniform_closed_forms(n: int, a: float, b: float) -> tuple[float, float]:
     if not 0.0 <= b <= a <= 1.0:
         raise SpecValidationError(f"need 0 <= b <= a <= 1, got a={a}, b={b}")
     if n == 1:
-        v = a / 2.0 + (1.0 + b * b) / 4.0
+        # one arrival: bidding pays (a + c_1(b)) / 2, which equals d_1(a, b)
+        v = uniform_pass_value(1, a, b)
         return (v, v)
     if n == 2:
         return _uniform_lh2(a, b)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .errors import SpecValidationError, UnsupportedDistributionError
-from .full_recall import GridConfig, TriangleContext, grid_tables
+from .full_recall import GridConfig, TriangleContext, grid_tables, uniform_pass_value
 from .no_recall import no_recall_sequence
 from .prophet import prophet_values
 
@@ -208,11 +208,7 @@ def _fr_best_strategy(d: ValueDistribution, n: int, grid: GridConfig) -> Strateg
 
     def dplus(k, a, b):
         if is_uniform and k <= 2:
-            a = np.asarray(a, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if k == 1:
-                return a / 2.0 + (1.0 + b * b) / 4.0
-            return (1.0 + a * a) / 2.0 + (b**3 - a**3) / 6.0
+            return uniform_pass_value(k, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         return ctx.bilinear(tables[k].dplus, np.asarray(a), np.asarray(b))
 
     def prob(t, k, a, b):

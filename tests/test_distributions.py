@@ -1,11 +1,15 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from selection_games import distributions as D
+from selection_games.efficiency import tightness_family
 from selection_games.errors import IntegrationError, SpecValidationError
-from selection_games.testkit import beta_distribution
+from selection_games.testkit import beta_distribution, continuous_test_laws, two_point_top_two
 
 LAWS = {
     "uniform": D.uniform(),
@@ -123,6 +127,153 @@ def test_order_max_vec_matches_scalar():
         assert np.allclose(vec, scal, atol=1e-12)
 
 
+def _floors(law, rng, count):
+    """Floors at 0, 1, every segment boundary, 1 - 1e-9, and random ones."""
+    cuts = [x for x, _ in law.atoms] + [e for p in law.pieces for e in (p.lo, p.hi)]
+    special = np.array([0.0, 1.0, 1.0 - 1e-9, *cuts])
+    return np.concatenate([special, rng.random(count)])
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_order_max_vec_depends_on_floor_alone(name):
+    law = LAWS[name]
+    ks = _floors(law, np.random.default_rng(3), 1000)
+    for k in range(1, 6):
+        vec = law.order_max_with_vec(k, ks)
+        assert np.array_equal(law.order_max_with_vec(k, ks[::-1])[::-1], vec)
+        singles = [law.order_max_with_vec(k, ks[i : i + 1])[0] for i in range(len(ks))]
+        assert np.array_equal(singles, vec)
+        assert [law.expect_order_max_with(k, b) for b in ks[:12]] == list(vec[:12])
+
+
+def test_order_max_rejects_nonpositive_order():
+    for law in LAWS.values():
+        for n in (0, -1):
+            with pytest.raises(SpecValidationError):
+                law.order_max_with_vec(n, np.linspace(0, 1, 5))
+            with pytest.raises(SpecValidationError):
+                law.expect_order_max_with(n, 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_order_max_vec_memory(name):
+    # one series evaluation per floor: a few length-N vectors, never an
+    # N x (quadrature nodes) matrix
+    law = LAWS[name]
+    N = 200_000
+    ks = np.random.default_rng(5).random(N)
+    law.order_max_with_vec(3, ks[:8])
+    tracemalloc.start()
+    try:
+        law.order_max_with_vec(3, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * N * 8
+
+
+# -- exact reference: Fraction polynomials ------------------------------------------
+
+
+def _pmul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _peval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _panti(p):
+    return [Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)]
+
+
+def _exact_cdf_segments(law):
+    """[(lo, hi, CDF polynomial)] in exact rational arithmetic on the law's
+    float parameters."""
+    cuts = {Fraction(0), Fraction(1)}
+    cuts.update(Fraction(x) for x, _ in law.atoms)
+    cuts.update(Fraction(e) for p in law.pieces for e in (p.lo, p.hi))
+    pts = sorted(cuts)
+    acc = sum((Fraction(m) for x, m in law.atoms if x == 0.0), Fraction(0))
+    segs = []
+    for u, v in zip(pts[:-1], pts[1:]):
+        poly = [acc]
+        for p in law.pieces:
+            if Fraction(p.lo) <= u and v <= Fraction(p.hi):
+                poly = _panti([Fraction(c) for c in p.coeffs])
+                poly[0] += acc - _peval(poly, u)
+                break
+        segs.append((u, v, poly))
+        acc = _peval(poly, v) + sum((Fraction(m) for x, m in law.atoms if Fraction(x) == v), Fraction(0))
+    return segs
+
+
+def _exact_lone_value(segs, n):
+    """b -> b + int_b^1 (1 - F^n), exactly."""
+    antis = []
+    for u, v, F in segs:
+        Fn = [Fraction(1)]
+        for _ in range(n):
+            Fn = _pmul(Fn, F)
+        antis.append((u, v, _panti([Fraction(int(i == 0)) - c for i, c in enumerate(Fn)])))
+
+    def c(b):
+        b = Fraction(b)
+        total = b
+        for u, v, A in antis:
+            lo = max(u, b)
+            if lo < v:
+                total += _peval(A, v) - _peval(A, lo)
+        return total
+
+    return c
+
+
+EXACT_LAWS = {
+    "beta22": beta_distribution(2, 2),
+    "beta35": beta_distribution(3, 5),
+    "two_point": D.two_point(),
+    "tightness": tightness_family(0.1, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_LAWS))
+def test_order_max_matches_exact_reference(name):
+    law = EXACT_LAWS[name]
+    segs = _exact_cdf_segments(law)
+    ks = [float(x) for x in np.linspace(0.0, 1.0, 21)]
+    for u, v, _ in segs:
+        ks += [float(u) + 1e-6, float(u) + 1e-9, float(v) - 1e-6, float(v) - 1e-9]
+    ks = np.clip(ks, 0.0, 1.0)
+    for n in range(1, 7):
+        exact = _exact_lone_value(segs, n)
+        want = np.array([float(exact(b)) for b in ks])
+        assert np.max(np.abs(law.order_max_with_vec(n, ks) - want)) <= 2e-15
+
+
+def test_top_two_two_point_closed_form():
+    tp = D.two_point()
+    for n in range(2, 11):
+        assert abs(tp.top_two_expectation(n) - float(two_point_top_two(n))) <= 1e-14
+
+
+def test_order_max_past_chebyshev_power_cap():
+    # numpy caps Chebyshev ** at a power of 100; the kernel must not
+    u = D.uniform()
+    ks = np.concatenate([[0.0, 0.5, 0.99, 1.0 - 1e-9, 1.0], np.random.default_rng(7).random(200)])
+    for k in (101, 150):
+        want = 1.0 - (1.0 - ks ** (k + 1)) / (k + 1)
+        assert np.max(np.abs(u.order_max_with_vec(k, ks) - want)) <= 2e-15
+        assert u.top_two_expectation(k) == pytest.approx((2 * k - 1) / (k + 1), abs=1e-14)
+
+
 def test_top_two_examples():
     u = D.uniform()
     assert u.top_two_expectation(2) == pytest.approx(1.0, abs=1e-12)
@@ -182,6 +333,121 @@ def test_sampling_deterministic(rng):
     r1 = np.random.Generator(np.random.Philox(key=42))
     r2 = np.random.Generator(np.random.Philox(key=42))
     assert np.array_equal(law.sample(r1, 1000), law.sample(r2, 1000))
+
+
+def test_sampling_deterministic_polynomial_piece():
+    law = LAWS["beta22"]
+    r1 = np.random.Generator(np.random.Philox(key=7))
+    r2 = np.random.Generator(np.random.Philox(key=7))
+    assert np.array_equal(law.sample(r1, 10**5), law.sample(r2, 10**5))
+
+
+class _FixedUniforms:
+    """Stands in for a generator: ``random`` returns preset uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u.copy()
+
+
+def _bisection_sample(law, u):
+    """Reference inverse: 50 bisection steps on the whole piece.  Returns the
+    draws and each draw's component (atoms first, then pieces)."""
+    weights = [m for _, m in law.atoms] + [p.mass for p in law.pieces]
+    edges = np.concatenate([[0.0], np.cumsum(weights)])
+    edges[-1] = 1.0
+    comp = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(weights) - 1)
+    out = np.empty_like(u)
+    for i, (x, _) in enumerate(law.atoms):
+        out[comp == i] = x
+    base = len(law.atoms)
+    for j, p in enumerate(law.pieces):
+        mask = comp == base + j
+        target = (u[mask] - edges[base + j]) / (edges[base + j + 1] - edges[base + j])
+        if len(p.coeffs) == 1:
+            out[mask] = p.lo + target * (p.hi - p.lo)
+            continue
+        anti = D._poly_antideriv(p.coeffs)
+        lo_val = D._poly_eval(anti, p.lo)
+        lo = np.full(target.shape, p.lo)
+        hi = np.full(target.shape, p.hi)
+        for _ in range(50):
+            mid = (lo + hi) / 2.0
+            takes = (D._poly_eval(anti, mid) - lo_val) / p.mass < target
+            lo = np.where(takes, mid, lo)
+            hi = np.where(takes, hi, mid)
+        out[mask] = (lo + hi) / 2.0
+    return out, comp
+
+
+def _backward_error(law, u, x, comp):
+    """|F(x) - u| on the scale of the law, measured within each draw's own
+    density piece (a mixture samples by component, not by inverting F);
+    zero for atom draws."""
+    atom_total = sum(m for _, m in law.atoms)
+    atoms_below = np.zeros_like(x)
+    for xa, m in law.atoms:
+        atoms_below += np.where(x >= xa, m, 0.0)
+    err = np.abs((law.cdf(x) - atoms_below) - (u - atom_total))
+    return np.where(comp < len(law.atoms), 0.0, err)
+
+
+SAMPLER_LAWS = {
+    "beta22": beta_distribution(2, 2),
+    "beta13": beta_distribution(1, 3),
+    "beta35": beta_distribution(3, 5),
+    "tilted-step": dict(continuous_test_laws())["tilted-step"],
+    "atoms+beta22": D.ValueDistribution(
+        atoms=((0.2, 0.3), (0.9, 0.2)), pieces=(D.DensityPiece(0.0, 1.0, (0.0, 3.0, -3.0)),)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_LAWS))
+def test_sampling_backward_error_no_worse_than_bisection(name):
+    law = SAMPLER_LAWS[name]
+    u = np.random.default_rng(11).random(10**6)
+    if not law.atoms and len(law.pieces) == 1:
+        # the within-piece target equals u: add exact edge targets
+        knots_cdf = law._sample_tables[0][1]
+        u = np.concatenate([u, [0.0, knots_cdf[1], knots_cdf[512], knots_cdf[-2], 1.0 - 2.0**-53]])
+    ref, comp = _bisection_sample(law, u)
+    got = law.sample(_FixedUniforms(u), u.size)
+    bound = np.max(_backward_error(law, u, ref, comp))
+    err = _backward_error(law, u, got, comp)
+    assert np.max(err) <= bound
+    assert np.max(err[10**6 :], initial=0.0) <= bound
+    # every draw stays inside its own piece (atoms are exact)
+    base = len(law.atoms)
+    for i, (x, _) in enumerate(law.atoms):
+        assert np.all(got[comp == i] == x)
+    for j, p in enumerate(law.pieces):
+        drawn = got[comp == base + j]
+        assert np.all((drawn >= p.lo) & (drawn <= p.hi))
+
+
+def test_sampling_bisection_fallback_near_density_zero(monkeypatch):
+    law = SAMPLER_LAWS["beta22"]
+    calls = []
+    bisect = D._bisect_piece
+
+    def counting(*args):
+        calls.append(args[3].size)
+        return bisect(*args)
+
+    monkeypatch.setattr(D, "_bisect_piece", counting)
+    # Beta(2,2) has density zeros at both ends: Newton's steps there shrink
+    # linearly, so these draws end in the fallback
+    u = np.array([1e-13, 1e-9, 2e-7, 0.5, 1.0 - 2e-7, 1.0 - 1e-9])
+    got = law.sample(_FixedUniforms(u), u.size)
+    assert calls and sum(calls) >= 4
+    ref, comp = _bisection_sample(law, u)
+    bound = max(np.max(_backward_error(law, u, ref, comp)), 4.0 * np.finfo(float).eps)
+    assert np.max(_backward_error(law, u, got, comp)) <= bound
+    assert np.all(np.diff(got) > 0.0)
 
 
 def test_point_mass_sampling(rng):
