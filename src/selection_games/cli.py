@@ -12,7 +12,8 @@ Subcommands::
 
 Distributions are given with ``--dist`` as the literal word ``uniform``,
 an inline JSON spec, or a path to a JSON spec file.  Exit codes: 0 on
-success, 2 on validation errors, 3 when an enumeration guard trips.
+success, 2 on validation errors, 3 when an enumeration guard or the grid
+memory guard trips.
 Output is deterministic for fixed flags (and seed): CSV uses '.' decimals,
 LF line endings, UTF-8.
 """

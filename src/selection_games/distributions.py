@@ -7,11 +7,14 @@ queries here are computed exactly wherever the integrand is polynomial
 against the density:
 
 * order-statistic queries (``expect_max_with``, ``expect_order_max_with``,
-  ``order_max_with_vec``, ``top_two_expectation``) go through one kernel,
+  ``order_max_with_vec``) go through one kernel,
   the lone-player value c_k(b) = b + int_b^1 (1 - F^k).  On every CDF
   segment 1 - F^k is a polynomial; its antiderivative is built once per
   (law, k) as a Chebyshev series, so a query is one elementwise series
   evaluation and depends on its floor b alone;
+* ``top_two_expectation`` adds to c_n(0) the mean of the second-largest
+  sample, integrated exactly per segment from pointwise values at
+  Chebyshev points;
 * ``sample`` inverts the CDF: in closed form on constant-density pieces,
   and otherwise by Newton steps bracketed between two knots of a per-piece
   CDF table, with bisection for the rare draw Newton leaves unsettled;
@@ -257,15 +260,24 @@ class ValueDistribution:
 
     def density_moment(self, lo: float, hi: float, degree: int) -> float:
         """Exact integral of x^degree * density over [lo, hi] (atoms excluded)."""
-        total = 0.0
+        return float(self.cell_moments(np.array([lo, hi], dtype=float), degree)[0])
+
+    def cell_moments(self, edges: np.ndarray, degree: int) -> np.ndarray:
+        """Exact integral of x^degree * density over every cell
+        [edges[t], edges[t + 1]] (atoms excluded).
+
+        Each density piece's antiderivative is evaluated once, by Horner, over
+        the whole edge vector clipped to the piece; a cell adds the difference
+        at its two ends where it overlaps the piece.  Pieces add in order.
+        """
+        edges = np.asarray(edges, dtype=float)
+        total = np.zeros(edges.size - 1)
         for p in self.pieces:
-            a, b = max(lo, p.lo), min(hi, p.hi)
-            if b <= a:
-                continue
-            shifted = tuple(0.0 for _ in range(degree)) + tuple(p.coeffs)
-            anti = _poly_antideriv(shifted)
-            total += _poly_eval(anti, b) - _poly_eval(anti, a)
-        return float(total)
+            overlaps = np.minimum(edges[1:], p.hi) > np.maximum(edges[:-1], p.lo)
+            anti = _poly_antideriv(tuple(0.0 for _ in range(degree)) + tuple(p.coeffs))
+            at = _poly_eval(anti, np.clip(edges, p.lo, p.hi))
+            total = np.where(overlaps, total + (at[1:] - at[:-1]), total)
+        return total
 
     def atom_sum(self, lo: float, hi: float, g: Callable[[float], float]) -> float:
         """Sum of mass * g(x) over atoms in the half-open interval (lo, hi]."""
@@ -314,14 +326,22 @@ class ValueDistribution:
         = int_lo_i^1 (1 - F^k)."""
         return {}
 
+    @cached_property
+    def _cdf_series(self) -> tuple[np.polynomial.Chebyshev, ...]:
+        """The CDF on each segment as a Chebyshev series over that segment."""
+        # np.polynomial loads on first use, not at import
+        poly = np.polynomial
+        return tuple(
+            poly.Chebyshev.cast(poly.Polynomial(seg.coeffs), domain=[seg.lo, seg.hi])
+            for seg in self._segments
+        )
+
     def _lone_kernel(self, k: int) -> tuple[np.ndarray, tuple[np.polynomial.Chebyshev, ...]]:
         kernels = self._lone_kernels
         if k not in kernels:
             series = []
-            for seg in self._segments:
-                # np.polynomial loads on first use, not at import
+            for seg, F in zip(self._segments, self._cdf_series):
                 poly = np.polynomial
-                F = poly.Chebyshev.cast(poly.Polynomial(seg.coeffs), domain=[seg.lo, seg.hi])
                 # F**k would stop at the class's cap of 100 on the power
                 Fk = poly.Chebyshev(poly.chebyshev.chebpow(F.coef, k, maxpower=None), domain=F.domain)
                 series.append(-(1.0 - Fk).integ(lbnd=seg.hi))
@@ -370,11 +390,26 @@ class ValueDistribution:
 
     def top_two_expectation(self, n: int) -> float:
         """E(first order statistic + second order statistic) of n samples,
-        as n c_{n-1}(0) - (n - 2) c_n(0), from E[X_(n-1)] = n E[max of n - 1]
-        - (n - 1) E[max of n]."""
+        as c_n(0) + E[X_(n-1)] with E[X_(n-1)] = int (1 - F^n - n F^(n-1) (1 - F)).
+
+        The integrand is sampled pointwise, where both subtracted terms lie in
+        [0, 1], and integrated exactly per segment from its values at Chebyshev
+        points.  (Differencing n c_(n-1)(0) and (n - 1) c_n(0), two terms of
+        size n, would lose about n eps.)
+        """
         if n < 2:
             raise SpecValidationError("top_two_expectation requires n >= 2")
-        return n * self._lone_value(n - 1, 0.0) - (n - 2) * self._lone_value(n, 0.0)
+
+        def survival(F):
+            F = np.clip(F, 0.0, 1.0)
+            below = F ** (n - 1)
+            return 1.0 - below * F - n * below * (1.0 - F)
+
+        second = 0.0
+        for seg, F in zip(self._segments, self._cdf_series):
+            degree = (len(seg.coeffs) - 1) * n
+            second += _chebyshev_point_integral(lambda x, F=F: survival(F(x)), seg.lo, seg.hi, degree)
+        return self._lone_value(n, 0.0) + second
 
     # -- sampling -------------------------------------------------------------
 
@@ -396,7 +431,8 @@ class ValueDistribution:
         return tuple(tables)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
-        """i.i.d. draws; deterministic given the generator state."""
+        """i.i.d. draws; deterministic given the generator state.  Each draw
+        reads one double of ``rng`` and depends on it alone."""
         scalar = size is None
         count = 1 if scalar else int(size)
         u = rng.random(count)
@@ -427,6 +463,25 @@ class ValueDistribution:
 
     def cache_key(self) -> tuple:
         return (self.atoms, tuple((p.lo, p.hi, p.coeffs) for p in self.pieces))
+
+
+def _chebyshev_point_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, degree: int) -> float:
+    """Exact integral over [lo, hi] of a polynomial f of at most ``degree``,
+    from its values at the degree + 1 Chebyshev points of the first kind.
+
+    The values give f's Chebyshev coefficients c_j by a discrete cosine
+    transform (done with one FFT), and int_{-1}^{1} T_j = 2 / (1 - j^2) for
+    even j, 0 for odd j.
+    """
+    m = degree + 1
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    vals = f(lo + (hi - lo) * (1.0 + np.cos(theta)) / 2.0)
+    j = np.arange(0, m, 2)
+    spectrum = np.fft.fft(np.concatenate([vals, vals[::-1]]))[:m:2]
+    coeffs = (np.exp(-0.5j * np.pi * j / m) * spectrum).real / m
+    weights = 2.0 / (1.0 - j.astype(float) ** 2)
+    weights[0] = 1.0  # the series carries c_0 / 2
+    return (hi - lo) / 2.0 * math.fsum(coeffs * weights)
 
 
 def _invert_piece(p: DensityPiece, table: tuple, target: np.ndarray) -> np.ndarray:

@@ -27,4 +27,4 @@ class IntegrationError(SelectionGamesError, ArithmeticError):
 
 
 class ResourceBudgetError(SelectionGamesError, RuntimeError):
-    """An enumeration exceeded its configured size guard."""
+    """An enumeration or a grid exceeded its size or memory guard."""

@@ -25,16 +25,26 @@ Three evaluation paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .distributions import ValueDistribution, _gauss_on
-from .errors import InconsistencyError, SpecValidationError
+from .errors import InconsistencyError, ResourceBudgetError, SpecValidationError
 from .stage_games import selector_H, selector_L
 
 BRANCH_TOL = 1e-12
+
+#: G x G float64 tables one stage of the grid engine or of the best-response
+#: DP may hold at once, temporaries included (about 7 measured in the DP)
+GRID_WORKING_TABLES = 12
+#: largest working set a triangle grid may claim, in bytes (2 GiB: G <= 4729)
+GRID_MEMORY_BUDGET = 2 * 1024**3
+#: G x G tables are worked through in blocks of rows of about this many
+#: bytes, so that a block's temporaries stay in cache
+ROW_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -52,13 +62,12 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class FullRecallBand:
-    """Band endpoints plus the per-stage value tables that produced them."""
+    """Band endpoints, and the grid that produced them (None when exact)."""
 
     n: int
     low: float
     high: float
     grid: GridConfig | None = None
-    value_tables: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.low > self.high + 1e-9:
@@ -74,29 +83,47 @@ def med(a, b, x):
 
 
 class TriangleContext:
-    """Precomputed per-(distribution, grid) machinery for expectations of
-    grid tables over a fresh arrival."""
+    """Precomputed per-(distribution, grid) machinery for expectations over
+    a fresh arrival, of grid tables and of functions on the grid.
+
+    A grid whose working set (``GRID_WORKING_TABLES`` G x G float64 tables)
+    would exceed ``GRID_MEMORY_BUDGET`` is refused with
+    :class:`ResourceBudgetError` before anything of size G is allocated.
+    """
 
     def __init__(self, dist: ValueDistribution, grid: GridConfig):
+        G = grid.size
+        working = GRID_WORKING_TABLES * 8 * G * G
+        if working > GRID_MEMORY_BUDGET:
+            raise ResourceBudgetError(
+                f"grid size {G} needs about {working / 2**30:.1f} GiB of G x G tables, "
+                f"over the budget of {GRID_MEMORY_BUDGET / 2**30:.1f} GiB"
+            )
         self.dist = dist
         self.grid = grid
-        G = grid.size
         self.g = np.linspace(0.0, 1.0, G)
         self.h = self.g[1] - self.g[0]
-        # density cell moments: w0 = mass of a cell, w1 = first moment
-        w0 = np.empty(G - 1)
-        w1 = np.empty(G - 1)
-        for t in range(G - 1):
-            w0[t] = dist.density_moment(self.g[t], self.g[t + 1], 0)
-            w1[t] = dist.density_moment(self.g[t], self.g[t + 1], 1)
+        # density cell moments: w0 = mass of a cell, w1 = first moment;
+        # f is linear on a cell with weights rho (left node) and phi (right)
+        w0 = dist.cell_moments(self.g, 0)
+        w1 = dist.cell_moments(self.g, 1)
         self.phi = np.clip((w1 - self.g[:-1] * w0) / self.h, 0.0, None)
         self.rho = np.clip(w0 - self.phi, 0.0, None)
         self.F = np.asarray(dist.cdf(self.g))
         self.atoms = dist.atoms
-        # triangle masks, built once per grid: {b <= a} and its complement
-        self.lower = np.tri(G, dtype=bool)
-        self.upper = ~self.lower
         self._c_cache: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """Triangle mask {b <= a}, built once per grid."""
+        return np.tri(self.grid.size, dtype=bool)
+
+    @cached_property
+    def row_blocks(self) -> tuple[slice, ...]:
+        """Consecutive row slices of about ``ROW_BLOCK_BYTES`` of float64 each."""
+        G = self.grid.size
+        rows = max(1, ROW_BLOCK_BYTES // (8 * G))
+        return tuple(slice(r, min(r + rows, G)) for r in range(0, G, rows))
 
     def lone_values(self, k: int) -> np.ndarray:
         """c_k(b) = E(max of k samples v b) on the grid."""
@@ -127,14 +154,29 @@ class TriangleContext:
         lower_tri = T[i, j] + (T[i + 1, j] - T[i, j]) * (fx - fy) + (T[i + 1, j + 1] - T[i, j]) * fy
         return np.where((i == j) & (fx >= fy), lower_tri, square)
 
+    def expect(self, vals: np.ndarray) -> float:
+        """E[f(X)] for f given by its values on the grid, linear on each cell:
+        the atoms by interpolation, then the cells summed in grid order."""
+        total = 0.0
+        for x, mass in self.atoms:
+            total += mass * float(np.interp(x, self.g, vals))
+        cells = vals[:-1] * self.rho + vals[1:] * self.phi
+        # a running sum, cell by cell, as a scalar loop would add them
+        return float(np.cumsum(np.concatenate(([total], cells)))[-1])
+
     def expect_over_arrival(self, T: np.ndarray) -> np.ndarray:
-        """E_X[T(a v X, med[a, b, X])] at every grid node (a_i, b_j).
+        """E_X[T(a v X, med[a, b, X])] at every grid node (a_i, b_j), for a
+        mirrored table T (T[i, j] == T[j, i]), as every table of the engine is.
 
         Splitting the arrival X at b and a gives
 
             F(b) T(a, b) + int_(b, a] T(a, x) dF(x) + int_(a, 1] T(x, a) dF(x),
 
         computed against the density via per-cell linear interpolation of T.
+        Both integrals come from one pass of running sums along the rows, one
+        block of rows at a time: for a mirrored T the running sums down the
+        columns are their transpose, bit for bit, since a cumulative sum adds
+        in sequence along either axis.
         Atoms follow the library convention (the CDF is right-continuous): an
         atom x* <= b is already inside F(b) T(a, b) and adds nothing more.  An
         atom x* > b moves the state to (a v x*, a ^ x*), which does not depend
@@ -142,23 +184,35 @@ class TriangleContext:
         added to every column with b < x*.
         """
         G = self.grid.size
-        g, rho, phi = self.g, self.rho, self.phi
-        cells_row = T[:, :-1] * rho[None, :] + T[:, 1:] * phi[None, :]
-        crow = np.concatenate([np.zeros((G, 1)), np.cumsum(cells_row, axis=1)], axis=1)
-        diag_row = crow[np.arange(G), np.arange(G)]
-        row_part = diag_row[:, None] - crow
-        cells_col = T[:-1, :] * rho[:, None] + T[1:, :] * phi[:, None]
-        pcol = np.concatenate([np.zeros((1, G)), np.cumsum(cells_col, axis=0)], axis=0)
-        col_suffix = pcol[-1, np.arange(G)] - pcol[np.arange(G), np.arange(G)]
-        out = self.F[None, :] * T + row_part + col_suffix[:, None]
+        g = self.g
+        out = np.empty((G, G))
+        buf = np.empty((self.row_blocks[0].stop, G))
+        for rows in self.row_blocks:
+            Tb, ob = T[rows], out[rows]
+            # crow[i, j] = int_0^(g_j) T(a_i, x) dF(x), the running sum of row i's cells
+            crow = buf[: len(Tb)]
+            crow[:, 0] = 0.0
+            np.multiply(Tb[:, :-1], self.rho, out=crow[:, 1:])
+            np.multiply(Tb[:, 1:], self.phi, out=ob[:, 1:])
+            crow[:, 1:] += ob[:, 1:]
+            np.cumsum(crow[:, 1:], axis=1, out=crow[:, 1:])
+            diag = crow[np.arange(len(Tb)), np.arange(rows.start, rows.stop)]
+            # int_(a, 1] T(x, a) dF(x): the column pass, read off the transpose
+            col_suffix = crow[:, -1] - diag
+            np.subtract(diag[:, None], crow, out=crow)  # int_(b, a] T(a, x) dF(x)
+            np.multiply(self.F, Tb, out=ob)
+            ob += crow
+            ob += col_suffix[:, None]
         for x_star, mass in self.atoms:
             u = self.bilinear(T, np.maximum(g, x_star), np.minimum(g, x_star))
             out[:, : np.searchsorted(g, x_star)] += mass * u[:, None]
         return out
 
     def mirror(self, T: np.ndarray) -> np.ndarray:
-        """Copy the triangle {b <= a} of T onto {b > a}, in place."""
-        T[self.upper] = T.T[self.upper]
+        """Copy the triangle {b <= a} of T onto {b > a}, in place, one row at a
+        time, with no G x G mask."""
+        for i in range(self.grid.size - 1):
+            T[i, i + 1 :] = T[i + 1 :, i]
         return T
 
 
@@ -284,20 +338,12 @@ def band(dist: ValueDistribution, n: int, grid: GridConfig | None = None) -> Ful
     if n < 1:
         raise SpecValidationError("band requires n >= 1")
     if not dist.pieces:
-        memo: dict = {}
-        lo, hi = _lh_discrete(dist, n, 0.0, 0.0, memo)
-        # the finite state-value map plays the role of the grid tables
-        return FullRecallBand(n=n, low=float(lo), high=float(hi), value_tables=(memo,))
+        lo, hi = _lh_discrete(dist, n, 0.0, 0.0, {})
+        return FullRecallBand(n=n, low=float(lo), high=float(hi))
     grid = grid or GridConfig()
     _, tables = grid_tables(dist, n, grid)
     stage = tables[n]
-    return FullRecallBand(
-        n=n,
-        low=float(stage.low[0, 0]),
-        high=float(stage.high[0, 0]),
-        grid=grid,
-        value_tables=tuple(tables[: n + 1]),
-    )
+    return FullRecallBand(n=n, low=float(stage.low[0, 0]), high=float(stage.high[0, 0]), grid=grid)
 
 
 # -- closed forms for the uniform law --------------------------------------------------

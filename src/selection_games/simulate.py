@@ -40,6 +40,9 @@ from .prophet import prophet_values
 
 FULL_RECALL = "full_recall"
 NO_RECALL = "no_recall"
+#: runs that :func:`play` plays together; a block's draws and stage arrays
+#: (under a MB each) are reused from block to block
+PLAY_BLOCK_RUNS = 16384
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,23 @@ def _med(a, b, x):
     return np.maximum(b, np.minimum(a, x))
 
 
-def _bid_prob(strategy: Strategy, t: int, k: int, a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+def _bid_prob(
+    strategy: Strategy, t: int, k: int, a: np.ndarray, b: np.ndarray | None, shape=None
+) -> np.ndarray:
+    """Bid probabilities clipped to [0, 1], broadcast to ``shape`` (a's shape
+    by default)."""
     p = np.clip(np.asarray(strategy.bid_prob(t, k, a, b), dtype=float), 0.0, 1.0)
-    return np.broadcast_to(p, a.shape)
+    return np.broadcast_to(p, a.shape if shape is None else shape)
+
+
+def _stream_at(seed: int, offset: int) -> np.random.Generator:
+    """A generator reading the Philox stream of ``seed`` from its
+    ``offset``-th double on (one Philox counter step yields four doubles)."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(offset // 4)
+    rng = np.random.Generator(bits)
+    rng.random(offset % 4)
+    return rng
 
 
 def play(
@@ -109,29 +126,58 @@ def play(
     Without recall, strategies act at every stage (two passes at the last
     arrival leave both players with nothing).
 
-    Each stage touches only the live runs: ``bid_prob`` sees their values
-    alone and is evaluated once when ``strat1 is strat2``, and the
-    survivor's lone value is computed only for runs in which someone bid.
+    The draws are one Philox stream of ``seed``: the runs x n values, then
+    the runs x n uniforms of player 1, of player 2 and of the tie-break
+    coin, each row-major.  Runs are played in blocks of ``PLAY_BLOCK_RUNS``,
+    each block reading its rows of the four segments, so the result does not
+    depend on the block size and the memory touched does not grow with runs.
     """
     if runs < 1:
         raise SpecValidationError("runs must be >= 1")
     if variant not in (FULL_RECALL, NO_RECALL):
         raise SpecValidationError(f"unknown variant {variant!r}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    X = np.asarray(d.sample(rng, runs * n)).reshape(runs, n)
-    U1 = rng.random((runs, n))
-    U2 = rng.random((runs, n))
-    coin = rng.random((runs, n)) < 0.5
-
+    # one generator per segment of the stream, each read block after block
+    values, *uniforms = (_stream_at(seed, s * runs * n) for s in range(4))
     pay1 = np.zeros(runs)
     pay2 = np.zeros(runs)
-    # runs still in play, with their (best, second-best) available values
-    live = np.arange(runs)
-    a = np.zeros(runs)
-    b = np.zeros(runs) if variant == FULL_RECALL else None
     c_by_k = prophet_values(d, n).values if variant == NO_RECALL else None
     taken_stage = np.zeros(runs, dtype=np.int32) if collect_traces else None
+    for r0 in range(0, runs, PLAY_BLOCK_RUNS):
+        rows = slice(r0, min(runs, r0 + PLAY_BLOCK_RUNS))
+        size = rows.stop - r0
+        X = np.asarray(d.sample(values, size * n)).reshape(size, n)
+        U1, U2, coin = (u.random((size, n)) for u in uniforms)
+        _play_block(
+            d, n, variant, strat1, strat2, X, U1, U2, coin < 0.5, c_by_k,
+            pay1[rows], pay2[rows], None if taken_stage is None else taken_stage[rows],
+        )
 
+    # no-recall runs where nobody ever bid end with zero payoffs (already set)
+    mean = (float(pay1.mean()), float(pay2.mean()))
+    se = (
+        float(pay1.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0,
+        float(pay2.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0,
+    )
+    se_sum = float((pay1 + pay2).std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
+    traces = None
+    if collect_traces:
+        traces = {"taken_stage": taken_stage, "payoff1": pay1, "payoff2": pay2}
+    return SimulationReport(
+        runs=runs, seed=seed, mean=mean, stderr=se, stderr_sum=se_sum, traces=traces
+    )
+
+
+def _play_block(d, n, variant, strat1, strat2, X, U1, U2, coin, c_by_k, pay1, pay2, taken_stage):
+    """Play one block of runs, writing into the block's views of the payoffs.
+
+    Each stage touches only the live runs: ``bid_prob`` sees their values
+    alone and is evaluated once when ``strat1 is strat2``, and the
+    survivor's lone value is computed only for runs in which someone bid.
+    """
+    # runs still in play, with their (best, second-best) available values
+    live = np.arange(len(X))
+    a = np.zeros(len(X))
+    b = np.zeros(len(X)) if variant == FULL_RECALL else None
     for t in range(1, n + 1):
         if live.size == 0:
             break
@@ -161,26 +207,12 @@ def play(
             lone = 0.0 if k == 0 else c_by_k[k - 1]
         pay1[rows] = np.where(w1, a[won], lone)
         pay2[rows] = np.where(w1, lone, a[won])
-        if collect_traces:
+        if taken_stage is not None:
             taken_stage[rows] = t
         keep = ~any_bid
         live, a = live[keep], a[keep]
         if b is not None:
             b = b[keep]
-
-    # no-recall runs where nobody ever bid end with zero payoffs (already set)
-    mean = (float(pay1.mean()), float(pay2.mean()))
-    se = (
-        float(pay1.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0,
-        float(pay2.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0,
-    )
-    se_sum = float((pay1 + pay2).std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
-    traces = None
-    if collect_traces:
-        traces = {"taken_stage": taken_stage, "payoff1": pay1, "payoff2": pay2}
-    return SimulationReport(
-        runs=runs, seed=seed, mean=mean, stderr=se, stderr_sum=se_sum, traces=traces
-    )
 
 
 # -- equilibrium profiles ----------------------------------------------------------
@@ -212,10 +244,16 @@ def _fr_best_strategy(d: ValueDistribution, n: int, grid: GridConfig) -> Strateg
         return ctx.bilinear(tables[k].dplus, np.asarray(a), np.asarray(b))
 
     def prob(t, k, a, b):
+        a = np.asarray(a, dtype=float)
         if k == 0:
-            return np.ones_like(np.asarray(a, dtype=float))
-        c = np.asarray(d.order_max_with_vec(k, np.asarray(b, dtype=float)))
-        return np.where(np.asarray(a) > np.maximum(c, dplus(k, a, b)), 1.0, 0.0)
+            return np.ones_like(a)
+        b = np.asarray(b, dtype=float)
+        # bid iff a > max(c, dplus); dplus is read only where a > c
+        bid = a > np.asarray(d.order_max_with_vec(k, b))
+        if np.any(bid):
+            a_c, b_c = (np.broadcast_to(v, bid.shape)[bid] for v in (a, b))
+            bid[bid] = a_c > dplus(k, a_c, b_c)
+        return bid.astype(float)
 
     return Strategy("fr-best-threshold", prob)
 
@@ -353,22 +391,6 @@ def threshold_strategy(thresholds: dict[int, float], name: str = "threshold") ->
 # -- best-response verification ------------------------------------------------------
 
 
-def _grid_expectation(d: ValueDistribution, g: np.ndarray, vals: np.ndarray) -> float:
-    """E[f(X)] for f given by values on the grid g (linear interpolation)."""
-    total = 0.0
-    for x, mass in d.atoms:
-        total += mass * float(np.interp(x, g, vals))
-    h = g[1] - g[0]
-    for t in range(len(g) - 1):
-        w0 = d.density_moment(g[t], g[t + 1], 0)
-        if w0 == 0.0:
-            continue
-        w1 = d.density_moment(g[t], g[t + 1], 1)
-        phi = (w1 - g[t] * w0) / h
-        total += vals[t] * (w0 - phi) + vals[t + 1] * phi
-    return float(total)
-
-
 def best_response_gap(
     d: ValueDistribution,
     n: int,
@@ -391,53 +413,74 @@ def best_response_gap(
 
 
 def _br_gap_no_recall(d, n, opponent, reply, grid_size):
-    g = np.linspace(0.0, 1.0, grid_size)
+    ctx = TriangleContext(d, GridConfig(size=grid_size))
+    g = ctx.g
     cs = prophet_values(d, n).values
     r_br = 0.0
     r_eq = 0.0
     for t in range(n, 0, -1):
         k = n - t
         ck = 0.0 if k == 0 else cs[k - 1]
-        q = np.clip(np.asarray(opponent.bid_prob(t, k, g, None), dtype=float), 0.0, 1.0)
-        p = np.clip(np.asarray(reply.bid_prob(t, k, g, None), dtype=float), 0.0, 1.0)
-        q = np.broadcast_to(q, g.shape)
-        p = np.broadcast_to(p, g.shape)
+        q = _bid_prob(opponent, t, k, g, None)
+        p = q if reply is opponent else _bid_prob(reply, t, k, g, None)
         bid_val = q * (g + ck) / 2.0 + (1.0 - q) * g
         pass_br = q * ck + (1.0 - q) * r_br
         pass_eq = q * ck + (1.0 - q) * r_eq
         v_br = np.maximum(bid_val, pass_br)
         v_eq = p * bid_val + (1.0 - p) * pass_eq
-        r_br = _grid_expectation(d, g, v_br)
-        r_eq = _grid_expectation(d, g, v_eq)
+        r_br = ctx.expect(v_br)
+        r_eq = ctx.expect(v_eq)
     return float(r_br - r_eq)
+
+
+def _br_stage(a, c, q, p, w_br, w_eq, same) -> None:
+    """One stage of the full-recall DP on a block of rows, in place: the
+    continuation values w_br and w_eq become
+
+        v_br = max(bid, q c + (1 - q) w_br)
+        v_eq = p bid + (1 - p) (q c + (1 - q) w_eq),  bid = q (a + c) / 2 + (1 - q) a,
+
+    rounded exactly as these formulas are.  ``same`` says p is q."""
+    not_q = 1.0 - q
+    bid = a + c
+    bid *= q
+    bid /= 2.0
+    qc = np.multiply(not_q, a)
+    bid += qc
+    np.multiply(q, c, out=qc)
+    for w in (w_br, w_eq):
+        w *= not_q
+        w += qc
+    np.maximum(bid, w_br, out=w_br)
+    w_eq *= not_q if same else 1.0 - p
+    bid *= p
+    w_eq += bid
 
 
 def _br_gap_full_recall(d, n, opponent, reply, grid_size):
-    ctx = TriangleContext(d, GridConfig(size=grid_size, check_consistency=False))
+    ctx = TriangleContext(d, GridConfig(size=grid_size))
     g = ctx.g
     A = g[:, None]
     B = g[None, :]
-    base = np.add.outer(g, g) / 2.0
-    v_br = base.copy()
-    v_eq = base.copy()
+    shape = (grid_size, grid_size)
+    # both values start at the even split, one table until they part
+    v_br = v_eq = np.add.outer(g, g) / 2.0
     for t in range(n - 1, 0, -1):
         k = n - t
-        w_br = ctx.expect_over_arrival(v_br)
-        w_eq = ctx.expect_over_arrival(v_eq)
+        q = _bid_prob(opponent, t, k, A, B, shape)
+        p = q if reply is opponent else _bid_prob(reply, t, k, A, B, shape)
+        # continuation values E_X[v(a v X, med[a, b, X])]; rebinding the names
+        # frees the previous stage's tables
+        shared = v_eq is v_br
+        v_br = ctx.expect_over_arrival(v_br)
+        v_eq = v_br.copy() if shared else ctx.expect_over_arrival(v_eq)
         ck = ctx.lone_values(k)[None, :]
-        q = np.clip(np.asarray(opponent.bid_prob(t, k, A, B), dtype=float), 0.0, 1.0)
-        p = np.clip(np.asarray(reply.bid_prob(t, k, A, B), dtype=float), 0.0, 1.0)
-        q = np.broadcast_to(q, w_br.shape)
-        p = np.broadcast_to(p, w_br.shape)
-        bid_val = q * (A + ck) / 2.0 + (1.0 - q) * A
-        v_br = np.maximum(bid_val, q * ck + (1.0 - q) * w_br)
-        v_eq = p * bid_val + (1.0 - p) * (q * ck + (1.0 - q) * w_eq)
+        for rows in ctx.row_blocks:
+            _br_stage(A[rows], ck, q[rows], p[rows], v_br[rows], v_eq[rows], p is q)
         # states only matter on the triangle; mirror for the next expectation
         ctx.mirror(v_br)
         ctx.mirror(v_eq)
-    r_br = _grid_expectation(d, g, v_br[:, 0])
-    r_eq = _grid_expectation(d, g, v_eq[:, 0])
-    return float(r_br - r_eq)
+    return float(ctx.expect(v_br[:, 0]) - ctx.expect(v_eq[:, 0]))
 
 
 def spe_gap(

@@ -11,6 +11,8 @@ from selection_games.efficiency import tightness_family
 from selection_games.errors import IntegrationError, SpecValidationError
 from selection_games.testkit import beta_distribution, continuous_test_laws, two_point_top_two
 
+EPS = np.finfo(float).eps
+
 LAWS = {
     "uniform": D.uniform(),
     "two_point": D.two_point(),
@@ -256,6 +258,23 @@ def test_order_max_matches_exact_reference(name):
         exact = _exact_lone_value(segs, n)
         want = np.array([float(exact(b)) for b in ks])
         assert np.max(np.abs(law.order_max_with_vec(n, ks) - want)) <= 2e-15
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_LAWS))
+def test_top_two_matches_exact_reference(name):
+    law = EXACT_LAWS[name]
+    segs = _exact_cdf_segments(law)
+    for n in range(2, 11):
+        # exact arithmetic can difference the two large terms freely
+        want = n * _exact_lone_value(segs, n - 1)(0) - (n - 2) * _exact_lone_value(segs, n)(0)
+        assert abs(law.top_two_expectation(n) - float(want)) <= 4 * EPS
+
+
+@pytest.mark.parametrize("n", list(range(2, 11)) + [150, 500, 1000])
+def test_top_two_uniform_within_four_eps(n):
+    # n c_(n-1)(0) - (n - 2) c_n(0) was off by 1.7e-13 at n = 1000
+    want = float(Fraction(2 * n - 1, n + 1))
+    assert abs(D.uniform().top_two_expectation(n) - want) <= 4 * EPS
 
 
 def test_top_two_two_point_closed_form():

@@ -1,14 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_distributions import LAWS
 
 from selection_games import distributions as D
 from selection_games import full_recall as FR
+from selection_games.cli import run
 from selection_games.efficiency import ratios, tightness_family
 from selection_games.errors import SpecValidationError
 from selection_games.prophet import prophet_values
-from selection_games.testkit import GRID_BAND_TOL, beta_distribution, two_point_best_value
+from selection_games.testkit import (
+    GRID_BAND_TOL,
+    beta_distribution,
+    continuous_test_laws,
+    two_point_best_value,
+)
 
 SMALL = FR.GridConfig(size=401)
+TWO_PIECE = dict(continuous_test_laws())["tilted-step"]
 
 
 def test_horizon_zero_is_even_split():
@@ -190,9 +200,12 @@ def test_atom_path_matches_dense_reference(law, rng):
 
 
 def test_atomless_expectation_unchanged(rng):
-    ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=201))
-    T = ctx.mirror(rng.random((201, 201)))
-    assert np.array_equal(ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T))
+    for law in (D.uniform(), beta_distribution(2, 2), TWO_PIECE):
+        # 201 rows make two row blocks of unequal height
+        ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
+        assert len(ctx.row_blocks) == 2
+        T = ctx.mirror(rng.random((201, 201)))
+        assert np.array_equal(ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T))
 
 
 def test_mirror_copies_lower_triangle(rng):
@@ -225,3 +238,70 @@ def test_near_two_point_mixture_band_is_feasible():
         ratios(mix, n, "full_recall")  # raises InconsistencyError on an infeasible band
         b = FR.band(mix, n)
         assert 2.0 * b.high <= mix.top_two_expectation(n)
+
+
+# -- cell moments, grid expectations and the memory guard ---------------------------------
+
+
+def _scalar_density_moment(law, lo, hi, degree):
+    """The per-cell loop the vectorized cell moments replace."""
+    total = 0.0
+    for p in law.pieces:
+        a, b = max(lo, p.lo), min(hi, p.hi)
+        if b <= a:
+            continue
+        anti = D._poly_antideriv((0.0,) * degree + tuple(p.coeffs))
+        total += D._poly_eval(anti, b) - D._poly_eval(anti, a)
+    return total
+
+
+MOMENT_LAWS = dict(LAWS, tightness=tightness_family(0.1, 0.05), two_piece=TWO_PIECE)
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_LAWS))
+def test_cell_moments_match_scalar_density_moment(name):
+    law = MOMENT_LAWS[name]
+    g = FR.TriangleContext(law, FR.GridConfig(size=401)).g
+    for degree in (0, 1):
+        got = law.cell_moments(g, degree)
+        scalar = [law.density_moment(g[t], g[t + 1], degree) for t in range(len(g) - 1)]
+        loop = [_scalar_density_moment(law, g[t], g[t + 1], degree) for t in range(len(g) - 1)]
+        assert np.array_equal(got, scalar)
+        assert np.array_equal(got, loop)
+
+
+def _loop_grid_expectation(d, g, vals):
+    """The scalar loop ``TriangleContext.expect`` replaces."""
+    total = 0.0
+    for x, mass in d.atoms:
+        total += mass * float(np.interp(x, g, vals))
+    h = g[1] - g[0]
+    for t in range(len(g) - 1):
+        w0 = d.density_moment(g[t], g[t + 1], 0)
+        if w0 == 0.0:
+            continue
+        w1 = d.density_moment(g[t], g[t + 1], 1)
+        phi = (w1 - g[t] * w0) / h
+        total += vals[t] * (w0 - phi) + vals[t + 1] * phi
+    return float(total)
+
+
+@pytest.mark.parametrize("name", ["uniform", "beta22", "mixture", "tightness", "two_point"])
+def test_grid_expectation_matches_scalar_loop(name, rng):
+    law = MOMENT_LAWS[name]
+    ctx = FR.TriangleContext(law, FR.GridConfig(size=801))
+    for vals in (rng.random(801), np.sqrt(ctx.g), (ctx.g + 0.2) / 2.0):
+        assert abs(ctx.expect(vals) - _loop_grid_expectation(law, ctx.g, vals)) <= 1e-15
+
+
+def test_grid_memory_guard_refuses_huge_grid_without_allocating():
+    tracemalloc.start()
+    try:
+        code = run(["fullrecall", "--grid", "200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2**20
+    # every grid the library and its benchmark use stays under the budget
+    assert FR.GRID_WORKING_TABLES * 8 * 2001**2 <= FR.GRID_MEMORY_BUDGET

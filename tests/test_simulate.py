@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from selection_games import distributions as D
 from selection_games import simulate as S
 from selection_games.errors import SpecValidationError, UnsupportedDistributionError
-from selection_games.full_recall import GridConfig
+from selection_games.full_recall import GridConfig, grid_tables, uniform_pass_value
 from selection_games.prophet import prophet_values
 
 GRID = GridConfig(size=501)
@@ -85,6 +87,52 @@ def test_best_response_gap_flags_bad_strategy():
     c3 = prophet_values(D.uniform(), 3)[3]
     assert gap == pytest.approx(c3, abs=1e-3)
     assert gap > 0.5
+
+
+@pytest.mark.parametrize(
+    "variant, want",
+    # gaps of the two-pass DP with per-cell scalar moments, before the
+    # one-pass expectation and the in-place stage algebra
+    [("full_recall", 0.006321942529296964), ("no_recall", 0.01263974390722411)],
+)
+def test_asymmetric_gap_unchanged(variant, want):
+    # never_bid as the opponent of an equilibrium reply: the two seats differ,
+    # so the DP evaluates both strategies and keeps both value tables apart
+    reply = S.spe_strategy(D.uniform(), 3, variant, "worst").player1
+    gap = S.best_response_gap(D.uniform(), 3, variant, S.never_bid(), reply, 401)
+    assert gap == pytest.approx(want, abs=1e-12)
+
+
+def test_full_recall_gap_memory_peak():
+    # the best profile reads grid tables at the default grid; build them first
+    S.spe_strategy(D.uniform(), 4, "full_recall", "best")
+    tracemalloc.start()
+    try:
+        S.spe_gap(D.uniform(), 4, "full_recall", "best", grid_size=801)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 801 * 801 * 8
+
+
+@pytest.mark.parametrize("law, n", [(D.uniform(), 4), (D.two_point(), 5)], ids=["uniform", "two_point"])
+def test_best_strategy_reads_pass_value_only_where_it_decides(law, n, rng):
+    # the rule is a > max(c_k(b), dplus_k(a, b)); dplus is now read only
+    # where a > c_k(b), which must not change a single decision
+    ctx, tables = grid_tables(law, n - 1, GRID)
+    prob = S.spe_strategy(law, n, "full_recall", "best", grid=GRID).player1.bid_prob
+    u = rng.random((2, 5000))
+    a, b = np.maximum(u[0], u[1]), np.minimum(u[0], u[1])
+    g = ctx.g
+    for k in range(1, n):
+        for x, y in ((a, b), (g[:, None], g[None, :])):
+            c = law.order_max_with_vec(k, y)
+            if law.pieces and k <= 2:
+                dplus = uniform_pass_value(k, x, y)
+            else:
+                dplus = ctx.bilinear(tables[k].dplus, x, y)
+            want = np.where(x > np.maximum(c, dplus), 1.0, 0.0)
+            assert np.array_equal(prob(n - k, k, x, y), want)
 
 
 def test_small_grid_gaps_stay_small():
@@ -211,6 +259,40 @@ def test_play_matches_dense_loop(case):
         atol = 1e-15 if variant == "full_recall" else 0.0
         for key in ("payoff1", "payoff2"):
             np.testing.assert_allclose(got[key], want[key], rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [D.mixture_with_uniform(0.3, D.two_point()), D.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))])],
+    ids=["atoms_and_uniform", "quadratic_density"],
+)
+def test_play_does_not_depend_on_block_size(law, monkeypatch):
+    # every block reads its own rows of the four draw segments of the stream
+    grab = S.threshold_strategy({1: 0.8, 2: 0.6, 3: 0.5}, "grab")
+    reports = []
+    for block in (7, 1000, 1_000_000):
+        monkeypatch.setattr(S, "PLAY_BLOCK_RUNS", block)
+        for variant in ("full_recall", "no_recall"):
+            reports.append(S.play(law, 4, variant, grab, S.never_bid(), 4001, seed=9, collect_traces=True))
+    for got, want in zip(reports[:4], reports[4:]):
+        assert got.mean == want.mean and got.stderr == want.stderr
+        for key in ("taken_stage", "payoff1", "payoff2"):
+            np.testing.assert_array_equal(got.traces[key], want.traces[key])
+
+
+def test_play_memory_stays_flat_in_runs():
+    prof = S.spe_strategy(D.uniform(), 5, "no_recall", "worst")
+    S.play(D.uniform(), 5, "no_recall", prof.player1, prof.player2, 10, seed=1)
+    runs = 400_000
+    tracemalloc.start()
+    try:
+        S.play(D.uniform(), 5, "no_recall", prof.player1, prof.player2, runs, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two payoff vectors and their sum, plus a few MB for the blocks;
+    # drawing all runs x n values and uniforms at once peaked at 28 vectors
+    assert peak <= 4 * runs * 8 + 8 * 2**20
 
 
 def test_symmetric_profile_evaluated_once_per_stage_on_live_runs():
