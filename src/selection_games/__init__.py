@@ -20,7 +20,6 @@ from .efficiency import RatioReport, ratios, tightness_family, two_arrival_close
 from .errors import (
     DegenerateDistributionError,
     InconsistencyError,
-    IntegrationError,
     ResourceBudgetError,
     SelectionGamesError,
     SpecValidationError,

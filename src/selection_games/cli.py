@@ -119,7 +119,7 @@ def _cmd_norecall(args) -> None:
     d = _dist(args)
     rows = [
         [s.n, s.alpha_prime, s.alpha, s.beta]
-        for s in no_recall_sequence(d, args.n, quad_tol=args.quad_tol)
+        for s in no_recall_sequence(d, args.n)
     ]
     _emit(args, ["n", "alpha_prime", "alpha", "beta"], rows)
 
@@ -132,12 +132,7 @@ def _cmd_oracle(args) -> None:
     spec = _load_spec(args.dist)
     if spec.get("type") != "discrete":
         raise SpecValidationError("oracle needs a discrete distribution spec")
-    atoms = []
-    for atom in spec.get("atoms", []):
-        x, p = atom.get("x"), atom.get("p")
-        x = Fraction(x) if isinstance(x, str) else Fraction(float(x)).limit_denominator(10**12)
-        p = Fraction(p) if isinstance(p, str) else Fraction(float(p)).limit_denominator(10**12)
-        atoms.append((x, p))
+    atoms = [(orc.snap(atom.get("x")), orc.snap(atom.get("p"))) for atom in spec.get("atoms", [])]
     variant = _VARIANTS[args.variant]
     spep = orc.oracle_spep(atoms, args.n, variant)
     best_sum, worst_sum, worst_single, best_single = orc.oracle_summaries(spep)
@@ -269,10 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--grid", type=int, default=1001, help="triangle grid resolution")
-        p.add_argument(
-            "--quad-tol", dest="quad_tol", type=float, default=1e-10,
-            help="Simpson tolerance of the no-recall recursion (norecall)",
-        )
         if needs_seed:
             p.add_argument("--seed", type=int, default=0)
 

@@ -91,7 +91,7 @@ def ratios(
     raise SpecValidationError(f"unknown variant {variant!r}")
 
 
-def two_arrival_closed_forms(d: ValueDistribution, quad_tol: float = 1e-12) -> tuple[float, float]:
+def two_arrival_closed_forms(d: ValueDistribution) -> tuple[float, float]:
     """(PoS_2, PoA_2) of the two-arrival no-recall game in closed form.
 
     With m = E(X) > 0 and the two-pick benchmark 2m:
@@ -106,12 +106,11 @@ def two_arrival_closed_forms(d: ValueDistribution, quad_tol: float = 1e-12) -> t
     m = d.mean()
     if m <= 0.0:
         raise DegenerateDistributionError("two-arrival ratios need E(X) > 0")
-    best_sum = m + d.density_moment(m / 2.0, 1.0, 1) + d.atom_sum(m / 2.0, 1.0, lambda a: a)
+    best_sum = m + d.partial_expectation(m / 2.0, 1.0, (0.0, 1.0))
     worst_sum = 2.0 * m
-    worst_sum -= d.density_moment(0.0, m / 2.0, 1) + d.atom_sum(0.0, m / 2.0, lambda a: a)
-    worst_sum -= d.partial_expectation(
-        m / 2.0, m, lambda a: a - 2.0 * m + m * m / a, tol=quad_tol
-    )
+    worst_sum -= d.partial_expectation(0.0, m / 2.0, (0.0, 1.0))
+    # a - 2m + m^2 / a = (m^2 - 2m a + a^2) / a
+    worst_sum -= d.partial_expectation(m / 2.0, m, (m * m, -2.0 * m, 1.0), shift=0.0)
     pos2 = 2.0 * m / best_sum
     poa2 = 2.0 * m / worst_sum
     if pos2 > poa2 + _RATIO_SLACK or min(pos2, poa2) < 1.0 - _RATIO_SLACK:

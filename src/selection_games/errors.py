@@ -22,9 +22,5 @@ class InconsistencyError(SelectionGamesError, RuntimeError):
     """Stage-game parameters violate a structural invariant of the model."""
 
 
-class IntegrationError(SelectionGamesError, ArithmeticError):
-    """Quadrature failed (non-finite integrand or depth exhausted)."""
-
-
 class ResourceBudgetError(SelectionGamesError, RuntimeError):
     """An enumeration or a grid exceeded its size or memory guard."""

@@ -23,9 +23,10 @@ extreme Nash payoff of the stage game with lone-player value c_k:
                     + int_{c_k}^{1} (a + c_k) dF
 
 (a'_k, al_k, b_k shorthand for the stage-k scalars).  The max/min kinks are
-split at their analytic crossing points instead of being evaluated
-point-wise under quadrature; everything polynomial against the density is
-integrated exactly, and the mixed-equilibrium branch uses adaptive Simpson.
+split at their analytic crossing points, so every piece is integrated
+exactly: the polynomial ones as density moments, and the mixed-equilibrium
+branch, a linear function over (a + c_k - 2 b_k), by the rational kernel
+``ValueDistribution.partial_expectation``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def no_recall_sequence(d: ValueDistribution, n: int, quad_tol: float = 1e-12) -> list[NoRecallSummary]:
+def no_recall_sequence(d: ValueDistribution, n: int) -> list[NoRecallSummary]:
     """Summaries for every horizon 1..n (the recursion computes them all)."""
     if n < 1:
         raise SpecValidationError("no_recall_sequence requires n >= 1")
@@ -106,10 +107,7 @@ def no_recall_sequence(d: ValueDistribution, n: int, quad_tol: float = 1e-12) ->
         if c > be:
             # denominator c + a - 2 beta >= c - beta > 0 on (beta, c)
             two_alpha += d.partial_expectation(
-                be,
-                min(c, 1.0),
-                lambda a: (4.0 * a * c - 2.0 * be * (a + c)) / (c + a - 2.0 * be),
-                tol=quad_tol,
+                be, min(c, 1.0), (-2.0 * be * c, 4.0 * c - 2.0 * be), shift=c - 2.0 * be
             )
         elif c < be - _ORDER_SLACK:
             raise InconsistencyError(f"lone-player value {c} below best half-sum {be}")
@@ -120,8 +118,8 @@ def no_recall_sequence(d: ValueDistribution, n: int, quad_tol: float = 1e-12) ->
     return out
 
 
-def no_recall_summary(d: ValueDistribution, n: int, quad_tol: float = 1e-12) -> NoRecallSummary:
-    return no_recall_sequence(d, n, quad_tol=quad_tol)[-1]
+def no_recall_summary(d: ValueDistribution, n: int) -> NoRecallSummary:
+    return no_recall_sequence(d, n)[-1]
 
 
 def uniform_no_recall_closed(n: int) -> NoRecallSummary:

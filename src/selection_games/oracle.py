@@ -54,9 +54,6 @@ class DiscreteSPEPSet:
     provenance: tuple[frozenset[str], ...]
     endpoints_only: bool = False
 
-    def as_floats(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(x), float(y)) for x, y in self.payoffs)
-
 
 def exact_atoms(atoms: Iterable[tuple[object, object]]) -> tuple[tuple[Fraction, Fraction], ...]:
     """Coerce atom pairs to exact fractions.
@@ -78,19 +75,28 @@ def exact_atoms(atoms: Iterable[tuple[object, object]]) -> tuple[tuple[Fraction,
     return tuple(out)
 
 
-def atoms_from_distribution(d: ValueDistribution, max_den: int = 10**12) -> tuple:
-    """Snap a finite-support law's float atoms to nearby rationals.
+#: largest denominator a float atom field snaps to
+_MAX_DEN = 10**12
 
-    Intended for CLI input given as JSON numbers; the snap chooses the best
-    rational with denominator <= max_den, which recovers values like 1/3
-    from their double rounding.
-    """
+
+def snap(value: object) -> Fraction:
+    """An atom field as an exact fraction: strings like "1/3" convert
+    exactly; numbers snap to the best rational with denominator <= _MAX_DEN,
+    which recovers values like 1/3 from their double rounding."""
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        return Fraction(float(value)).limit_denominator(_MAX_DEN)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise SpecValidationError(f"atom field {value!r} is not a number") from exc
+
+
+def atoms_from_distribution(d: ValueDistribution) -> tuple:
+    """Snap a finite-support law's float atoms to nearby rationals (see
+    :func:`snap`)."""
     if d.pieces:
         raise SpecValidationError("oracle enumeration needs a finite-support law")
-    pairs = [
-        (Fraction(x).limit_denominator(max_den), Fraction(m).limit_denominator(max_den))
-        for x, m in d.atoms
-    ]
+    pairs = [(snap(x), snap(m)) for x, m in d.atoms]
     total = sum(m for _, m in pairs)
     if total != 1:
         # push any snap defect into the largest mass

@@ -74,7 +74,7 @@ def max_feasible_sum(d: ValueDistribution, n: int) -> FeasibleSumSequence:
         # integral over (t, 1] of (x + c_{k-1}) dF, atoms at t kept on the
         # pass branch (the integrand values coincide there, so no ambiguity)
         ft = d.cdf(t)
-        gain = d.density_moment(t, 1.0, 1) + d.atom_sum(t, 1.0, lambda x: x)
+        gain = d.partial_expectation(t, 1.0, (0.0, 1.0))
         gain += ck * (1.0 - ft)
         s.append(gain + s[-1] * ft)
     return FeasibleSumSequence(tuple(s))

@@ -269,13 +269,8 @@ def _nr_worst_thresholds(d: ValueDistribution, n: int) -> tuple[np.ndarray, np.n
         wk, ck = w[-1], cs[k - 1]
         nxt = wk * d.cdf(wk)
         if ck > wk:
-            nxt += d.partial_expectation(
-                wk,
-                ck,
-                lambda a: (2.0 * a * ck - wk * (a + ck)) / (a + ck - 2.0 * wk),
-                tol=1e-12,
-            )
-        nxt += (d.density_moment(ck, 1.0, 1) + d.atom_sum(ck, 1.0, lambda a: a)) / 2.0
+            nxt += d.partial_expectation(wk, ck, (-wk * ck, 2.0 * ck - wk), shift=ck - 2.0 * wk)
+        nxt += d.partial_expectation(ck, 1.0, (0.0, 1.0)) / 2.0
         nxt += ck * (1.0 - d.cdf(ck)) / 2.0
         w.append(nxt)
     return np.array(w), np.array(cs), w[-1] if n >= 1 else 0.0

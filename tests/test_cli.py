@@ -76,6 +76,28 @@ def test_oracle_accepts_float_atoms_by_snapping(capsys):
     assert payload["payoffs"][0]["p1"] == {"num": 1, "den": 2}
 
 
+def test_oracle_string_and_float_atoms_agree(capsys):
+    def oracle_json(third):
+        atoms = [{"x": third, "p": "1/2"}, {"x": "2/3", "p": "1/2"}]
+        inline = json.dumps({"type": "discrete", "atoms": atoms})
+        code, out = _capture(capsys, ["oracle", "--dist", inline, "--n", "3", "--variant", "norecall"])
+        assert code == 0
+        return out
+
+    assert oracle_json("1/3") == oracle_json(0.3333333333333333)
+
+
+def test_oracle_rejects_non_numeric_atom(capsys):
+    inline = json.dumps({"type": "discrete", "atoms": [{"x": "a third", "p": 1}]})
+    assert run(["oracle", "--dist", inline, "--n", "2", "--variant", "norecall"]) == 2
+
+
+def test_norecall_matches_table3(capsys):
+    _, norecall = _capture(capsys, ["norecall", "--n", "10"])
+    _, table3 = _capture(capsys, ["tables", "--which", "table3", "--n", "10"])
+    assert norecall == table3
+
+
 def test_tables_and_figures(capsys):
     code, out = _capture(capsys, ["tables", "--which", "fig2", "--n", "6"])
     assert code == 0

@@ -1,6 +1,8 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from selection_games import distributions as D
 from selection_games.efficiency import tightness_family
-from selection_games.errors import IntegrationError, SpecValidationError
+from selection_games.errors import SpecValidationError
 from selection_games.testkit import beta_distribution, continuous_test_laws, two_point_top_two
 
 EPS = np.finfo(float).eps
@@ -315,33 +317,117 @@ def test_top_two_below_twice_max(n):
 
 def test_partial_expectation_examples():
     u = D.uniform()
-    assert u.partial_expectation(0, 1, lambda x: x) == pytest.approx(0.5, abs=1e-10)
-    assert u.partial_expectation(0.25, 0.5, lambda x: x) == pytest.approx(3 / 32, abs=1e-10)
+    assert u.partial_expectation(0, 1, (0.0, 1.0)) == 0.5
+    assert u.partial_expectation(0.25, 0.5, (0.0, 1.0)) == 3 / 32
+    # int_0^1 da / (1 + a) = ln 2, rounded once
+    assert u.partial_expectation(0, 1, (1.0,), shift=1.0) == math.log(2.0)
     tp = D.two_point()
-    assert tp.partial_expectation(0.0, 0.5, lambda x: x) == pytest.approx(1 / 6, abs=1e-12)
+    assert tp.partial_expectation(0.0, 0.5, (0.0, 1.0)) == 1 / 6
 
 
 def test_partial_expectation_atom_convention():
     tp = D.two_point()
     third = 1 / 3
     # atom at the lower endpoint excluded, at the upper endpoint included
-    assert tp.partial_expectation(third, 0.5, lambda x: 1.0) == 0.0
-    assert tp.partial_expectation(0.0, third, lambda x: 1.0) == pytest.approx(0.5)
+    assert tp.partial_expectation(third, 0.5, (1.0,)) == 0.0
+    assert tp.partial_expectation(0.0, third, (1.0,)) == 0.5
+    assert tp.partial_expectation(third, 0.5, (1.0,), shift=1.0) == 0.0
+    assert tp.partial_expectation(0.0, third, (1.0,), shift=1.0) == 0.5 / (third + 1.0)
 
 
-def test_partial_expectation_rejects_nonfinite():
-    with pytest.raises(IntegrationError):
-        D.uniform().partial_expectation(0.0, 1.0, lambda x: float("nan"))
+def test_partial_expectation_rejects_pole_at_or_above_lo():
+    u = D.uniform()
+    # the pole of 1 / (a + shift) sits at a = -shift
+    for lo, shift in ((0.0, 0.0), (0.5, -0.5), (0.3, -0.5), (0.0, -1.0)):
+        with pytest.raises(SpecValidationError):
+            u.partial_expectation(lo, 1.0, (1.0,), shift=shift)
+    # a pole just below lo is fine: int_0.5^1 da / (a - 0.49) = ln 51
+    assert u.partial_expectation(0.5, 1.0, (1.0,), shift=-0.49) == pytest.approx(math.log(51.0), rel=1e-13)
 
 
 @given(st.floats(0.01, 0.99))
 def test_partition_additivity_atomless(m):
+    # measured over 20001 evenly spaced cuts m: 0 for the polynomial, at most
+    # 2.22e-16 (one ulp of the whole, which is near 1.2) for the rational one
     for name in ("uniform", "beta22"):
         law = LAWS[name]
-        g = lambda x: x * x + 0.25
-        whole = law.partial_expectation(0, 1, g)
-        split = law.partial_expectation(0, m, g) + law.partial_expectation(m, 1, g)
-        assert split == pytest.approx(whole, abs=1e-9)
+        for num, shift in (((0.25, 0.0, 1.0), None), ((0.3, 2.0), 0.5)):
+            whole = law.partial_expectation(0, 1, num, shift)
+            split = law.partial_expectation(0, m, num, shift) + law.partial_expectation(m, 1, num, shift)
+            assert split == pytest.approx(whole, abs=2.3e-16)
+
+
+def _mp_partial_expectation(law, lo, hi, num, shift):
+    """int_(lo, hi] P(a) / (a + shift) dF(a) at 40 digits: mpmath quadrature
+    on each density piece plus the atoms, every float input taken exactly."""
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpf(c) for c in reversed(num)]
+
+        def f(a):
+            return mpmath.polyval(coeffs, a) / (a + mpmath.mpf(shift))
+
+        total = mpmath.mpf(0)
+        for p in law.pieces:
+            a, b = max(lo, p.lo), min(hi, p.hi)
+            if b > a:
+                dens = [mpmath.mpf(c) for c in reversed(p.coeffs)]
+                total += mpmath.quad(lambda x: f(x) * mpmath.polyval(dens, x), [mpmath.mpf(a), mpmath.mpf(b)])
+        for x, m in law.atoms:
+            if lo < x <= hi:
+                total += mpmath.mpf(m) * f(mpmath.mpf(x))
+        return total
+
+
+def _mixed_branch(beta, c):
+    """No recall's worst sum on (beta, c]: (4ac - 2 beta (a + c)) / (c + a - 2 beta)."""
+    return beta, c, (-2.0 * beta * c, 4.0 * c - 2.0 * beta), c - 2.0 * beta
+
+
+def _stationary_worst(w, c):
+    """The stationary worst profile on (w, c]: (2ac - w (a + c)) / (a + c - 2w)."""
+    return w, c, (-w * c, 2.0 * c - w), c - 2.0 * w
+
+
+def _poa_correction(m):
+    """The two-arrival correction on (m/2, m]: a - 2m + m^2 / a."""
+    return m / 2.0, m, (m * m, -2.0 * m, 1.0), 0.0
+
+
+# (lo, c) pairs: the first uniform step, a pole 0.02 below lo, a range that
+# holds both atoms of the tightness law (one at hi = 1), and a middle range
+_RATIONAL_PAIRS = ((0.25, 0.5), (0.5, 0.52), (0.005, 1.0), (0.6, 0.75))
+
+_RATIONAL_LAWS = {
+    "uniform": D.uniform(),
+    "beta22": beta_distribution(2, 2),
+    "beta35": beta_distribution(3, 5),
+    # the sweep's highest degree: its monomial coefficients reach 2.4e5
+    "beta77": beta_distribution(7, 7),
+    "tilted-step": dict(continuous_test_laws())["tilted-step"],
+    "tightness(0.01,0.001)": tightness_family(0.01, 0.001),
+}
+
+# measured largest relative error against mpmath over every case below:
+# 8.52e-17 (the uniform law's mixed branch), under the 2^-53 = 1.1e-16 of
+# one rounding; the same steps in double precision were off by up to
+# 3.2e-13 here (Beta(3,5) on (0.005, 1], where r ln(...) = -4430 cancels
+# against Q's integral down to 1.05)
+_RATIONAL_REL_ERR = 8.6e-17
+
+
+@pytest.mark.parametrize("integrand", range(3), ids=("mixed-branch", "stationary-worst", "poa-correction"))
+@pytest.mark.parametrize("name", tuple(_RATIONAL_LAWS))
+def test_rational_kernel_against_mpmath(name, integrand):
+    law = _RATIONAL_LAWS[name]
+    if integrand == 2:
+        cases = [_poa_correction(law.mean())]
+    else:
+        build = (_mixed_branch, _stationary_worst)[integrand]
+        cases = [build(lo, c) for lo, c in _RATIONAL_PAIRS]
+    for lo, hi, num, shift in cases:
+        got = law.partial_expectation(lo, hi, num, shift=shift)
+        want = _mp_partial_expectation(law, lo, hi, num, shift)
+        assert abs(got - want) <= _RATIONAL_REL_ERR * abs(want), (lo, hi, got, float(want))
 
 
 # -- sampling -----------------------------------------------------------------------

@@ -39,6 +39,14 @@ def test_closed_recursion_matches_quadrature():
         assert s.beta == pytest.approx(c.beta, abs=1e-8)
 
 
+def test_uniform_recursion_within_measured_error_of_closed_form():
+    # measured: at most 2**-51 = 4.4e-16 over n = 1..10 (alpha at n = 8)
+    for s in NR.no_recall_sequence(D.uniform(), 10):
+        c = NR.uniform_no_recall_closed(s.n)
+        for got, want in ((s.alpha_prime, c.alpha_prime), (s.alpha, c.alpha), (s.beta, c.beta)):
+            assert abs(got - want) <= 2.0**-51
+
+
 def test_ordering_chain_all_laws():
     for name, law in continuous_test_laws():
         for s in NR.no_recall_sequence(law, 6):

@@ -252,13 +252,8 @@ def test_play_matches_dense_loop(case):
         got = S.play(D.uniform(), n, variant, s1, s2, 20_000, seed=seed, collect_traces=True).traces
         want = _dense_play(D.uniform(), n, variant, s1, s2, 20_000, seed)
         np.testing.assert_array_equal(got["taken_stage"], want["taken_stage"])
-        # the lone value c_k(b) comes from a BLAS matrix-vector product whose
-        # rounding of a row can depend on the number of rows in the call, so
-        # a survivor's payoff may move by an ulp when fewer runs are live;
-        # without recall the lone value is a constant and payoffs are exact
-        atol = 1e-15 if variant == "full_recall" else 0.0
         for key in ("payoff1", "payoff2"):
-            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=atol)
+            np.testing.assert_array_equal(got[key], want[key])
 
 
 @pytest.mark.parametrize(
