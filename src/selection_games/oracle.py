@@ -4,16 +4,18 @@ Backward induction in exact rational arithmetic.  With k arrivals left,
 the payoff set of the continuation game is the set of expectations of all
 per-atom selections from the next level's sets; each continuation pair is
 then pushed through the one-stage solver, and every Nash payoff found
-enters the level-k set.  Small-support, small-horizon inputs only: the
-selection products are enumerated explicitly under a size budget.
+enters the level-k set.  The expectations are summed one atom at a time,
+merging equal partial sums after each atom, on integers scaled by the lcm
+of the weighted options' denominators.  Small-support, small-horizon inputs
+only: every atom step is bounded by a size budget.
 
-Payoffs are ``fractions.Fraction`` pairs end to end; floats appear only at
-the reporting boundary.
+Payoffs are ``fractions.Fraction`` pairs at every stage solver and in the
+result; floats appear only at the reporting boundary.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -126,22 +128,45 @@ def _order_max_exact(atoms: Sequence[tuple[Fraction, Fraction]], k: int, b: Frac
     return total
 
 
-def _merge(into: dict, payoff: Pair, prov: frozenset) -> None:
-    if payoff in into:
-        into[payoff] = into[payoff] | prov
-    else:
+def _merge(into: dict, payoff: tuple, prov: frozenset) -> None:
+    # unions only when they add tags, so equal provenance stays one object
+    old = into.get(payoff)
+    if old is None:
         into[payoff] = prov
+    elif not prov <= old:
+        into[payoff] = old | prov
 
 
-def _selection_products(per_atom: list[list], budget: int) -> Iterable[tuple]:
-    size = 1
-    for options in per_atom:
-        size *= len(options)
-        if size > budget:
+def _expectations(ats, per_atom: list[dict[Pair, frozenset]], budget: int) -> tuple[int, dict]:
+    """Every distinct expectation sum_i m_i o_i of one payoff pair o_i per
+    atom, with the union of the chosen pairs' provenance.
+
+    ``per_atom[i]`` maps atom i's options to their provenance.  The atoms are
+    added one at a time and equal partial sums merged after each, so the
+    cost follows the number of distinct partial sums, not the size of the
+    selection product.  Every weighted option m_i o_i is scaled by the lcm
+    ``scale`` of their denominators, so the sums are pairs of ints: returns
+    ``scale`` and the scaled sums.  Raises ResourceBudgetError before an
+    atom step pairs more than ``budget`` partial sums with options.
+    """
+    weighted = [[(m * u, m * v) for u, v in options] for (_, m), options in zip(ats, per_atom)]
+    scale = math.lcm(*(w.denominator for ws in weighted for pair in ws for w in pair))
+    partial: dict[tuple[int, int], frozenset] = {(0, 0): frozenset()}
+    for ws, options in zip(weighted, per_atom):
+        if len(partial) * len(options) > budget:
             raise ResourceBudgetError(
-                f"selection product of size > {budget} in the oracle enumeration"
+                f"more than {budget} pairings in one atom step of the oracle enumeration"
             )
-    return itertools.product(*per_atom)
+        step = [
+            (u.numerator * (scale // u.denominator), v.numerator * (scale // v.denominator), prov)
+            for (u, v), prov in zip(ws, options.values())
+        ]
+        nxt: dict[tuple[int, int], frozenset] = {}
+        for (s1, s2), prov in partial.items():
+            for u, v, oprov in step:
+                _merge(nxt, (s1 + u, s2 + v), prov if oprov <= prov else prov | oprov)
+        partial = nxt
+    return scale, partial
 
 
 def _guards(atoms, n: int) -> None:
@@ -165,6 +190,11 @@ def oracle_spep(
     pairs, which stay exact when given as strings/Fractions.  ``variant``
     is "full_recall" or "no_recall".  Every reported payoff is re-checked
     through the one-shot deviation verifier when ``verify``.
+
+    ``budget`` bounds the pairings of partial sums with one atom's options
+    in each step of the expectation sums (and so every partial set), and
+    each full-recall state's payoff set; past it ResourceBudgetError is
+    raised.
     """
     if isinstance(atoms, ValueDistribution):
         ats = atoms_from_distribution(atoms)
@@ -172,28 +202,29 @@ def oracle_spep(
         ats = exact_atoms(atoms)
     _guards(ats, n)
     if variant == "no_recall":
-        payoffs, prov, cont = _oracle_no_recall(ats, n, budget, verify)
+        level, cont = _oracle_no_recall(ats, n, budget, verify)
     elif variant == "full_recall":
-        payoffs, prov, cont = _oracle_full_recall(ats, n, budget, verify)
+        level, cont = _oracle_full_recall(ats, n, budget, verify)
     else:
         raise SpecValidationError(f"unknown variant {variant!r}")
-    order = sorted(range(len(payoffs)), key=lambda i: payoffs[i])
     return DiscreteSPEPSet(
         variant=variant,
         n=n,
-        payoffs=tuple(payoffs[i] for i in order),
-        provenance=tuple(prov[i] for i in order),
+        payoffs=tuple(p for p, _ in level),
+        provenance=tuple(prov for _, prov in level),
         endpoints_only=cont,
     )
 
 
 def _oracle_no_recall(ats, n: int, budget: int, verify: bool):
+    """Sorted (payoff, provenance) pairs of the no-recall game, and whether a
+    stage admitted a continuum."""
     cs = _prophet_exact(ats, n)
     level: dict[Pair, frozenset] = {(Fraction(0), Fraction(0)): frozenset()}
     continuum = False
     for k in range(n):
         # payoff sets of the one-pending-value games at horizon k
-        per_atom: list[list[tuple[Pair, frozenset]]] = []
+        per_atom: list[dict[Pair, frozenset]] = []
         for x, _ in ats:
             options: dict[Pair, frozenset] = {}
             for (dd, ee), prov in level.items():
@@ -204,53 +235,40 @@ def _oracle_no_recall(ats, n: int, budget: int, verify: bool):
                 continuum = continuum or outcome.has_continuum
                 for eq in outcome.equilibria:
                     _merge(options, eq.payoff, prov | {outcome.case_tag})
-            per_atom.append(list(options.items()))
-        nxt: dict[Pair, frozenset] = {}
-        for combo in _selection_products(per_atom, budget):
-            p1 = sum(m * v[0][0] for (_, m), v in zip(ats, combo))
-            p2 = sum(m * v[0][1] for (_, m), v in zip(ats, combo))
-            prov = frozenset().union(*(v[1] for v in combo))
-            _merge(nxt, (p1, p2), prov)
-        if len(nxt) > budget:
-            raise ResourceBudgetError("payoff set exceeded the oracle budget")
-        level = nxt
-    payoffs = list(level.keys())
-    # the game is symmetric: the payoff set must be swap-symmetric
-    pset = set(payoffs)
-    if any((y, x) not in pset for x, y in pset):
+            per_atom.append(options)
+        scale, sums = _expectations(ats, per_atom, budget)
+        if k < n - 1:
+            level = {(Fraction(p1, scale), Fraction(p2, scale)): prov for (p1, p2), prov in sums.items()}
+    # the game is symmetric: the payoff set must be swap-symmetric; the
+    # scaled sums share scale > 0, so their symmetry and order are the payoffs'
+    if any((p2, p1) not in sums for p1, p2 in sums):
         raise InconsistencyError("no-recall payoff set is not symmetric under swap")
-    return payoffs, [level[p] for p in payoffs], continuum
+    return [((Fraction(p1, scale), Fraction(p2, scale)), sums[p1, p2]) for p1, p2 in sorted(sums)], continuum
 
 
 def _oracle_full_recall(ats, n: int, budget: int, verify: bool):
-    values = tuple(sorted({Fraction(0)} | {x for x, _ in ats}))
-    memo: dict[tuple, dict[Fraction, frozenset]] = {}
+    """Sorted ((u, u), provenance) pairs of the full-recall game, and whether
+    a stage admitted a continuum."""
+    memo: dict[tuple, dict[Pair, frozenset]] = {}
     continuum = False
 
     def med(a: Fraction, b: Fraction, x: Fraction) -> Fraction:
         return min(max(x, b), a)
 
-    def solve_state(k: int, a: Fraction, b: Fraction) -> dict[Fraction, frozenset]:
+    def solve_state(k: int, a: Fraction, b: Fraction) -> dict[Pair, frozenset]:
         nonlocal continuum
         key = (k, a, b)
         if key in memo:
             return memo[key]
         if k == 0:
-            memo[key] = {(a + b) / 2: frozenset()}
+            memo[key] = {((a + b) / 2,) * 2: frozenset()}
             return memo[key]
-        per_atom = []
-        for x, _ in ats:
-            sub = solve_state(k - 1, max(a, x), med(a, b, x))
-            per_atom.append(list(sub.items()))
+        per_atom = [solve_state(k - 1, max(a, x), med(a, b, x)) for x, _ in ats]
         c = _order_max_exact(ats, k, b)
-        result: dict[Fraction, frozenset] = {}
-        conts: dict[Fraction, frozenset] = {}
-        for combo in _selection_products(per_atom, budget):
-            d = sum(m * v[0] for (_, m), v in zip(ats, combo))
-            prov = frozenset().union(*(v[1] for v in combo))
-            _merge(conts, d, prov)
-        for d, prov in conts.items():
-            game = StageGameFR(a, c, d)
+        result: dict[Pair, frozenset] = {}
+        scale, conts = _expectations(ats, per_atom, budget)
+        for (d, _), prov in conts.items():
+            game = StageGameFR(a, c, Fraction(d, scale))
             outcome = solve_fr_stage(game, tol=0)
             if verify:
                 verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
@@ -259,15 +277,14 @@ def _oracle_full_recall(ats, n: int, budget: int, verify: bool):
                 u, v = eq.payoff
                 if u != v:
                     raise InconsistencyError("full-recall stage payoff left the diagonal")
-                _merge(result, u, prov | {outcome.case_tag})
+                _merge(result, eq.payoff, prov | {outcome.case_tag})
         if len(result) > budget:
             raise ResourceBudgetError("payoff set exceeded the oracle budget")
         memo[key] = result
         return result
 
     root = solve_state(n, Fraction(0), Fraction(0))
-    payoffs = [(u, u) for u in root]
-    return payoffs, [root[u] for u, _ in payoffs], continuum
+    return [(p, root[p]) for p in sorted(root)], continuum
 
 
 def oracle_summaries(spep: DiscreteSPEPSet) -> tuple[Fraction, Fraction, Fraction, Fraction]:

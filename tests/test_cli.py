@@ -158,6 +158,14 @@ def test_resource_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_resource_guard_exit_code_on_atom_steps(capsys):
+    # four atoms at n = 5: an atom step of the enumeration exceeds the budget
+    atoms = [{"x": x, "p": "1/4"} for x in ("1/10", "2/5", "3/5", "9/10")]
+    inline = json.dumps({"type": "discrete", "atoms": atoms})
+    code = run(["oracle", "--dist", inline, "--n", "5", "--variant", "norecall"])
+    assert code == 3
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code = run(["prophet", "--n", "2", "--out", str(target)])

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction as Fr
 
 import pytest
@@ -6,6 +8,15 @@ from selection_games import full_recall as FR
 from selection_games import oracle as O
 from selection_games.distributions import discrete
 from selection_games.errors import ResourceBudgetError, SpecValidationError
+from selection_games.stage_games import (
+    StageGameFR,
+    StageGameNR,
+    payoff_matrix_fr,
+    payoff_matrix_nr,
+    solve_fr_stage,
+    solve_nr_stage,
+    verify_outcome,
+)
 from selection_games.testkit import (
     two_point_best_value,
     two_point_no_recall_set,
@@ -13,6 +24,10 @@ from selection_games.testkit import (
 
 TWO_POINT = [("1/3", "1/2"), ("2/3", "1/2")]
 LOW_HIGH = [("1/10", "1/2"), ("1/2", "1/2")]
+THREE_ATOMS = [("1/5", "1/3"), ("1/2", "1/3"), ("9/10", "1/3")]
+THREE_QUARTERS = [("1/4", "1/3"), ("1/2", "1/3"), ("3/4", "1/3")]
+TENTHS = [("1/10", "1/4"), ("2/5", "1/4"), ("3/5", "1/4"), ("9/10", "1/4")]
+EIGHTHS = [("1/8", "1/4"), ("3/8", "1/4"), ("5/8", "1/4"), ("7/8", "1/4")]
 
 
 def test_two_point_two_arrival_set_exact():
@@ -124,3 +139,134 @@ def test_provenance_tags_present():
     s = O.oracle_spep(TWO_POINT, 2, "no_recall")
     tags = set().union(*s.provenance)
     assert any(t.startswith("nr:") for t in tags)
+
+
+# -- the atom-at-a-time sums against the full selection product --------------
+
+
+def _merge(into, payoff, prov):
+    into[payoff] = into[payoff] | prov if payoff in into else prov
+
+
+def _reference_no_recall(ats, n):
+    cs = O._prophet_exact(ats, n)
+    level = {(Fr(0), Fr(0)): frozenset()}
+    continuum = False
+    for k in range(n):
+        per_atom = []
+        for x, _ in ats:
+            options = {}
+            for (dd, ee), prov in level.items():
+                game = StageGameNR(x, cs[k], dd, ee)
+                outcome = solve_nr_stage(game, tol=0)
+                verify_outcome(payoff_matrix_nr(game), outcome, slack=0)
+                continuum = continuum or outcome.has_continuum
+                for eq in outcome.equilibria:
+                    _merge(options, eq.payoff, prov | {outcome.case_tag})
+            per_atom.append(list(options.items()))
+        nxt = {}
+        for combo in itertools.product(*per_atom):
+            p1 = sum(m * v[0][0] for (_, m), v in zip(ats, combo))
+            p2 = sum(m * v[0][1] for (_, m), v in zip(ats, combo))
+            _merge(nxt, (p1, p2), frozenset().union(*(v[1] for v in combo)))
+        level = nxt
+    return level, continuum
+
+
+def _reference_full_recall(ats, n):
+    memo = {}
+    continuum = False
+
+    def solve_state(k, a, b):
+        nonlocal continuum
+        key = (k, a, b)
+        if key in memo:
+            return memo[key]
+        if k == 0:
+            memo[key] = {(a + b) / 2: frozenset()}
+            return memo[key]
+        per_atom = [list(solve_state(k - 1, max(a, x), min(max(x, b), a)).items()) for x, _ in ats]
+        c = O._order_max_exact(ats, k, b)
+        conts = {}
+        for combo in itertools.product(*per_atom):
+            d = sum(m * v[0] for (_, m), v in zip(ats, combo))
+            _merge(conts, d, frozenset().union(*(v[1] for v in combo)))
+        result = {}
+        for d, prov in conts.items():
+            game = StageGameFR(a, c, d)
+            outcome = solve_fr_stage(game, tol=0)
+            verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
+            continuum = continuum or outcome.has_continuum
+            for eq in outcome.equilibria:
+                _merge(result, eq.payoff[0], prov | {outcome.case_tag})
+        memo[key] = result
+        return result
+
+    root = solve_state(n, Fr(0), Fr(0))
+    return {(u, u): prov for u, prov in root.items()}, continuum
+
+
+def _reference_spep(atoms, n, variant):
+    """(payoffs, provenance, endpoints_only) by the full selection product,
+    merged only at the end: the enumeration the oracle used before it
+    summed one atom at a time."""
+    ats = O.exact_atoms(atoms)
+    enumerate_ = _reference_no_recall if variant == "no_recall" else _reference_full_recall
+    level, continuum = enumerate_(ats, n)
+    payoffs = tuple(sorted(level))
+    return payoffs, tuple(level[p] for p in payoffs), continuum
+
+
+EXACTNESS_CASES = (
+    [("two_point", TWO_POINT, n) for n in range(1, 7)]
+    + [(name, law, n) for name, law in (("three_atoms", THREE_ATOMS), ("three_quarters", THREE_QUARTERS))
+       for n in range(1, 6)]
+    + [(name, law, n) for name, law in (("tenths", TENTHS), ("eighths", EIGHTHS)) for n in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize("variant", ["no_recall", "full_recall"])
+@pytest.mark.parametrize("name,law,n", EXACTNESS_CASES, ids=[f"{c[0]}-n{c[2]}" for c in EXACTNESS_CASES])
+def test_matches_full_product_enumeration(name, law, n, variant):
+    s = O.oracle_spep(law, n, variant)
+    assert (s.payoffs, s.provenance, s.endpoints_only) == _reference_spep(law, n, variant)
+
+
+def _set_digest(payoffs):
+    text = ";".join(f"{x},{y}" for x, y in sorted(payoffs))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "law,n,points,summaries,digest",
+    [
+        # the four-atom set of the benchmark's atoms workload
+        (TENTHS, 4, 5075, ("419/320", "2612501/2027520", "817/1280", "859/1280"), "b275da733eeaddbf"),
+        # 1.73e6 selections: the full product exceeds the default budget, the
+        # atom steps do not; pinned from the full-product enumeration run once
+        # with budget=2*10**6
+        (EIGHTHS, 5, 10380, ("707/512", "7033/5120", "349/512", "179/256"), "db65dffad32f0c8a"),
+    ],
+    ids=["tenths-n4", "eighths-n5"],
+)
+def test_four_atom_no_recall_sets_pinned(law, n, points, summaries, digest):
+    s = O.oracle_spep(law, n, "no_recall")
+    assert len(s.payoffs) == points
+    assert tuple(str(v) for v in O.oracle_summaries(s)) == summaries
+    assert _set_digest(s.payoffs) == digest
+    assert not s.endpoints_only
+
+
+def test_budget_bounds_each_atom_step():
+    with pytest.raises(ResourceBudgetError):
+        O.oracle_spep(TENTHS, 5, "no_recall")
+
+
+@pytest.mark.parametrize("law", [TENTHS, EIGHTHS], ids=["tenths", "eighths"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_four_atom_full_recall_matches_band(law, n):
+    spep = O.oracle_spep(law, n, "full_recall")
+    values = [float(x) for x, _ in spep.payoffs]
+    b = FR.band(discrete([(float(Fr(x)), float(Fr(m))) for x, m in law]), n)
+    assert abs(b.low - min(values)) < 1e-9
+    assert abs(b.high - max(values)) < 1e-9
