@@ -48,7 +48,6 @@ from .stage_games import (
     StageGameFR,
     StageGameNR,
     StageGameOutcome,
-    psi_extremes,
     selector_H,
     selector_L,
     solve_fr_stage,

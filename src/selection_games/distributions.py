@@ -18,12 +18,16 @@ against the density:
 * ``sample`` inverts the CDF: in closed form on constant-density pieces,
   and otherwise by Newton steps bracketed between two knots of a per-piece
   CDF table, with bisection for the rare draw Newton leaves unsettled;
-* ``partial_expectation`` integrates P(a) / (a + s), P a polynomial, in
-  closed form: on each density piece P times the density is divided by
-  (a + s) synthetically, leaving a polynomial plus r / (a + s), whose
-  integral is an antiderivative difference plus r ln(...), all in 40-digit
-  decimal arithmetic rounded once.  The rational integrands of the
-  no-recall recursions and of the two-arrival ratios all have this form.
+* ``partial_expectation`` integrates P(a) / (a + s), or P(a) alone, P a
+  polynomial, in closed form: on each density piece P times the density is
+  divided by (a + s) synthetically, leaving a polynomial plus r / (a + s),
+  whose integral is an antiderivative difference plus r ln(...), all in
+  40-digit decimal arithmetic rounded once.  It is the one path for every
+  scalar expectation against the law: the mean, the no-recall recursions,
+  the two-pick sums and the two-arrival ratios;
+* ``cdf`` and ``cell_moments`` (with ``density_moment``, its two-edge
+  case) evaluate the monomial antiderivatives in float over whole vectors:
+  they feed the triangle grid, not the scalar recursions.
 
 Conventions fixed once and used everywhere:
 
@@ -60,29 +64,12 @@ _SETTLED_STEP = 4.0 * np.finfo(float).eps
 #: w * 2**-42, finer than the 2**-50 of bisecting the whole piece
 FALLBACK_BISECTIONS = 42
 
-# 40 significant digits for ``partial_expectation`` with a shift: on a
-# high-degree density the remainder term r ln(...) and Q's integral cancel
-# by up to five digits; the same steps in double precision are off by up
-# to 1.2e-12 on the no-recall recursion of Beta(7,7)
+# 40 significant digits for ``partial_expectation``: on a high-degree
+# density the remainder term r ln(...) and Q's integral cancel by up to five
+# digits, and so do a monomial antiderivative's two ends (Beta(6,7)'s
+# coefficients reach 1.1e5); the same steps in double precision are off by
+# up to 1.2e-12 on the no-recall recursion of Beta(6,7) and Beta(7,7)
 _RATIONAL_CONTEXT = decimal.Context(prec=40)
-
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    if m not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[m] = np.polynomial.legendre.leggauss(m)
-    return _LEGENDRE_CACHE[m]
-
-
-def _gauss_on(lo: float, hi: float, f: Callable[[np.ndarray], np.ndarray], m: int) -> float:
-    """Gauss-Legendre quadrature of f on [lo, hi]; exact for poly degree <= 2m-1."""
-    if hi <= lo:
-        return 0.0
-    xs, ws = _leggauss(m)
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return float(half * np.dot(ws, f(mid + half * xs)))
-
 
 # The polynomial helpers start from the integer 0, so they serve floats,
 # arrays and the Decimals of ``partial_expectation`` alike.
@@ -245,7 +232,8 @@ class ValueDistribution:
         return out.reshape(shape)
 
     def mean(self) -> float:
-        return float(sum(x * w for x, w in self.atoms) + self.density_moment(0.0, 1.0, 1))
+        """E(X) = int over (0, 1] of a dF(a); an atom at 0 adds nothing."""
+        return self.partial_expectation(0.0, 1.0, (0.0, 1.0))
 
     def density_moment(self, lo: float, hi: float, degree: int) -> float:
         """Exact integral of x^degree * density over [lo, hi] (atoms excluded)."""
@@ -275,31 +263,31 @@ class ValueDistribution:
     ) -> float:
         """Exact integral of P(a) / (a + shift) against the law over (lo, hi],
         P given by its ascending coefficients ``num``; with ``shift=None``,
-        of P(a) alone.  An atom at ``lo`` is excluded, one at ``hi`` included.
+        of P(a) alone.  An atom at ``lo`` is excluded, one at ``hi`` included;
+        an interval whose ends cross (hi <= lo) integrates to 0.
 
         On each density piece [u, v], P p = Q (a + shift) + r by synthetic
-        division, so the piece adds Q's antiderivative difference (the Horner
-        of :meth:`cell_moments`) plus r ln((v + shift) / (u + shift)); each
-        atom x adds m P(x) / (x + shift).  With a shift every step runs in
-        40-digit decimal arithmetic on the exact values of the float inputs,
-        and the sum is rounded to a float once.  Without
-        one the pieces add in float, in order, then the atoms: P(a) = a gives
-        ``density_moment(lo, hi, 1)`` plus the atoms' sum bit for bit.
+        division, so the piece adds Q's antiderivative difference plus
+        r ln((v + shift) / (u + shift)); each atom x adds m P(x) / (x + shift).
+        Every step runs in 40-digit decimal arithmetic on the exact values of
+        the float inputs, and the sum is rounded to a float once.
         """
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise SpecValidationError("partial_expectation requires 0 <= lo <= hi <= 1")
+        if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
+            raise SpecValidationError("partial_expectation requires lo and hi in [0, 1]")
+        if hi <= lo:
+            return 0.0
         if shift is not None and lo + shift <= 0.0:
             raise SpecValidationError(f"pole at a = {-shift!r} not below lo = {lo!r}")
-        num_t = float if shift is None else decimal.Decimal
+        exact = decimal.Decimal
         with decimal.localcontext(_RATIONAL_CONTEXT):
-            num = [num_t(c) for c in num]
-            s = None if shift is None else num_t(shift)
-            total = atoms = num_t(0)
+            num = [exact(c) for c in num]
+            s = None if shift is None else exact(shift)
+            total = exact(0)
             for p in self.pieces:
                 a, b = max(lo, p.lo), min(hi, p.hi)
                 if b > a:
-                    a, b = num_t(a), num_t(b)
-                    quot = _poly_mul(num, [num_t(c) for c in p.coeffs])
+                    a, b = exact(a), exact(b)
+                    quot = _poly_mul(num, [exact(c) for c in p.coeffs])
                     if s is not None:
                         quot, r = _divide_linear(quot, s)
                         total += r * ((b + s) / (a + s)).ln()
@@ -307,23 +295,10 @@ class ValueDistribution:
                     total += _poly_eval(anti, b) - _poly_eval(anti, a)
             for x, m in self.atoms:
                 if lo < x <= hi:
-                    x = num_t(x)
+                    x = exact(x)
                     value = _poly_eval(num, x)
-                    atoms += num_t(m) * (value if s is None else value / (x + s))
-            return float(total + atoms)
-
-    def integral_cdf(self, lo: float, hi: float) -> float:
-        """Exact integral of the CDF over [lo, hi] (Lebesgue, in x)."""
-        total = 0.0
-        for seg in self._segments:
-            a, b = max(lo, seg.lo), min(hi, seg.hi)
-            if b <= a:
-                continue
-            anti = _poly_antideriv(seg.coeffs)
-            total += _poly_eval(anti, b) - _poly_eval(anti, a)
-        if hi > 1.0:
-            total += hi - max(lo, 1.0)
-        return float(total)
+                    total += exact(m) * (value if s is None else value / (x + s))
+            return float(total)
 
     @cached_property
     def _lone_kernels(self) -> dict[int, tuple]:

@@ -31,11 +31,15 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import ValueDistribution, _gauss_on
+from .distributions import ValueDistribution, _chebyshev_point_integral
 from .errors import InconsistencyError, ResourceBudgetError, SpecValidationError
 from .stage_games import selector_H, selector_L
 
 BRANCH_TOL = 1e-12
+#: how far a both-pass continuation may fall below the available value a
+#: where the rival's lone value c is at least a, before the pass-dominance
+#: check reports an inconsistency
+PASS_DOMINANCE_SLACK = 1e-9
 
 #: G x G float64 tables one stage of the grid engine or of the best-response
 #: DP may hold at once, temporaries included (about 7 measured in the DP)
@@ -49,11 +53,9 @@ ROW_BLOCK_BYTES = 256 * 1024
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Triangle-grid resolution and consistency-check knobs."""
+    """Triangle-grid resolution."""
 
     size: int = 1001
-    check_consistency: bool = True
-    consistency_slack: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.size < 3:
@@ -234,7 +236,7 @@ def grid_tables(
     dist: ValueDistribution, n: int, grid: GridConfig
 ) -> tuple[TriangleContext, list[StageTables]]:
     """Value tables for k = 0..n, cached per (dist, grid)."""
-    key = (dist.cache_key(), grid.size, grid.check_consistency)
+    key = (dist.cache_key(), grid.size)
     if key not in _TABLE_CACHE:
         ctx = TriangleContext(dist, grid)
         base = ctx.mirror(np.add.outer(ctx.g, ctx.g) / 2.0)
@@ -248,9 +250,8 @@ def grid_tables(
         dplus = ctx.expect_over_arrival(prev.high)
         a_col = ctx.g[:, None]
         cb = c[None, :]
-        if grid.check_consistency:
-            _check_pass_dominance(ctx.lower, a_col, cb, dminus, grid.consistency_slack)
-            _check_pass_dominance(ctx.lower, a_col, cb, dplus, grid.consistency_slack)
+        _check_pass_dominance(ctx.lower, a_col, cb, dminus)
+        _check_pass_dominance(ctx.lower, a_col, cb, dplus)
         Lnew = np.where(a_col - cb > BRANCH_TOL, (a_col + cb) / 2.0, dminus)
         Hnew = np.where(a_col - np.maximum(cb, dplus) > BRANCH_TOL, (a_col + cb) / 2.0, dplus)
         tables.append(
@@ -259,12 +260,12 @@ def grid_tables(
     return ctx, tables
 
 
-def _check_pass_dominance(lower, a_col, cb, dmat, slack) -> None:
+def _check_pass_dominance(lower, a_col, cb, dmat) -> None:
     """Whenever the rival's lone value c is at least a, passing must be worth
     at least a too (the structural inequality behind the stage cases) on the
     triangle ``lower`` = {b <= a}."""
     mask = (cb - a_col >= -BRANCH_TOL) & lower
-    bad = mask & (dmat < a_col - slack)
+    bad = mask & (dmat < a_col - PASS_DOMINANCE_SLACK)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise InconsistencyError(
@@ -290,7 +291,7 @@ def _lh_discrete(dist: ValueDistribution, n: int, a: float, b: float, memo: dict
             sub = _lh_discrete(dist, n - 1, max(a, x), med(a, b, x), memo)
             dm += mass * sub[0]
             dp += mass * sub[1]
-        if c - a >= -BRANCH_TOL and (dm < a - 1e-9 or dp < a - 1e-9):
+        if c - a >= -BRANCH_TOL and min(dm, dp) < a - PASS_DOMINANCE_SLACK:
             raise InconsistencyError(
                 f"pass-dominance violated at state (n={n}, a={a}, b={b}): "
                 f"c={c}, d=({dm}, {dp})"
@@ -390,11 +391,12 @@ def _uniform_lh2(a: float, b: float) -> tuple[float, float]:
 
 
 def _integrate_pieces(lo: float, hi: float, cuts: list[float], f: Callable) -> float:
-    """Integrate f over [lo, hi] splitting at the (sorted) interior cuts."""
+    """Integrate f, a cubic between cuts, over [lo, hi] exactly, splitting at
+    the interior cuts."""
     pts = [lo] + [c for c in sorted(cuts) if lo < c < hi] + [hi]
     total = 0.0
     for u, v in zip(pts[:-1], pts[1:]):
-        total += _gauss_on(u, v, f, 8)
+        total += _chebyshev_point_integral(f, u, v, 3)
     return total
 
 

@@ -10,23 +10,28 @@ three scalars summarize it at horizon n:
 
 All three start at E(X)/2 for one arrival and satisfy stage recursions
 obtained by integrating, over the next arrival a, the corresponding
-extreme Nash payoff of the stage game with lone-player value c_k:
+extreme Nash payoff of the stage game with lone-player value c_k (the
+selectors of :func:`per_value_selectors`).  Below a'_k every selector is
+the previous value, and the law has mass 1 on [0, 1], so each step is that
+value plus one integral per branch of what the branch adds to it:
 
-    alpha_prime_{k+1} = (c_k + 1)/2 - int_{a'_k}^{c_k} F - (1/2) int_{c_k}^{1} F
+    a'_{k+1}  = a'_k + int_(a'_k, c_k] (a - a'_k) dF
+                     + int_(c_k, 1] ((a + c_k)/2 - a'_k) dF
 
-    2 beta_{k+1}  = int_0^{a'_k} 2 b_k dF + int_{a'_k}^{b_k} max(a + c_k, 2 b_k) dF
-                    + int_{b_k}^{1} (a + c_k) dF
+    2 b_{k+1}  = 2 b_k + int_(x_b, 1] (a + c_k - 2 b_k) dF
 
-    2 alpha_{k+1} = int_0^{a'_k} 2 al_k dF + int_{a'_k}^{al_k} min(2 al_k, a + c_k) dF
-                    + int_{al_k}^{b_k} 2 a dF
-                    + int_{b_k}^{c_k} (4 a c_k - 2 b_k (a + c_k)) / (c_k + a - 2 b_k) dF
-                    + int_{c_k}^{1} (a + c_k) dF
+    2 al_{k+1} = 2 al_k + int_(a'_k, x_a] (a + c_k - 2 al_k) dF
+                        + int_(al_k, b_k] (2 a - 2 al_k) dF
+                        + int_(b_k, c_k] (mixed(a) - 2 al_k) dF
+                        + int_(c_k, 1] (a + c_k - 2 al_k) dF
 
-(a'_k, al_k, b_k shorthand for the stage-k scalars).  The max/min kinks are
-split at their analytic crossing points, so every piece is integrated
-exactly: the polynomial ones as density moments, and the mixed-equilibrium
-branch, a linear function over (a + c_k - 2 b_k), by the rational kernel
-``ValueDistribution.partial_expectation``.
+where a'_k, al_k, b_k are shorthand for the stage-k scalars, mixed(a) =
+(4 a c_k - 2 b_k (a + c_k)) / (a + c_k - 2 b_k), and the kinks of
+max(a + c_k, 2 b_k) and min(2 al_k, a + c_k) sit at their analytic
+crossings x_b = 2 b_k - c_k and x_a = 2 al_k - c_k, clamped into
+[a'_k, b_k] and [a'_k, al_k].  Every integral is one call of the exact kernel
+``ValueDistribution.partial_expectation``: a polynomial, or for the mixed
+branch a linear function over (a + c_k - 2 b_k).
 """
 
 from __future__ import annotations
@@ -78,40 +83,33 @@ def no_recall_sequence(d: ValueDistribution, n: int) -> list[NoRecallSummary]:
             "use the exact enumeration for finite-support laws"
         )
     prophet = prophet_values(d, n)
-    m = d.mean()
-    ap = al = be = m / 2.0
+    ap = al = be = d.mean() / 2.0
     out = [NoRecallSummary(1, ap, al, be, prophet)]
-
-    def mom1(lo: float, hi: float) -> float:
-        return d.density_moment(lo, hi, 1)
-
-    def mass(lo: float, hi: float) -> float:
-        return d.density_moment(lo, hi, 0)
-
     for k in range(1, n):
         c = prophet[k]
-        ap_next = (c + 1.0) / 2.0 - d.integral_cdf(ap, c) - 0.5 * d.integral_cdf(c, 1.0)
+        top = min(c, 1.0)
+        lift = d.partial_expectation(ap, top, (-ap, 1.0))
+        lift += d.partial_expectation(top, 1.0, (c / 2.0 - ap, 0.5))
+        ap_next = ap + lift
 
         # best sum: max(a + c, 2 beta) crosses at a = 2 beta - c
         cross_b = _clamp(2.0 * be - c, ap, be)
-        two_beta = 2.0 * be * d.cdf(ap)
-        two_beta += 2.0 * be * mass(ap, cross_b)
-        two_beta += mom1(cross_b, 1.0) + c * mass(cross_b, 1.0)
+        two_beta = 2.0 * be + d.partial_expectation(cross_b, 1.0, (c - 2.0 * be, 1.0))
 
         # worst sum: min(2 alpha, a + c) crosses at a = 2 alpha - c
         cross_a = _clamp(2.0 * al - c, ap, al)
-        two_alpha = 2.0 * al * d.cdf(ap)
-        two_alpha += mom1(ap, cross_a) + c * mass(ap, cross_a)
-        two_alpha += 2.0 * al * mass(cross_a, al)
-        two_alpha += 2.0 * mom1(al, be)
-        if c > be:
-            # denominator c + a - 2 beta >= c - beta > 0 on (beta, c)
-            two_alpha += d.partial_expectation(
-                be, min(c, 1.0), (-2.0 * be * c, 4.0 * c - 2.0 * be), shift=c - 2.0 * be
-            )
-        elif c < be - _ORDER_SLACK:
+        lift = d.partial_expectation(ap, cross_a, (c - 2.0 * al, 1.0))
+        lift += d.partial_expectation(al, be, (-2.0 * al, 2.0))
+        if c < be - _ORDER_SLACK:
             raise InconsistencyError(f"lone-player value {c} below best half-sum {be}")
-        two_alpha += mom1(min(c, 1.0), 1.0) + c * mass(min(c, 1.0), 1.0)
+        # denominator a + c - 2 beta >= c - beta > 0 on (beta, c] (empty when
+        # c <= beta); the numerator (mixed(a) - 2 alpha)(a + c - 2 beta) is
+        # linear in a
+        shift = c - 2.0 * be
+        num = (-2.0 * be * c - 2.0 * al * shift, 4.0 * c - 2.0 * be - 2.0 * al)
+        lift += d.partial_expectation(be, top, num, shift=shift)
+        lift += d.partial_expectation(top, 1.0, (c - 2.0 * al, 1.0))
+        two_alpha = 2.0 * al + lift
 
         ap, al, be = ap_next, two_alpha / 2.0, two_beta / 2.0
         out.append(NoRecallSummary(k + 1, ap, al, be, prophet))
@@ -197,12 +195,12 @@ def best_single_two_arrivals(d: ValueDistribution) -> float:
     """Best payoff one player can secure in equilibrium with two arrivals
     (atomless law): always passing while the rival takes interior values.
 
-    Integrating the largest per-arrival equilibrium coordinate gives
-    (m/2) F(m/2) + m (F(m) - F(m/2)) + int_m^1 (a + m)/2 dF with m = E(X).
+    Integrating the largest per-arrival equilibrium coordinate (m/2 below
+    m/2, m up to m, (a + m)/2 above) gives, with m = E(X),
+    m/2 + int_(m/2, m] m/2 dF + int_(m, 1] a/2 dF.
     """
     if not d.is_continuous():
         raise UnsupportedDistributionError("closed form requires an atomless law")
     m = d.mean()
-    fm2, fm = d.cdf(m / 2.0), d.cdf(m)
-    tail = d.density_moment(m, 1.0, 1) / 2.0 + m * (1.0 - fm) / 2.0
-    return float((m / 2.0) * fm2 + m * (fm - fm2) + tail)
+    half = m / 2.0
+    return half + d.partial_expectation(half, m, (half,)) + d.partial_expectation(m, 1.0, (0.0, 0.5))

@@ -9,7 +9,7 @@ price of anarchy): with k arrivals left and both picks unused, take the
 current value x iff x + c_{k-1} >= s_{k-1}, which gives
 
     s_1 = E(X),  s_2 = 2 E(X),
-    s_k = integral_{t}^{1} (x + c_{k-1}) dF(x) + s_{k-1} F(t),
+    s_k = s_{k-1} + integral_{(t, 1]} (x + c_{k-1} - s_{k-1}) dF(x),
     with threshold t = s_{k-1} - c_{k-1} clamped into [0, 1].
 """
 
@@ -69,12 +69,9 @@ def max_feasible_sum(d: ValueDistribution, n: int) -> FeasibleSumSequence:
     if n >= 2:
         s.append(2.0 * m)
     for k in range(3, n + 1):
-        ck = c[k - 1]
-        t = min(max(s[-1] - ck, 0.0), 1.0)
-        # integral over (t, 1] of (x + c_{k-1}) dF, atoms at t kept on the
-        # pass branch (the integrand values coincide there, so no ambiguity)
-        ft = d.cdf(t)
-        gain = d.partial_expectation(t, 1.0, (0.0, 1.0))
-        gain += ck * (1.0 - ft)
-        s.append(gain + s[-1] * ft)
+        ck, prev = c[k - 1], s[-1]
+        t = min(max(prev - ck, 0.0), 1.0)
+        # an atom at t stays on the pass branch (the integrand is 0 there,
+        # so no ambiguity)
+        s.append(prev + d.partial_expectation(t, 1.0, (ck - prev, 1.0)))
     return FeasibleSumSequence(tuple(s))

@@ -261,18 +261,16 @@ def _fr_best_strategy(d: ValueDistribution, n: int, grid: GridConfig) -> Strateg
 def _nr_worst_thresholds(d: ValueDistribution, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Self-consistent stationary worst profile: with k arrivals to come,
     pass below w_k, mix on [w_k, c_k), bid above; the both-pass continuation
-    is the profile itself, so w_{k+1} = w_k F(w_k)
-    + int_{(w_k, c_k]} gamma(a; w_k) dF + int_{(c_k, 1]} (a + c_k)/2 dF."""
+    is the profile itself, so w_{k+1} = w_k
+    + int_{(w_k, c_k]} (gamma(a; w_k) - w_k) dF + int_{(c_k, 1]} ((a + c_k)/2 - w_k) dF."""
     cs = prophet_values(d, n).values
     w = [d.mean() / 2.0]
     for k in range(1, n):
         wk, ck = w[-1], cs[k - 1]
-        nxt = wk * d.cdf(wk)
-        if ck > wk:
-            nxt += d.partial_expectation(wk, ck, (-wk * ck, 2.0 * ck - wk), shift=ck - 2.0 * wk)
-        nxt += d.partial_expectation(ck, 1.0, (0.0, 1.0)) / 2.0
-        nxt += ck * (1.0 - d.cdf(ck)) / 2.0
-        w.append(nxt)
+        # gamma(a; w) - w = 2 (c - w)(a - w) / (a + c - 2w)
+        lift = d.partial_expectation(wk, ck, (-2.0 * wk * (ck - wk), 2.0 * (ck - wk)), shift=ck - 2.0 * wk)
+        lift += d.partial_expectation(ck, 1.0, (ck / 2.0 - wk, 0.5))
+        w.append(wk + lift)
     return np.array(w), np.array(cs), w[-1] if n >= 1 else 0.0
 
 

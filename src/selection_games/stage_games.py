@@ -68,12 +68,6 @@ class Equilibrium:
     payoff: tuple
     bid_probs: tuple | None
 
-    def swapped(self) -> "Equilibrium":
-        return Equilibrium(
-            (self.payoff[1], self.payoff[0]),
-            None if self.bid_probs is None else (self.bid_probs[1], self.bid_probs[0]),
-        )
-
 
 @dataclass(frozen=True)
 class StageGameOutcome:
@@ -125,19 +119,6 @@ def selector_L(x, y, z):
 def selector_H(x, y, z):
     """Best-equilibrium selector: (x + y)/2 if x > max(y, z), else z."""
     return _half(x + y) if x > max(y, z) else z
-
-
-def psi_extremes(a, c, d, tol=DEFAULT_TOL):
-    """(worst, best) equilibrium payoff of the symmetric stage game on the
-    consistency domain {c > a => d > a and c >= a => d >= a}."""
-    ac, ad = _cmp(a, c, tol), _cmp(a, d, tol)
-    if ac <= 0 and ad > 0:
-        raise InconsistencyError(f"psi domain violated: c={c} >= a={a} but d={d} < a")
-    if ac < 0 or (ac == 0 and ad == 0):
-        return (d, d)
-    if ad <= 0:  # c <= a <= d, not all equal
-        return (_half(a + c), d)
-    return (_half(a + c), _half(a + c))
 
 
 # -- full recall -------------------------------------------------------------

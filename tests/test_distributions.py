@@ -323,6 +323,10 @@ def test_partial_expectation_examples():
     assert u.partial_expectation(0, 1, (1.0,), shift=1.0) == math.log(2.0)
     tp = D.two_point()
     assert tp.partial_expectation(0.0, 0.5, (0.0, 1.0)) == 1 / 6
+    # ends crossed by rounding give an empty interval, not an error
+    below = math.nextafter(0.5, 0.0)
+    assert u.partial_expectation(0.5, below, (0.0, 1.0)) == 0.0
+    assert u.partial_expectation(0.5, below, (1.0,), shift=-0.5) == 0.0
 
 
 def test_partial_expectation_atom_convention():

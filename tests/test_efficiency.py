@@ -1,4 +1,6 @@
+import mpmath
 import pytest
+from test_no_recall import mp_moment, mp_pieces, mp_poly
 
 from selection_games import distributions as D
 from selection_games import efficiency as E
@@ -8,7 +10,7 @@ from selection_games.errors import (
     UnsupportedDistributionError,
 )
 from selection_games.full_recall import GridConfig
-from selection_games.testkit import continuous_test_laws
+from selection_games.testkit import beta_distribution, continuous_test_laws
 
 GRID = GridConfig(size=501)
 
@@ -106,3 +108,35 @@ def test_bound_holds_on_assorted_laws():
         assert pos2 <= 4 / 3 + 1e-9
         assert poa2 <= 4 / 3 + 1e-9
         assert pos2 <= poa2 + 1e-12
+
+
+def _mp_two_arrival(law):
+    """(PoS_2, PoA_2) of an atomless law at 40 digits, with the exact mean:
+    polynomial moments in closed form, the m^2 / a term by mpmath quadrature."""
+    with mpmath.workdps(40):
+        pieces = mp_pieces(law)
+        zero, one = mpmath.mpf(0), mpmath.mpf(1)
+        m = mp_moment(pieces, zero, one, 1)
+        best = m + mp_moment(pieces, m / 2, one, 1)
+        corr = mp_moment(pieces, m / 2, m, 1) - 2 * m * mp_moment(pieces, m / 2, m, 0)
+        for u, v, dens, _, _ in pieces:
+            a, b = max(m / 2, u), min(m, v)
+            if b > a:
+                corr += mpmath.quad(lambda x: m * m / x * mp_poly(dens, x), [a, b])
+        worst = 2 * m - mp_moment(pieces, zero, m / 2, 1) - corr
+        return 2 * m / best, 2 * m / worst
+
+
+# measured largest absolute error over the 49 Beta(p, q), p, q = 1..7:
+# 2.16e-16 (PoA_2 of Beta(5,2)), about one ulp of a ratio near 1; float
+# density moments left up to 1.4e-13 here
+_TWO_ARRIVAL_ABS_ERR = 2.2e-16
+
+
+def test_two_arrival_closed_forms_against_mpmath():
+    for p in range(1, 8):
+        for q in range(1, 8):
+            law = beta_distribution(p, q)
+            got = E.two_arrival_closed_forms(law)
+            for value, ref in zip(got, _mp_two_arrival(law)):
+                assert abs(mpmath.mpf(value) - ref) <= _TWO_ARRIVAL_ABS_ERR, (p, q, value, float(ref))

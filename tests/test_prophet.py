@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +51,18 @@ def test_uniform_three_arrival_sum_matches_policy_oracle():
     # 1.19510 +- 0.00037 on 1e7 runs; the exact value is 1.1953125
     s = max_feasible_sum(D.uniform(), 3)
     assert s[3] == pytest.approx(1.1953125, abs=1e-12)
+
+
+def test_uniform_feasible_sum_matches_exact_fractions():
+    # on the uniform law c_k = (1 + c_(k-1)^2) / 2 and
+    # s_k = s_(k-1) + (1 - t^2) / 2 + (c_(k-1) - s_(k-1)) (1 - t) exactly
+    c, s = [Fraction(1, 2)], [Fraction(1, 2), Fraction(1)]
+    for k in range(3, 11):
+        c.append((1 + c[-1] ** 2) / 2)
+        t = min(max(s[-1] - c[-1], Fraction(0)), Fraction(1))
+        s.append(s[-1] + (1 - t * t) / 2 + (c[-1] - s[-1]) * (1 - t))
+    # every s_k is the correctly rounded exact value
+    assert max_feasible_sum(D.uniform(), 10).values == tuple(float(v) for v in s)
 
 
 @given(st.integers(2, 8))

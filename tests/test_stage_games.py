@@ -11,7 +11,6 @@ from selection_games.stage_games import (
     best_response_slack,
     payoff_matrix_fr,
     payoff_matrix_nr,
-    psi_extremes,
     selector_H,
     selector_L,
     solve_fr_stage,
@@ -38,23 +37,13 @@ def test_selectors_agree_when_x_below_y(x, y, z):
         assert selector_H(x, y, z) == z
 
 
-def test_psi_extremes_branches():
-    assert psi_extremes(0.3, 0.5, 0.6) == (0.6, 0.6)
-    assert psi_extremes(0.5, 0.3, 0.7) == (0.4, 0.7)
-    assert psi_extremes(0.9, 0.3, 0.5) == (0.6, 0.6)
-    with pytest.raises(InconsistencyError):
-        psi_extremes(0.5, 0.7, 0.2)
-
-
 @given(unit, unit, unit, unit)
 def test_psi_monotone_in_continuation(a, c, d1, d2):
+    # the worst and best stage payoffs never fall as the both-pass
+    # continuation rises
     lo, hi = min(d1, d2), max(d1, d2)
-    if c >= a - 1e-9 and lo <= a + 1e-9:
-        return  # outside (or too close to) the consistency domain
-    p_lo = psi_extremes(a, c, lo)
-    p_hi = psi_extremes(a, c, hi)
-    assert p_lo[0] <= p_hi[0] + 1e-12
-    assert p_lo[1] <= p_hi[1] + 1e-12
+    assert selector_L(a, c, lo) <= selector_L(a, c, hi)
+    assert selector_H(a, c, lo) <= selector_H(a, c, hi)
 
 
 # -- full recall -------------------------------------------------------------------
