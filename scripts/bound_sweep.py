@@ -6,6 +6,7 @@ Usage: python scripts/bound_sweep.py [--csv out/sweep.csv]
 """
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -53,10 +54,11 @@ def main() -> int:
     print(f"violations of the 4/3 bound: {len(violations)}")
 
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("law,pos2,poa2\n")
-            for name, pos2, poa2 in results:
-                fh.write(f"{name},{pos2!r},{poa2!r}\n")
+        # law names hold commas, such as beta(1,2): the writer quotes them
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["law", "pos2", "poa2"])
+            writer.writerows(results)
         print(f"wrote {args.csv}")
     return 1 if violations else 0
 

@@ -21,6 +21,13 @@ Three evaluation paths:
 * general laws: value tables on a triangular grid over {0 <= b <= a <= 1}
   with bilinear interpolation, built bottom-up and memoized per
   (distribution, grid) pair.
+
+The grid memo keeps only what later stages read: per stage k >= 1 the
+mirrored both-pass continuations d-_k = E_X[low_{k-1}] and
+d+_k = E_X[high_{k-1}], and the even-split table at k = 0.  low_k and high_k
+are derived from d-_k, d+_k and c_k on demand (L and H are one ``np.where``
+away) and are not kept; the band reads its (0, 0) corner through the same
+selector arithmetic on scalars.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ BRANCH_TOL = 1e-12
 PASS_DOMINANCE_SLACK = 1e-9
 
 #: G x G float64 tables one stage of the grid engine or of the best-response
-#: DP may hold at once, temporaries included (about 7 measured in the DP)
+#: DP may hold at once, temporaries included (about 4 measured: 3.1 in the DP,
+#: 4.1 in a grid stage, of which the 2 it keeps)
 GRID_WORKING_TABLES = 12
 #: largest working set a triangle grid may claim, in bytes (2 GiB: G <= 4729)
 GRID_MEMORY_BUDGET = 2 * 1024**3
@@ -218,15 +226,46 @@ class TriangleContext:
         return T
 
 
+def _select(a, c, d, best: bool):
+    """The grid engine's worst (best) stage selector, elementwise: (a + c)/2
+    where a exceeds c (for the best value, max(c, d)) by more than
+    ``BRANCH_TOL``, else the both-pass continuation d."""
+    bar = np.maximum(c, d) if best else c
+    return np.where(a - bar > BRANCH_TOL, (a + c) / 2.0, d)
+
+
 @dataclass(frozen=True)
 class StageTables:
-    """Grid tables with k arrivals to come: worst/best values plus the
-    both-pass continuation matrices that produced them (None at k = 0)."""
+    """Grid tables with k arrivals to come.
 
-    low: np.ndarray
-    high: np.ndarray
+    Stored: for k >= 1 the mirrored both-pass continuations ``dminus`` =
+    E_X[low_{k-1}] and ``dplus`` = E_X[high_{k-1}] (c_k(b) is cached by
+    ``ctx.lone_values``); at k = 0 the even-split table ``base`` = (a + b)/2,
+    which is both the worst and the best value.
+    Derived on demand and not kept: ``low`` and ``high``, the worst and best
+    selectors applied to (a, c_k(b), d) on the grid, then mirrored.
+    """
+
+    ctx: TriangleContext
+    k: int
     dminus: np.ndarray | None = None
     dplus: np.ndarray | None = None
+    base: np.ndarray | None = None
+
+    @property
+    def low(self) -> np.ndarray:
+        return self._values(best=False)
+
+    @property
+    def high(self) -> np.ndarray:
+        return self._values(best=True)
+
+    def _values(self, best: bool) -> np.ndarray:
+        if self.k == 0:
+            return self.base
+        ctx = self.ctx
+        d = self.dplus if best else self.dminus
+        return ctx.mirror(_select(ctx.g[:, None], ctx.lone_values(self.k)[None, :], d, best))
 
 
 _TABLE_CACHE: dict[tuple, tuple[TriangleContext, list[StageTables]]] = {}
@@ -240,23 +279,19 @@ def grid_tables(
     if key not in _TABLE_CACHE:
         ctx = TriangleContext(dist, grid)
         base = ctx.mirror(np.add.outer(ctx.g, ctx.g) / 2.0)
-        _TABLE_CACHE[key] = (ctx, [StageTables(base, base.copy())])
+        _TABLE_CACHE[key] = (ctx, [StageTables(ctx, 0, base=base)])
     ctx, tables = _TABLE_CACHE[key]
     while len(tables) <= n:
         k = len(tables)
         prev = tables[k - 1]
-        c = ctx.lone_values(k)
+        # the previous stage's values exist only while their expectation is taken
         dminus = ctx.expect_over_arrival(prev.low)
         dplus = ctx.expect_over_arrival(prev.high)
         a_col = ctx.g[:, None]
-        cb = c[None, :]
+        cb = ctx.lone_values(k)[None, :]
         _check_pass_dominance(ctx.lower, a_col, cb, dminus)
         _check_pass_dominance(ctx.lower, a_col, cb, dplus)
-        Lnew = np.where(a_col - cb > BRANCH_TOL, (a_col + cb) / 2.0, dminus)
-        Hnew = np.where(a_col - np.maximum(cb, dplus) > BRANCH_TOL, (a_col + cb) / 2.0, dplus)
-        tables.append(
-            StageTables(ctx.mirror(Lnew), ctx.mirror(Hnew), ctx.mirror(dminus), ctx.mirror(dplus))
-        )
+        tables.append(StageTables(ctx, k, ctx.mirror(dminus), ctx.mirror(dplus)))
     return ctx, tables
 
 
@@ -342,9 +377,13 @@ def band(dist: ValueDistribution, n: int, grid: GridConfig | None = None) -> Ful
         lo, hi = _lh_discrete(dist, n, 0.0, 0.0, {})
         return FullRecallBand(n=n, low=float(lo), high=float(hi))
     grid = grid or GridConfig()
-    _, tables = grid_tables(dist, n, grid)
+    ctx, tables = grid_tables(dist, n, grid)
     stage = tables[n]
-    return FullRecallBand(n=n, low=float(stage.low[0, 0]), high=float(stage.high[0, 0]), grid=grid)
+    # the (0, 0) corner of low_n and high_n, by the selectors on scalars
+    a, c = ctx.g[0], ctx.lone_values(n)[0]
+    low = float(_select(a, c, stage.dminus[0, 0], best=False))
+    high = float(_select(a, c, stage.dplus[0, 0], best=True))
+    return FullRecallBand(n=n, low=low, high=high, grid=grid)
 
 
 # -- closed forms for the uniform law --------------------------------------------------

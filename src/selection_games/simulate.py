@@ -455,22 +455,26 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
     g = ctx.g
     A = g[:, None]
     B = g[None, :]
-    shape = (grid_size, grid_size)
     # both values start at the even split, one table until they part
     v_br = v_eq = np.add.outer(g, g) / 2.0
     for t in range(n - 1, 0, -1):
         k = n - t
-        q = _bid_prob(opponent, t, k, A, B, shape)
-        p = q if reply is opponent else _bid_prob(reply, t, k, A, B, shape)
         # continuation values E_X[v(a v X, med[a, b, X])]; rebinding the names
         # frees the previous stage's tables
         shared = v_eq is v_br
         v_br = ctx.expect_over_arrival(v_br)
         v_eq = v_br.copy() if shared else ctx.expect_over_arrival(v_eq)
         ck = ctx.lone_values(k)[None, :]
+        # states only matter on the triangle b <= a: the bid rules are
+        # evaluated one block of rows at a time, on its columns up to the end
+        # of the diagonal tile, and the upper half is mirrored afterwards
         for rows in ctx.row_blocks:
-            _br_stage(A[rows], ck, q[rows], p[rows], v_br[rows], v_eq[rows], p is q)
-        # states only matter on the triangle; mirror for the next expectation
+            cols = slice(0, rows.stop)
+            a, b = A[rows], B[:, cols]
+            shape = (len(a), rows.stop)
+            q = _bid_prob(opponent, t, k, a, b, shape)
+            p = q if reply is opponent else _bid_prob(reply, t, k, a, b, shape)
+            _br_stage(a, ck[:, cols], q, p, v_br[rows, cols], v_eq[rows, cols], p is q)
         ctx.mirror(v_br)
         ctx.mirror(v_eq)
     return float(ctx.expect(v_br[:, 0]) - ctx.expect(v_eq[:, 0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -142,6 +143,40 @@ def test_lower_bound_via_lone_player_value():
             mask = g <= cap
             dmin = tables[k].dminus[:, 0]
             assert np.all(dmin[mask] >= (g[mask] + c_k) / 2 - 1e-9)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [D.uniform(), beta_distribution(2, 2), tightness_family(0.1, 0.05)],
+    ids=["uniform", "beta22", "tightness"],
+)
+def test_stage_cache_keeps_only_continuations(law):
+    G, n = 201, 5
+    key = (law.cache_key(), G)
+    FR._TABLE_CACHE.pop(key, None)
+    ctx, tables = FR.grid_tables(law, n, FR.GridConfig(size=G))
+    assert FR._TABLE_CACHE[key][1] is tables
+    # what the cache entry holds: the base table, then dminus and dplus per stage
+    held = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    for stage in tables:
+        held += [getattr(stage, f.name) for f in dataclasses.fields(stage)]
+    tables_held = [v for v in held if isinstance(v, np.ndarray) and v.shape == (G, G) and v.dtype == float]
+    assert len({id(v) for v in tables_held}) == len(tables_held) == 1 + 2 * n
+    assert sum(v.nbytes for v in tables_held) == (1 + 2 * n) * 8 * G * G
+    # low and high, derived on demand, are the selectors applied to the
+    # stored continuations, then mirrored
+    even = ctx.mirror(np.add.outer(ctx.g, ctx.g) / 2.0)
+    assert np.array_equal(tables[0].low, even) and np.array_equal(tables[0].high, even)
+    a_col = ctx.g[:, None]
+    for k in range(1, n + 1):
+        st = tables[k]
+        cb = ctx.lone_values(k)[None, :]
+        low = ctx.mirror(np.where(a_col - cb > FR.BRANCH_TOL, (a_col + cb) / 2.0, st.dminus))
+        high = np.where(a_col - np.maximum(cb, st.dplus) > FR.BRANCH_TOL, (a_col + cb) / 2.0, st.dplus)
+        assert np.array_equal(st.low, low)
+        assert np.array_equal(st.high, ctx.mirror(high))
+        b = FR.band(law, k, FR.GridConfig(size=G))
+        assert b.low == st.low[0, 0] and b.high == st.high[0, 0]
 
 
 def test_pass_dominance_check_active():

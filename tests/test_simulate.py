@@ -6,8 +6,9 @@ import pytest
 from selection_games import distributions as D
 from selection_games import simulate as S
 from selection_games.errors import SpecValidationError, UnsupportedDistributionError
-from selection_games.full_recall import GridConfig, grid_tables, uniform_pass_value
+from selection_games.full_recall import GridConfig, TriangleContext, grid_tables, uniform_pass_value
 from selection_games.prophet import prophet_values
+from selection_games.testkit import beta_distribution
 
 GRID = GridConfig(size=501)
 RUNS = 200_000
@@ -113,6 +114,57 @@ def test_full_recall_gap_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 801 * 801 * 8
+
+
+def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
+    """Reference for the full-recall best-response DP: both bid rules
+    evaluated once per stage as G x G tables over the whole square, and the
+    stage algebra on whole rows."""
+    ctx = TriangleContext(d, GridConfig(size=grid_size))
+    g = ctx.g
+    A = g[:, None]
+    B = g[None, :]
+    shape = (grid_size, grid_size)
+    v_br = v_eq = np.add.outer(g, g) / 2.0
+    for t in range(n - 1, 0, -1):
+        k = n - t
+        q = S._bid_prob(opponent, t, k, A, B, shape)
+        p = q if reply is opponent else S._bid_prob(reply, t, k, A, B, shape)
+        shared = v_eq is v_br
+        v_br = ctx.expect_over_arrival(v_br)
+        v_eq = v_br.copy() if shared else ctx.expect_over_arrival(v_eq)
+        ck = ctx.lone_values(k)[None, :]
+        for rows in ctx.row_blocks:
+            S._br_stage(A[rows], ck, q[rows], p[rows], v_br[rows], v_eq[rows], p is q)
+        ctx.mirror(v_br)
+        ctx.mirror(v_eq)
+    return float(ctx.expect(v_br[:, 0]) - ctx.expect(v_eq[:, 0]))
+
+
+def _dp_cases():
+    b22 = beta_distribution(2, 2)
+    best = S.spe_strategy(b22, 4, "full_recall", "best", grid=GridConfig(size=201)).player1
+    worst = S.spe_strategy(b22, 4, "full_recall", "worst").player1
+    threshold = S.threshold_strategy({1: 0.6, 2: 0.55, 3: 0.5})
+    # fractional bid probabilities that depend on both a and b
+    mixed = S.Strategy("mixed", lambda t, k, a, b: np.clip(2.0 * a - b - 0.3 * k, 0.0, 1.0))
+    return {
+        "best": (b22, best, best),
+        "worst": (b22, worst, worst),
+        "threshold-vs-worst": (b22, worst, threshold),
+        "mixed": (D.uniform(), mixed, mixed),
+    }
+
+
+@pytest.mark.parametrize("case", ["best", "worst", "threshold-vs-worst", "mixed"])
+def test_full_recall_dp_matches_dense_reference(case):
+    law, opponent, reply = _dp_cases()[case]
+    # 201 rows make two row blocks of unequal height
+    assert len(TriangleContext(law, GridConfig(size=201)).row_blocks) == 2
+    got = S.best_response_gap(law, 4, "full_recall", opponent, reply, 201)
+    assert got == _dense_br_gap_full_recall(law, 4, opponent, reply, 201)
+    if case in ("threshold-vs-worst", "mixed"):
+        assert got > 1e-3  # the gap depends on every stage's bid table
 
 
 @pytest.mark.parametrize("law, n", [(D.uniform(), 4), (D.two_point(), 5)], ids=["uniform", "two_point"])
