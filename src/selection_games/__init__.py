@@ -48,10 +48,9 @@ from .stage_games import (
     StageGameFR,
     StageGameNR,
     StageGameOutcome,
-    selector_H,
-    selector_L,
     solve_fr_stage,
     solve_nr_stage,
+    stage_value,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ values with k arrivals to come:
     high_k(a, b) = H(a, c_k(b), E_X[ high_{k-1}(a v X, med[a, b, X]) ])
 
 where c_k(b) = E(max(X_1..X_k) v b) is the value a lone player extracts
-after their rival grabs a, and L/H pick the worst/best stage equilibrium.
+after their rival grabs a.  L and H are the worst and best equilibrium
+payoffs of the bid/pass stage game, :func:`stage_games.stage_value`: L pays
+(a + c)/2 where a >= c, H where a > max(c, d), and both pay d elsewhere.
 
 Three evaluation paths:
 
@@ -27,7 +29,7 @@ mirrored both-pass continuations d-_k = E_X[low_{k-1}] and
 d+_k = E_X[high_{k-1}], and the even-split table at k = 0.  low_k and high_k
 are derived from d-_k, d+_k and c_k on demand (L and H are one ``np.where``
 away) and are not kept; the band reads its (0, 0) corner through the same
-selector arithmetic on scalars.
+stage rule on scalars.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ import numpy as np
 
 from .distributions import ValueDistribution, _chebyshev_point_integral
 from .errors import InconsistencyError, ResourceBudgetError, SpecValidationError
-from .stage_games import selector_H, selector_L
+from .stage_games import stage_value
 
+#: how far c may fall below a and still count as c >= a in the pass-dominance
+#: checks (the stage rule itself compares exactly)
 BRANCH_TOL = 1e-12
 #: how far a both-pass continuation may fall below the available value a
 #: where the rival's lone value c is at least a, before the pass-dominance
@@ -226,14 +230,6 @@ class TriangleContext:
         return T
 
 
-def _select(a, c, d, best: bool):
-    """The grid engine's worst (best) stage selector, elementwise: (a + c)/2
-    where a exceeds c (for the best value, max(c, d)) by more than
-    ``BRANCH_TOL``, else the both-pass continuation d."""
-    bar = np.maximum(c, d) if best else c
-    return np.where(a - bar > BRANCH_TOL, (a + c) / 2.0, d)
-
-
 @dataclass(frozen=True)
 class StageTables:
     """Grid tables with k arrivals to come.
@@ -243,7 +239,7 @@ class StageTables:
     ``ctx.lone_values``); at k = 0 the even-split table ``base`` = (a + b)/2,
     which is both the worst and the best value.
     Derived on demand and not kept: ``low`` and ``high``, the worst and best
-    selectors applied to (a, c_k(b), d) on the grid, then mirrored.
+    stage values at (a, c_k(b), d) on the grid, then mirrored.
     """
 
     ctx: TriangleContext
@@ -265,7 +261,7 @@ class StageTables:
             return self.base
         ctx = self.ctx
         d = self.dplus if best else self.dminus
-        return ctx.mirror(_select(ctx.g[:, None], ctx.lone_values(self.k)[None, :], d, best))
+        return ctx.mirror(stage_value(ctx.g[:, None], ctx.lone_values(self.k)[None, :], d, best))
 
 
 _TABLE_CACHE: dict[tuple, tuple[TriangleContext, list[StageTables]]] = {}
@@ -331,7 +327,7 @@ def _lh_discrete(dist: ValueDistribution, n: int, a: float, b: float, memo: dict
                 f"pass-dominance violated at state (n={n}, a={a}, b={b}): "
                 f"c={c}, d=({dm}, {dp})"
             )
-        out = (selector_L(a, c, dm), selector_H(a, c, dp))
+        out = (stage_value(a, c, dm, best=False), stage_value(a, c, dp, best=True))
     memo[key] = out
     return out
 
@@ -361,12 +357,12 @@ def lh_values(
     ctx, tables = grid_tables(dist, n, grid)
     stage = tables[n]
     # interpolate the smooth both-pass continuation surfaces and apply the
-    # branch selectors at the query itself; interpolating the branched value
+    # stage rule at the query itself; interpolating the branched value
     # tables directly would smear their jump discontinuities
     c = dist.expect_order_max_with(n, b)
     dminus = float(ctx.bilinear(stage.dminus, a, b))
     dplus = float(ctx.bilinear(stage.dplus, a, b))
-    return (float(selector_L(a, c, dminus)), float(selector_H(a, c, dplus)))
+    return (float(stage_value(a, c, dminus, best=False)), float(stage_value(a, c, dplus, best=True)))
 
 
 def band(dist: ValueDistribution, n: int, grid: GridConfig | None = None) -> FullRecallBand:
@@ -379,10 +375,10 @@ def band(dist: ValueDistribution, n: int, grid: GridConfig | None = None) -> Ful
     grid = grid or GridConfig()
     ctx, tables = grid_tables(dist, n, grid)
     stage = tables[n]
-    # the (0, 0) corner of low_n and high_n, by the selectors on scalars
+    # the (0, 0) corner of low_n and high_n, by the stage rule on scalars
     a, c = ctx.g[0], ctx.lone_values(n)[0]
-    low = float(_select(a, c, stage.dminus[0, 0], best=False))
-    high = float(_select(a, c, stage.dplus[0, 0], best=True))
+    low = float(stage_value(a, c, stage.dminus[0, 0], best=False))
+    high = float(stage_value(a, c, stage.dplus[0, 0], best=True))
     return FullRecallBand(n=n, low=low, high=high, grid=grid)
 
 
@@ -426,7 +422,7 @@ def uniform_pass_value(k: int, a, b):
 def _uniform_lh2(a: float, b: float) -> tuple[float, float]:
     c2 = (2.0 + b**3) / 3.0
     d2 = uniform_pass_value(2, a, b)
-    return (selector_L(a, c2, d2), selector_H(a, c2, d2))
+    return (stage_value(a, c2, d2, best=False), stage_value(a, c2, d2, best=True))
 
 
 def _integrate_pieces(lo: float, hi: float, cuts: list[float], f: Callable) -> float:
@@ -487,4 +483,4 @@ def uniform_closed_forms(n: int, a: float, b: float) -> tuple[float, float]:
     dp += _integrate_pieces(a, 1.0, [cut_h_top], np.vectorize(lambda x: high2(x, a)))
 
     c3 = (3.0 + b**4) / 4.0
-    return (selector_L(a, c3, dm), selector_H(a, c3, dp))
+    return (stage_value(a, c3, dm, best=False), stage_value(a, c3, dp, best=True))

@@ -15,8 +15,8 @@ probability; all arguments broadcast as numpy arrays.
 Equilibrium profiles built by :func:`spe_strategy`:
 
 * with recall, both players bid exactly when the stage analysis forces or
-  permits it: above the rival's lone value c_k(b) for the worst profile,
-  above max(c_k(b), both-pass continuation) for the best one;
+  permits it: at or above the rival's lone value c_k(b) for the worst
+  profile, above max(c_k(b), both-pass continuation) for the best one;
 * without recall, the worst profile is the symmetric stationary one (pass
   below a self-consistent threshold, mix in the middle band, bid above
   c_k), and the best profile is an asymmetric pair in which a designated
@@ -37,6 +37,7 @@ from .errors import SpecValidationError, UnsupportedDistributionError
 from .full_recall import GridConfig, TriangleContext, grid_tables, uniform_pass_value
 from .no_recall import no_recall_sequence
 from .prophet import prophet_values
+from .stage_games import stage_bids
 
 FULL_RECALL = "full_recall"
 NO_RECALL = "no_recall"
@@ -218,44 +219,33 @@ def _play_block(d, n, variant, strat1, strat2, X, U1, U2, coin, c_by_k, pay1, pa
 # -- equilibrium profiles ----------------------------------------------------------
 
 
-def _fr_worst_strategy(d: ValueDistribution) -> Strategy:
-    def prob(t, k, a, b):
-        if k == 0:
-            return np.ones_like(np.asarray(a, dtype=float))
-        c = np.asarray(d.order_max_with_vec(k, np.asarray(b, dtype=float)))
-        return np.where(np.asarray(a) > c, 1.0, 0.0)
-
-    return Strategy("fr-worst-threshold", prob)
-
-
-def _fr_best_strategy(d: ValueDistribution, n: int, grid: GridConfig) -> Strategy:
-    is_uniform = (
-        not d.atoms
-        and len(d.pieces) == 1
-        and d.pieces[0].coeffs == (1.0,)
-    )
+def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> Strategy:
+    """Bid exactly where the worst (best) stage equilibrium bids, by
+    :func:`stage_bids` at (a, c_k(b), d+_k); d+_k is read only where the
+    worst rule bids, and never for the worst profile."""
+    is_uniform = not d.atoms and len(d.pieces) == 1 and d.pieces[0].coeffs == (1.0,)
     ctx = tables = None
-    if not is_uniform or n - 1 > 2:
+    if best and (not is_uniform or n - 1 > 2):
         ctx, tables = grid_tables(d, n - 1, grid)
 
     def dplus(k, a, b):
         if is_uniform and k <= 2:
-            return uniform_pass_value(k, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        return ctx.bilinear(tables[k].dplus, np.asarray(a), np.asarray(b))
+            return uniform_pass_value(k, a, b)
+        return ctx.bilinear(tables[k].dplus, a, b)
 
     def prob(t, k, a, b):
         a = np.asarray(a, dtype=float)
         if k == 0:
             return np.ones_like(a)
         b = np.asarray(b, dtype=float)
-        # bid iff a > max(c, dplus); dplus is read only where a > c
-        bid = a > np.asarray(d.order_max_with_vec(k, b))
-        if np.any(bid):
-            a_c, b_c = (np.broadcast_to(v, bid.shape)[bid] for v in (a, b))
-            bid[bid] = a_c > dplus(k, a_c, b_c)
+        c = np.asarray(d.order_max_with_vec(k, b))
+        bid = stage_bids(a, c, None, best=False)
+        if best and np.any(bid):
+            a_c, b_c, c_c = (np.broadcast_to(v, bid.shape)[bid] for v in (a, b, c))
+            bid[bid] = stage_bids(a_c, c_c, dplus(k, a_c, b_c), best=True)
         return bid.astype(float)
 
-    return Strategy("fr-best-threshold", prob)
+    return Strategy("fr-best-threshold" if best else "fr-worst-threshold", prob)
 
 
 def _nr_worst_thresholds(d: ValueDistribution, n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -345,10 +335,7 @@ def spe_strategy(
         raise SpecValidationError("n must be >= 1")
     grid = grid or GridConfig()
     if variant == FULL_RECALL:
-        if which == "worst":
-            s = _fr_worst_strategy(d)
-        else:
-            s = _fr_best_strategy(d, n, grid)
+        s = _fr_strategy(d, n, grid, best=which == "best")
         return StrategyProfile(s, s, meta={})
     if variant == NO_RECALL:
         if not d.is_continuous():

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InconsistencyError
 
 DEFAULT_TOL = 1e-12
@@ -108,17 +110,32 @@ class StageGameOutcome:
         return (self.min_sum, self.max_sum, self.min_single)
 
 
-# -- selectors --------------------------------------------------------------
+# -- the full-recall stage rule -------------------------------------------------
 
 
-def selector_L(x, y, z):
-    """Worst-equilibrium selector: z if x <= y, else (x + y)/2."""
-    return z if x <= y else _half(x + y)
+def stage_bids(a, c, d, best: bool):
+    """Whether the worst (``best=False``) or best equilibrium of the
+    full-recall stage game (a, c, d) bids, elementwise over floats,
+    ``Fraction`` values or numpy arrays.
+
+    Bid/bid is an equilibrium iff a >= c, and pass/pass iff d >= a.  The
+    worst equilibrium bids whenever bid/bid is one, the tie a = c included
+    (there it pays (a + c)/2 = c <= d); the best bids only where bid/bid is
+    the sole equilibrium, a > c and a > d.  The worst rule never reads d.
+    """
+    if not best:
+        return a >= c
+    return (a > c) & (a > d)
 
 
-def selector_H(x, y, z):
-    """Best-equilibrium selector: (x + y)/2 if x > max(y, z), else z."""
-    return _half(x + y) if x > max(y, z) else z
+def stage_value(a, c, d, best: bool):
+    """Worst (best) symmetric equilibrium payoff of the full-recall stage
+    game: (a + c)/2 where :func:`stage_bids` bids, else the both-pass
+    continuation d."""
+    bids = stage_bids(a, c, d, best)
+    if isinstance(bids, np.ndarray):
+        return np.where(bids, _half(a + c), d)
+    return _half(a + c) if bids else d
 
 
 # -- full recall -------------------------------------------------------------

@@ -163,20 +163,22 @@ def test_stage_cache_keeps_only_continuations(law):
     tables_held = [v for v in held if isinstance(v, np.ndarray) and v.shape == (G, G) and v.dtype == float]
     assert len({id(v) for v in tables_held}) == len(tables_held) == 1 + 2 * n
     assert sum(v.nbytes for v in tables_held) == (1 + 2 * n) * 8 * G * G
-    # low and high, derived on demand, are the selectors applied to the
-    # stored continuations, then mirrored
+    # low and high, derived on demand, are the stage rule applied to the
+    # stored continuations, then mirrored: the worst bids where a >= c, the
+    # best where a > max(c, d)
     even = ctx.mirror(np.add.outer(ctx.g, ctx.g) / 2.0)
     assert np.array_equal(tables[0].low, even) and np.array_equal(tables[0].high, even)
     a_col = ctx.g[:, None]
     for k in range(1, n + 1):
         st = tables[k]
         cb = ctx.lone_values(k)[None, :]
-        low = ctx.mirror(np.where(a_col - cb > FR.BRANCH_TOL, (a_col + cb) / 2.0, st.dminus))
-        high = np.where(a_col - np.maximum(cb, st.dplus) > FR.BRANCH_TOL, (a_col + cb) / 2.0, st.dplus)
+        low = ctx.mirror(np.where(a_col >= cb, (a_col + cb) / 2.0, st.dminus))
+        high = np.where((a_col > cb) & (a_col > st.dplus), (a_col + cb) / 2.0, st.dplus)
         assert np.array_equal(st.low, low)
         assert np.array_equal(st.high, ctx.mirror(high))
         b = FR.band(law, k, FR.GridConfig(size=G))
         assert b.low == st.low[0, 0] and b.high == st.high[0, 0]
+        assert FR.lh_values(law, k, 0.0, 0.0, FR.GridConfig(size=G)) == (b.low, b.high)
 
 
 def test_pass_dominance_check_active():

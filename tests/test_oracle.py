@@ -90,6 +90,11 @@ def test_oracle_matches_full_recall_module():
             [("1/5", "1/3"), ("1/2", "1/3"), ("9/10", "1/3")],
             [(0.2, 1 / 3), (0.5, 1 / 3), (0.9, 1 / 3)],
         ),
+        # stage games with the tie a = c < d, where the worst equilibrium bids
+        (
+            [("0", "1/3"), ("5/8", "1/3"), ("3/4", "1/3")],
+            [(0.0, 1 / 3), (0.625, 1 / 3), (0.75, 1 / 3)],
+        ),
     ):
         law = discrete(atoms_float)
         for n in range(1, 6):

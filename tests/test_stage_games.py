@@ -1,40 +1,47 @@
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from selection_games import distributions as D
 from selection_games.errors import InconsistencyError
+from selection_games.simulate import FULL_RECALL, spe_strategy
 from selection_games.stage_games import (
     StageGameFR,
     StageGameNR,
     best_response_slack,
     payoff_matrix_fr,
     payoff_matrix_nr,
-    selector_H,
-    selector_L,
     solve_fr_stage,
     solve_nr_stage,
+    stage_value,
     verify_outcome,
 )
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
+#: the law whose stage games hit the tie a = c < d (each atom has mass 1/3)
+TIE_LAW = D.discrete([(0.0, 1 / 3), (0.625, 1 / 3), (0.75, 1 / 3)])
 
 
-# -- selectors -------------------------------------------------------------------
+# -- the full-recall stage rule ------------------------------------------------------
 
 
 def test_selector_examples():
-    assert selector_L(0.5, 0.6, 0.3) == 0.3
-    assert selector_H(0.7, 0.6, 0.65) == pytest.approx(0.65)
-    assert selector_L(0.7, 0.6, 0.65) == pytest.approx(0.65)
+    assert stage_value(0.5, 0.6, 0.3, best=False) == 0.3
+    assert stage_value(0.7, 0.6, 0.65, best=True) == pytest.approx(0.65)
+    assert stage_value(0.7, 0.6, 0.65, best=False) == pytest.approx(0.65)
+    # the tie a = c < d: bid/bid is an equilibrium paying c, the worst one
+    assert stage_value(0.5, 0.5, 0.75, best=False) == 0.5
+    assert stage_value(0.5, 0.5, 0.75, best=True) == 0.75
 
 
 @given(unit, unit, unit)
 def test_selectors_agree_when_x_below_y(x, y, z):
-    if x <= y:
-        assert selector_L(x, y, z) == z
-        assert selector_H(x, y, z) == z
+    if x < y:
+        assert stage_value(x, y, z, best=False) == z
+        assert stage_value(x, y, z, best=True) == z
 
 
 @given(unit, unit, unit, unit)
@@ -42,8 +49,34 @@ def test_psi_monotone_in_continuation(a, c, d1, d2):
     # the worst and best stage payoffs never fall as the both-pass
     # continuation rises
     lo, hi = min(d1, d2), max(d1, d2)
-    assert selector_L(a, c, lo) <= selector_L(a, c, hi)
-    assert selector_H(a, c, lo) <= selector_H(a, c, hi)
+    assert stage_value(a, c, lo, best=False) <= stage_value(a, c, hi, best=False)
+    assert stage_value(a, c, lo, best=True) <= stage_value(a, c, hi, best=True)
+
+
+exact_unit = st.fractions(0, 1, max_denominator=12)
+
+
+@given(exact_unit, exact_unit, exact_unit)
+@example(Fr(1, 2), Fr(1, 2), Fr(3, 4))
+def test_stage_value_is_the_enumerated_extreme(a, c, d):
+    # pass dominance: a lone value c >= a leaves the both-pass value >= a
+    assume(not c >= a > d)
+    payoffs = [p for p, _ in solve_fr_stage(StageGameFR(a, c, d), tol=0).payoffs]
+    for best, extreme in ((False, min(payoffs)), (True, max(payoffs))):
+        assert stage_value(a, c, d, best=best) == extreme
+        # the same rule elementwise on floats and on numpy arrays
+        x = [float(a), float(c), float(d)]
+        assert stage_value(*(np.array([v]) for v in x), best=best)[0] == stage_value(*x, best=best)
+
+
+def test_worst_profile_bids_at_the_tie():
+    # c_2(0) = 5/8 on the tie law, so the worst stage equilibrium at
+    # (a, b) = (5/8, 0) with two arrivals to come is bid/bid
+    assert TIE_LAW.expect_order_max_with(2, 0.0) == 0.625
+    worst = spe_strategy(TIE_LAW, 3, FULL_RECALL, "worst").player1
+    assert worst.bid_prob(1, 2, np.array([0.625]), np.array([0.0]))[0] == 1.0
+    best = spe_strategy(TIE_LAW, 3, FULL_RECALL, "best").player1
+    assert best.bid_prob(1, 2, np.array([0.625]), np.array([0.0]))[0] == 0.0
 
 
 # -- full recall -------------------------------------------------------------------
