@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> None:
     _emit(args, [], [], json_payload=payload)
 
 
-def emit_figure_data(which: str, d: ValueDistribution, n_max: int, grid: GridConfig | None = None):
+def emit_figure_data(which: str, d: ValueDistribution, n_max: int):
     """Columnar data series behind the reference figures.
 
     fig2: best/worst no-recall payoff sums per horizon.
@@ -243,7 +243,7 @@ def _cmd_tables(args) -> None:
             rows.append([k, fr.poa, nr.poa, fr.pos, nr.pos, fr.pr, nr.pr])
         _emit(args, ["n", "poa_fr", "poa_nr", "pos_fr", "pos_nr", "pr_fr", "pr_nr"], rows)
         return
-    header, rows = emit_figure_data(args.which, d, args.n, grid=grid)
+    header, rows = emit_figure_data(args.which, d, args.n)
     _emit(args, header, rows)
 
 

@@ -26,8 +26,10 @@ against the density:
   scalar expectation against the law: the mean, the no-recall recursions,
   the two-pick sums and the two-arrival ratios;
 * ``cdf`` and ``cell_moments`` (with ``density_moment``, its two-edge
-  case) evaluate the monomial antiderivatives in float over whole vectors:
-  they feed the triangle grid, not the scalar recursions.
+  case) evaluate Chebyshev series in float over whole vectors: the CDF
+  segment series that the lone-player kernel also reads, and each piece's
+  moment antiderivative cast the same way.  They feed the triangle grid,
+  not the scalar recursions.
 
 Conventions fixed once and used everywhere:
 
@@ -121,18 +123,6 @@ class DensityPiece:
 
 
 @dataclass(frozen=True)
-class _CdfSegment:
-    """CDF restricted to [lo, hi): a polynomial (constant where no density)."""
-
-    lo: float
-    hi: float
-    coeffs: tuple[float, ...]
-
-    def __call__(self, x):
-        return _poly_eval(self.coeffs, x)
-
-
-@dataclass(frozen=True)
 class ValueDistribution:
     """A law on [0, 1]: atoms plus a piecewise-polynomial density.
 
@@ -179,27 +169,29 @@ class ValueDistribution:
         return not self.atoms
 
     @cached_property
-    def _segments(self) -> tuple[_CdfSegment, ...]:
-        """CDF as polynomials on the partition induced by atoms and pieces."""
+    def _segments(self) -> tuple[np.polynomial.Chebyshev, ...]:
+        """The law's one float form of F: on each segment of the partition
+        induced by atoms and pieces, the CDF as a Chebyshev series over that
+        segment, cast from the monomial CDF, whose only float evaluations are
+        the segment's end values.  Built on first use, so ``np.polynomial``
+        loads then, not at import."""
         cuts = {0.0, 1.0}
         cuts.update(x for x, _ in self.atoms)
         for p in self.pieces:
             cuts.add(p.lo)
             cuts.add(p.hi)
         pts = sorted(cuts)
-        segments: list[_CdfSegment] = []
+        segments = []
         acc = sum(m for x, m in self.atoms if x == 0.0)
         for u, v in zip(pts[:-1], pts[1:]):
             coeffs: tuple[float, ...] = (acc,)
             for p in self.pieces:
                 if p.lo <= u and v <= p.hi:
                     anti = _poly_antideriv(p.coeffs)
-                    shifted = list(anti)
                     # pin the constant so the segment equals acc at its left end
-                    shifted[0] += acc - _poly_eval(anti, u)
-                    coeffs = tuple(shifted)
+                    coeffs = (acc - _poly_eval(anti, u),) + anti[1:]
                     break
-            segments.append(_CdfSegment(u, v, coeffs))
+            segments.append(np.polynomial.Chebyshev.cast(np.polynomial.Polynomial(coeffs), domain=[u, v]))
             # advance the accumulated mass to v (density over [u, v] + atom at v)
             acc = float(_poly_eval(coeffs, v))
             acc += sum(m for x, m in self.atoms if x == v)
@@ -207,7 +199,7 @@ class ValueDistribution:
 
     @cached_property
     def _seg_lows(self) -> np.ndarray:
-        return np.array([s.lo for s in self._segments])
+        return np.array([F.domain[0] for F in self._segments])
 
     # -- basic queries ------------------------------------------------------
 
@@ -220,10 +212,10 @@ class ValueDistribution:
         out = np.empty_like(xs)
         idx = np.searchsorted(self._seg_lows, xs, side="right") - 1
         idx = np.clip(idx, 0, len(self._segments) - 1)
-        for k, seg in enumerate(self._segments):
+        for k, F in enumerate(self._segments):
             mask = idx == k
             if np.any(mask):
-                out[mask] = seg(xs[mask])
+                out[mask] = F(xs[mask])
         out = np.where(xs >= 1.0, 1.0, out)
         out = np.where(xs < 0.0, 0.0, out)
         out = np.clip(out, 0.0, 1.0)
@@ -243,18 +235,35 @@ class ValueDistribution:
         """Exact integral of x^degree * density over every cell
         [edges[t], edges[t + 1]] (atoms excluded).
 
-        Each density piece's antiderivative is evaluated once, by Horner, over
-        the whole edge vector clipped to the piece; a cell adds the difference
-        at its two ends where it overlaps the piece.  Pieces add in order.
+        Each density piece's moment antiderivative, a Chebyshev series over
+        the piece, is evaluated once over the whole edge vector clipped to
+        the piece; a cell adds the difference at its two ends where it
+        overlaps the piece.  Pieces add in order.
         """
         edges = np.asarray(edges, dtype=float)
         total = np.zeros(edges.size - 1)
-        for p in self.pieces:
+        for p, M in zip(self.pieces, self._moment_series(degree)):
             overlaps = np.minimum(edges[1:], p.hi) > np.maximum(edges[:-1], p.lo)
-            anti = _poly_antideriv(tuple(0.0 for _ in range(degree)) + tuple(p.coeffs))
-            at = _poly_eval(anti, np.clip(edges, p.lo, p.hi))
+            at = M(np.clip(edges, p.lo, p.hi))
             total = np.where(overlaps, total + (at[1:] - at[:-1]), total)
         return total
+
+    @cached_property
+    def _moment_kernels(self) -> dict[int, tuple]:
+        """Per degree d, filled on first use: for each density piece the
+        Chebyshev series of int_lo^x t^d p(t) dt over [lo, hi]."""
+        return {}
+
+    def _moment_series(self, degree: int) -> tuple[np.polynomial.Chebyshev, ...]:
+        kernels = self._moment_kernels
+        if degree not in kernels:
+            poly = np.polynomial
+            kernels[degree] = tuple(
+                poly.Chebyshev.cast(poly.Polynomial((0.0,) * degree + p.coeffs), domain=[p.lo, p.hi])
+                .integ(lbnd=p.lo)
+                for p in self.pieces
+            )
+        return kernels[degree]
 
     # -- integral kernels ----------------------------------------------------
 
@@ -307,28 +316,18 @@ class ValueDistribution:
         = int_lo_i^1 (1 - F^k)."""
         return {}
 
-    @cached_property
-    def _cdf_series(self) -> tuple[np.polynomial.Chebyshev, ...]:
-        """The CDF on each segment as a Chebyshev series over that segment."""
-        # np.polynomial loads on first use, not at import
-        poly = np.polynomial
-        return tuple(
-            poly.Chebyshev.cast(poly.Polynomial(seg.coeffs), domain=[seg.lo, seg.hi])
-            for seg in self._segments
-        )
-
     def _lone_kernel(self, k: int) -> tuple[np.ndarray, tuple[np.polynomial.Chebyshev, ...]]:
         kernels = self._lone_kernels
         if k not in kernels:
             series = []
-            for seg, F in zip(self._segments, self._cdf_series):
-                poly = np.polynomial
+            poly = np.polynomial
+            for F in self._segments:
                 # F**k would stop at the class's cap of 100 on the power
                 Fk = poly.Chebyshev(poly.chebyshev.chebpow(F.coef, k, maxpower=None), domain=F.domain)
-                series.append(-(1.0 - Fk).integ(lbnd=seg.hi))
+                series.append(-(1.0 - Fk).integ(lbnd=F.domain[1]))
             suffix = np.zeros(len(series) + 1)
             for i in range(len(series) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + series[i](self._segments[i].lo)
+                suffix[i] = suffix[i + 1] + series[i](self._segments[i].domain[0])
             kernels[k] = (suffix, tuple(series))
         return kernels[k]
 
@@ -387,9 +386,9 @@ class ValueDistribution:
             return 1.0 - below * F - n * below * (1.0 - F)
 
         second = 0.0
-        for seg, F in zip(self._segments, self._cdf_series):
-            degree = (len(seg.coeffs) - 1) * n
-            second += _chebyshev_point_integral(lambda x, F=F: survival(F(x)), seg.lo, seg.hi, degree)
+        for F in self._segments:
+            lo, hi = F.domain.tolist()
+            second += _chebyshev_point_integral(lambda x, F=F: survival(F(x)), lo, hi, F.degree() * n)
         return self._lone_value(n, 0.0) + second
 
     # -- sampling -------------------------------------------------------------
@@ -397,18 +396,16 @@ class ValueDistribution:
     @cached_property
     def _sample_tables(self) -> tuple:
         """Per density piece: None for a constant density (inverted in closed
-        form), else ``(knots, cdf, anti, anti_lo, mass)`` with the
-        within-piece CDF ``cdf`` at ``SAMPLE_KNOTS`` equally spaced knots."""
+        form), else ``(knots, cdf, F)`` with F the within-piece CDF series and
+        ``cdf`` its values at ``SAMPLE_KNOTS`` equally spaced knots."""
         tables = []
-        for p in self.pieces:
+        for p, M in zip(self.pieces, self._moment_series(0)):
             if len(p.coeffs) == 1:
                 tables.append(None)
                 continue
-            anti = _poly_antideriv(p.coeffs)
-            anti_lo = _poly_eval(anti, p.lo)
+            F = M / p.mass
             knots = np.linspace(p.lo, p.hi, SAMPLE_KNOTS)
-            cdf = np.maximum.accumulate((_poly_eval(anti, knots) - anti_lo) / p.mass)
-            tables.append((knots, cdf, anti, anti_lo, p.mass))
+            tables.append((knots, np.maximum.accumulate(F(knots)), F))
         return tuple(tables)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
@@ -466,32 +463,34 @@ def _chebyshev_point_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, 
 
 
 def _invert_piece(p: DensityPiece, table: tuple, target: np.ndarray) -> np.ndarray:
-    """Solve cdf(x) = target on one piece: a knot bracket from the table, a
+    """Solve F(x) = target on one piece: a knot bracket from the table, a
     linear-interpolation start, then Newton steps clipped to the bracket."""
-    knots, cdf, anti, anti_lo, mass = table
+    knots, cdf, F = table
     j = np.clip(np.searchsorted(cdf, target, side="right") - 1, 0, len(knots) - 2)
     lo, hi = knots[j], knots[j + 1]
     rise = cdf[j + 1] - cdf[j]
     frac = np.divide(target - cdf[j], rise, out=np.zeros_like(target), where=rise > 0.0)
     x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+    # free the lookups: each evaluation of F below holds about six draw-sized arrays
+    del j, rise, frac
     for _ in range(NEWTON_STEPS):
-        resid = (_poly_eval(anti, x) - anti_lo) / mass - target
-        slope = np.maximum(p(x) / mass, np.finfo(float).tiny)
+        resid = F(x) - target
+        slope = np.maximum(p(x) / p.mass, np.finfo(float).tiny)
         nxt = np.clip(x - resid / slope, lo, hi)
         # the step's size in probability units, where rounding sets the floor
         moved = np.abs(nxt - x) * slope
         x = nxt
     slow = np.flatnonzero(moved > _SETTLED_STEP)
     if slow.size:
-        x[slow] = _bisect_piece(anti, anti_lo, mass, target[slow], lo[slow], hi[slow])
+        x[slow] = _bisect_piece(F, target[slow], lo[slow], hi[slow])
     return x
 
 
-def _bisect_piece(anti, anti_lo, mass, target, lo, hi) -> np.ndarray:
-    """Bisection of the within-piece CDF on the brackets [lo, hi]."""
+def _bisect_piece(F, target, lo, hi) -> np.ndarray:
+    """Bisection of the within-piece CDF series F on the brackets [lo, hi]."""
     for _ in range(FALLBACK_BISECTIONS):
         mid = (lo + hi) / 2.0
-        takes = (_poly_eval(anti, mid) - anti_lo) / mass < target
+        takes = F(mid) < target
         lo = np.where(takes, mid, lo)
         hi = np.where(takes, hi, mid)
     return (lo + hi) / 2.0

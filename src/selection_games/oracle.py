@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .distributions import ValueDistribution
 from .errors import InconsistencyError, ResourceBudgetError, SpecValidationError
+from .full_recall import med
 from .stage_games import (
     StageGameFR,
     StageGameNR,
@@ -181,7 +182,6 @@ def oracle_spep(
     n: int,
     variant: str,
     budget: int = DEFAULT_BUDGET,
-    verify: bool = True,
 ) -> DiscreteSPEPSet:
     """Exact equilibrium payoff set of the n-arrival game on a finite law.
 
@@ -189,7 +189,7 @@ def oracle_spep(
     atoms are snapped to nearby small rationals) or explicit (value, mass)
     pairs, which stay exact when given as strings/Fractions.  ``variant``
     is "full_recall" or "no_recall".  Every reported payoff is re-checked
-    through the one-shot deviation verifier when ``verify``.
+    through the one-shot deviation verifier.
 
     ``budget`` bounds the pairings of partial sums with one atom's options
     in each step of the expectation sums (and so every partial set), and
@@ -202,9 +202,9 @@ def oracle_spep(
         ats = exact_atoms(atoms)
     _guards(ats, n)
     if variant == "no_recall":
-        level, cont = _oracle_no_recall(ats, n, budget, verify)
+        level, cont = _oracle_no_recall(ats, n, budget)
     elif variant == "full_recall":
-        level, cont = _oracle_full_recall(ats, n, budget, verify)
+        level, cont = _oracle_full_recall(ats, n, budget)
     else:
         raise SpecValidationError(f"unknown variant {variant!r}")
     return DiscreteSPEPSet(
@@ -216,7 +216,7 @@ def oracle_spep(
     )
 
 
-def _oracle_no_recall(ats, n: int, budget: int, verify: bool):
+def _oracle_no_recall(ats, n: int, budget: int):
     """Sorted (payoff, provenance) pairs of the no-recall game, and whether a
     stage admitted a continuum."""
     cs = _prophet_exact(ats, n)
@@ -230,8 +230,7 @@ def _oracle_no_recall(ats, n: int, budget: int, verify: bool):
             for (dd, ee), prov in level.items():
                 game = StageGameNR(x, cs[k], dd, ee)
                 outcome = solve_nr_stage(game, tol=0)
-                if verify:
-                    verify_outcome(payoff_matrix_nr(game), outcome, slack=0)
+                verify_outcome(payoff_matrix_nr(game), outcome, slack=0)
                 continuum = continuum or outcome.has_continuum
                 for eq in outcome.equilibria:
                     _merge(options, eq.payoff, prov | {outcome.case_tag})
@@ -246,14 +245,11 @@ def _oracle_no_recall(ats, n: int, budget: int, verify: bool):
     return [((Fraction(p1, scale), Fraction(p2, scale)), sums[p1, p2]) for p1, p2 in sorted(sums)], continuum
 
 
-def _oracle_full_recall(ats, n: int, budget: int, verify: bool):
+def _oracle_full_recall(ats, n: int, budget: int):
     """Sorted ((u, u), provenance) pairs of the full-recall game, and whether
     a stage admitted a continuum."""
     memo: dict[tuple, dict[Pair, frozenset]] = {}
     continuum = False
-
-    def med(a: Fraction, b: Fraction, x: Fraction) -> Fraction:
-        return min(max(x, b), a)
 
     def solve_state(k: int, a: Fraction, b: Fraction) -> dict[Pair, frozenset]:
         nonlocal continuum
@@ -270,8 +266,7 @@ def _oracle_full_recall(ats, n: int, budget: int, verify: bool):
         for (d, _), prov in conts.items():
             game = StageGameFR(a, c, Fraction(d, scale))
             outcome = solve_fr_stage(game, tol=0)
-            if verify:
-                verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
+            verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
             continuum = continuum or outcome.has_continuum
             for eq in outcome.equilibria:
                 u, v = eq.payoff

@@ -1,9 +1,10 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_distributions import LAWS
+from test_distributions import EPS, LAWS, _panti, _peval
 
 from selection_games import distributions as D
 from selection_games import full_recall as FR
@@ -280,31 +281,37 @@ def test_near_two_point_mixture_band_is_feasible():
 # -- cell moments, grid expectations and the memory guard ---------------------------------
 
 
-def _scalar_density_moment(law, lo, hi, degree):
-    """The per-cell loop the vectorized cell moments replace."""
-    total = 0.0
+def _exact_cell_moments(law, edges, degree):
+    """Cell moments in exact rational arithmetic on the float edges and
+    coefficients."""
+    total = [Fraction(0)] * (len(edges) - 1)
     for p in law.pieces:
-        a, b = max(lo, p.lo), min(hi, p.hi)
-        if b <= a:
-            continue
-        anti = D._poly_antideriv((0.0,) * degree + tuple(p.coeffs))
-        total += D._poly_eval(anti, b) - D._poly_eval(anti, a)
+        anti = _panti([Fraction(0)] * degree + [Fraction(c) for c in p.coeffs])
+        lo, hi = Fraction(p.lo), Fraction(p.hi)
+        at = [_peval(anti, min(max(Fraction(e), lo), hi)) for e in edges]
+        for t in range(len(total)):
+            total[t] += at[t + 1] - at[t]
     return total
 
 
-MOMENT_LAWS = dict(LAWS, tightness=tightness_family(0.1, 0.05), two_piece=TWO_PIECE)
+MOMENT_LAWS = dict(
+    LAWS, tightness=tightness_family(0.1, 0.05), two_piece=TWO_PIECE,
+    beta35=beta_distribution(3, 5), beta67=beta_distribution(6, 7),
+)
 
 
 @pytest.mark.parametrize("name", sorted(MOMENT_LAWS))
 def test_cell_moments_match_scalar_density_moment(name):
+    # measured: at most 1.29 eps per cell on these laws, on Beta(6,7)
     law = MOMENT_LAWS[name]
     g = FR.TriangleContext(law, FR.GridConfig(size=401)).g
     for degree in (0, 1):
         got = law.cell_moments(g, degree)
         scalar = [law.density_moment(g[t], g[t + 1], degree) for t in range(len(g) - 1)]
-        loop = [_scalar_density_moment(law, g[t], g[t + 1], degree) for t in range(len(g) - 1)]
         assert np.array_equal(got, scalar)
-        assert np.array_equal(got, loop)
+        exact = _exact_cell_moments(law, g, degree)
+        err = max(abs(float(Fraction(x) - want)) for x, want in zip(got, exact))
+        assert err <= 1.3 * EPS
 
 
 def _loop_grid_expectation(d, g, vals):
