@@ -178,7 +178,7 @@ class TriangleContext:
         # a running sum, cell by cell, as a scalar loop would add them
         return float(np.cumsum(np.concatenate(([total], cells)))[-1])
 
-    def expect_over_arrival(self, T: np.ndarray) -> np.ndarray:
+    def expect_over_arrival(self, T: np.ndarray, cols: int | None = None) -> np.ndarray:
         """E_X[T(a v X, med[a, b, X])] at every grid node (a_i, b_j), for a
         mirrored table T (T[i, j] == T[j, i]), as every table of the engine is.
 
@@ -196,30 +196,39 @@ class TriangleContext:
         atom x* > b moves the state to (a v x*, a ^ x*), which does not depend
         on b, so each atom costs one bilinear evaluation along the a axis,
         added to every column with b < x*.
+
+        With ``cols`` given, only the first ``cols`` columns are computed and
+        a G x cols table is returned, each entry bitwise equal to the full
+        table's.  The running sums still cover whole rows, since the diagonal
+        and the row totals read them.
         """
         G = self.grid.size
+        m = G if cols is None else cols
         g = self.g
-        out = np.empty((G, G))
-        buf = np.empty((self.row_blocks[0].stop, G))
+        out = np.empty((G, m))
+        block = self.row_blocks[0].stop
+        crow_buf = np.empty((block, G))
+        cell_buf = np.empty((block, G - 1))
         for rows in self.row_blocks:
             Tb, ob = T[rows], out[rows]
             # crow[i, j] = int_0^(g_j) T(a_i, x) dF(x), the running sum of row i's cells
-            crow = buf[: len(Tb)]
+            crow, right = crow_buf[: len(Tb)], cell_buf[: len(Tb)]
             crow[:, 0] = 0.0
             np.multiply(Tb[:, :-1], self.rho, out=crow[:, 1:])
-            np.multiply(Tb[:, 1:], self.phi, out=ob[:, 1:])
-            crow[:, 1:] += ob[:, 1:]
+            np.multiply(Tb[:, 1:], self.phi, out=right)
+            crow[:, 1:] += right
             np.cumsum(crow[:, 1:], axis=1, out=crow[:, 1:])
             diag = crow[np.arange(len(Tb)), np.arange(rows.start, rows.stop)]
             # int_(a, 1] T(x, a) dF(x): the column pass, read off the transpose
             col_suffix = crow[:, -1] - diag
-            np.subtract(diag[:, None], crow, out=crow)  # int_(b, a] T(a, x) dF(x)
-            np.multiply(self.F, Tb, out=ob)
-            ob += crow
+            head = crow[:, :m]
+            np.subtract(diag[:, None], head, out=head)  # int_(b, a] T(a, x) dF(x)
+            np.multiply(self.F[:m], Tb[:, :m], out=ob)
+            ob += head
             ob += col_suffix[:, None]
         for x_star, mass in self.atoms:
             u = self.bilinear(T, np.maximum(g, x_star), np.minimum(g, x_star))
-            out[:, : np.searchsorted(g, x_star)] += mass * u[:, None]
+            out[:, : min(m, np.searchsorted(g, x_star))] += mass * u[:, None]
         return out
 
     def mirror(self, T: np.ndarray) -> np.ndarray:

@@ -222,7 +222,9 @@ def _play_block(d, n, variant, strat1, strat2, X, U1, U2, coin, c_by_k, pay1, pa
 def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> Strategy:
     """Bid exactly where the worst (best) stage equilibrium bids, by
     :func:`stage_bids` at (a, c_k(b), d+_k); d+_k is read only where the
-    worst rule bids, and never for the worst profile."""
+    worst rule bids, and never for the worst profile.  c_k of the last row
+    of floors is kept for each k, so the best-response DP, whose row blocks
+    read prefixes of one row, evaluates it once a stage."""
     is_uniform = not d.atoms and len(d.pieces) == 1 and d.pieces[0].coeffs == (1.0,)
     ctx = tables = None
     if best and (not is_uniform or n - 1 > 2):
@@ -233,12 +235,31 @@ def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> 
             return uniform_pass_value(k, a, b)
         return ctx.bilinear(tables[k].dplus, a, b)
 
+    # per k, the last row of floors evaluated and its c_k values
+    last: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def lone_values(k, b):
+        """c_k(b).  Floors given as one row, shape (1, m), as a table's
+        columns are, are kept per k, and a row that is a prefix of the kept
+        one, compared by value, is read off it: c_k(b) depends on b alone.
+        Other shapes (the live runs of :func:`play`) are not kept."""
+        if b.ndim != 2 or b.shape[0] != 1:
+            return np.asarray(d.order_max_with_vec(k, b))
+        row = b[0]
+        if k in last:
+            floors, c = last[k]
+            if row.size <= floors.size and np.array_equal(floors[: row.size], row):
+                return c[None, : row.size]
+        c = np.asarray(d.order_max_with_vec(k, b))
+        last[k] = (row.copy(), c[0])
+        return c
+
     def prob(t, k, a, b):
         a = np.asarray(a, dtype=float)
         if k == 0:
             return np.ones_like(a)
         b = np.asarray(b, dtype=float)
-        c = np.asarray(d.order_max_with_vec(k, b))
+        c = lone_values(k, b)
         bid = stage_bids(a, c, None, best=False)
         if best and np.any(bid):
             a_c, b_c, c_c = (np.broadcast_to(v, bid.shape)[bid] for v in (a, b, c))
@@ -382,7 +403,14 @@ def best_response_gap(
     """Value of the best response against ``opponent`` minus the value of
     ``equilibrium_reply`` against it, via backward induction on a
     discretized state space.  A result <= tolerance certifies that the
-    reply admits no profitable deviation (up to grid error)."""
+    reply admits no profitable deviation (up to grid error).
+
+    With recall, the states are the grid nodes (a, b) of the triangle
+    b <= a, and every stage but the first builds G x G value tables.  The
+    first arrival always finds the state (X_1, 0), so the last backward
+    stage (t = 1) computes only the column b = 0: E_X[v_2(a v X, med[a, 0, X])]
+    as a G-vector, and the bid rules and the stage rule once on (a, 0).  Its
+    entries are bitwise those of the full tables' column b = 0."""
     if n < 1:
         raise SpecValidationError("n must be >= 1")
     if variant == NO_RECALL:
@@ -442,28 +470,40 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
     g = ctx.g
     A = g[:, None]
     B = g[None, :]
-    # both values start at the even split, one table until they part
-    v_br = v_eq = np.add.outer(g, g) / 2.0
+
+    def width(t):
+        # the first arrival finds b = 0, so stage t = 1 needs that column alone
+        return 1 if t == 1 else grid_size
+
+    # both values start at the even split at t = n, one table until they part
+    v_br = v_eq = np.add.outer(g, g[: width(n)]) / 2.0
     for t in range(n - 1, 0, -1):
         k = n - t
+        m = width(t)
         # continuation values E_X[v(a v X, med[a, b, X])]; rebinding the names
         # frees the previous stage's tables
         shared = v_eq is v_br
-        v_br = ctx.expect_over_arrival(v_br)
-        v_eq = v_br.copy() if shared else ctx.expect_over_arrival(v_eq)
+        v_br = ctx.expect_over_arrival(v_br, m)
+        v_eq = v_br.copy() if shared else ctx.expect_over_arrival(v_eq, m)
         ck = ctx.lone_values(k)[None, :]
         # states only matter on the triangle b <= a: the bid rules are
         # evaluated one block of rows at a time, on its columns up to the end
-        # of the diagonal tile, and the upper half is mirrored afterwards
-        for rows in ctx.row_blocks:
-            cols = slice(0, rows.stop)
-            a, b = A[rows], B[:, cols]
-            shape = (len(a), rows.stop)
+        # of the diagonal tile, and the upper half is mirrored afterwards.  The
+        # last block goes first: its columns hold every other block's, so a
+        # rule that keeps c_k(b) of its longest row computes it once a stage
+        if m == 1:
+            blocks = [(slice(0, grid_size), 1)]
+        else:
+            blocks = [(rows, rows.stop) for rows in reversed(ctx.row_blocks)]
+        for rows, stop in blocks:
+            a, b = A[rows], B[:, :stop]
+            shape = (len(a), stop)
             q = _bid_prob(opponent, t, k, a, b, shape)
             p = q if reply is opponent else _bid_prob(reply, t, k, a, b, shape)
-            _br_stage(a, ck[:, cols], q, p, v_br[rows, cols], v_eq[rows, cols], p is q)
-        ctx.mirror(v_br)
-        ctx.mirror(v_eq)
+            _br_stage(a, ck[:, :stop], q, p, v_br[rows, :stop], v_eq[rows, :stop], p is q)
+        if m > 1:
+            ctx.mirror(v_br)
+            ctx.mirror(v_eq)
     return float(ctx.expect(v_br[:, 0]) - ctx.expect(v_eq[:, 0]))
 
 

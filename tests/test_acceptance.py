@@ -233,6 +233,32 @@ def test_criterion_8_equilibrium_verification():
         within(rep, (w3, w3))
 
 
+#: largest relative difference allowed between the gaps of one mutant at G = 401
+#: and G = 801 for delta = 0.016 (5.1 % measured, best profile at n = 3)
+MUTANT_GRID_AGREEMENT = 0.10
+
+
+def test_criterion_8_detects_delayed_bids():
+    # a mutant reply bids where the profile's rule bids at (a - delta, b), so it
+    # waits delta too long; the DP must price that deviation above 0, and
+    # price it alike on two grids once delta spans several cells
+    with _Check("8 sensitivity to delayed bids"):
+        for which in ("best", "worst"):
+            for n in (3, 4):
+                rule = S.spe_strategy(UNIFORM, n, "full_recall", which, grid=ACCEPT_GRID).player1
+                for delta in (0.004, 0.016):
+                    mutant = S.Strategy(
+                        "mutant",
+                        lambda t, k, a, b, f=rule.bid_prob, dl=delta: f(t, k, np.asarray(a) - dl, b),
+                    )
+                    gaps = [
+                        S.best_response_gap(UNIFORM, n, "full_recall", rule, mutant, G) for G in (401, 801)
+                    ]
+                    assert min(gaps) > 0.0, (which, n, delta, gaps)
+                    if delta == 0.016:
+                        assert abs(gaps[0] - gaps[1]) <= MUTANT_GRID_AGREEMENT * gaps[1], (which, n, gaps)
+
+
 def test_criterion_9_ratio_series_shape():
     with _Check("9 ratio series shape") as chk:
         ns = range(2, 11)

@@ -246,6 +246,22 @@ def test_atomless_expectation_unchanged(rng):
         assert np.array_equal(ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T))
 
 
+@pytest.mark.parametrize(
+    "law",
+    [D.uniform(), D.two_point(), EDGE_ATOMS, D.mixture_with_uniform(0.3, EDGE_ATOMS)],
+    ids=["uniform", "two_point", "edge_atoms", "edge_atoms_mixture"],
+)
+def test_leading_columns_match_full_table(law, rng):
+    # atoms at 0 (never added to a column), on a node, inside and at 1
+    ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
+    T = ctx.mirror(rng.random((201, 201)))
+    full = ctx.expect_over_arrival(T)
+    for cols in (1, 2, 50, 51, 52, 200, 201):
+        part = ctx.expect_over_arrival(T, cols)
+        assert part.shape == (201, cols)
+        assert np.array_equal(part, full[:, :cols])
+
+
 def test_mirror_copies_lower_triangle(rng):
     ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=57))
     T = rng.random((57, 57))

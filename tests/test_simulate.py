@@ -141,10 +141,15 @@ def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
     return float(ctx.expect(v_br[:, 0]) - ctx.expect(v_eq[:, 0]))
 
 
-def _dp_cases():
+#: atoms at 0, which no column adds, and above 0, which column b = 0 adds
+ATOMS_AND_UNIFORM = D.mixture_with_uniform(0.5, D.discrete([(0.0, 0.3), (0.6, 0.7)]))
+
+
+def _dp_cases(n):
     b22 = beta_distribution(2, 2)
-    best = S.spe_strategy(b22, 4, "full_recall", "best", grid=GridConfig(size=201)).player1
-    worst = S.spe_strategy(b22, 4, "full_recall", "worst").player1
+    best = S.spe_strategy(b22, n, "full_recall", "best", grid=GridConfig(size=201)).player1
+    worst = S.spe_strategy(b22, n, "full_recall", "worst").player1
+    atoms_worst = S.spe_strategy(ATOMS_AND_UNIFORM, n, "full_recall", "worst").player1
     threshold = S.threshold_strategy({1: 0.6, 2: 0.55, 3: 0.5})
     # fractional bid probabilities that depend on both a and b
     mixed = S.Strategy("mixed", lambda t, k, a, b: np.clip(2.0 * a - b - 0.3 * k, 0.0, 1.0))
@@ -153,18 +158,44 @@ def _dp_cases():
         "worst": (b22, worst, worst),
         "threshold-vs-worst": (b22, worst, threshold),
         "mixed": (D.uniform(), mixed, mixed),
+        "atoms-worst": (ATOMS_AND_UNIFORM, atoms_worst, atoms_worst),
+        "atoms-threshold-vs-worst": (ATOMS_AND_UNIFORM, atoms_worst, threshold),
     }
 
 
-@pytest.mark.parametrize("case", ["best", "worst", "threshold-vs-worst", "mixed"])
-def test_full_recall_dp_matches_dense_reference(case):
-    law, opponent, reply = _dp_cases()[case]
+_DP_CASES = ["best", "worst", "threshold-vs-worst", "mixed", "atoms-worst", "atoms-threshold-vs-worst"]
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    [(case, n) for case in _DP_CASES for n in (1, 2, 3, 4)],
+    ids=[case if n == 4 else f"{case}-n{n}" for case in _DP_CASES for n in (1, 2, 3, 4)],
+)
+def test_full_recall_dp_matches_dense_reference(case, n):
+    # n = 1 has no stage; at n = 2 the first stage is also the last, on shared tables
+    law, opponent, reply = _dp_cases(n)[case]
     # 201 rows make two row blocks of unequal height
     assert len(TriangleContext(law, GridConfig(size=201)).row_blocks) == 2
-    got = S.best_response_gap(law, 4, "full_recall", opponent, reply, 201)
-    assert got == _dense_br_gap_full_recall(law, 4, opponent, reply, 201)
-    if case in ("threshold-vs-worst", "mixed"):
+    got = S.best_response_gap(law, n, "full_recall", opponent, reply, 201)
+    assert got == _dense_br_gap_full_recall(law, n, opponent, reply, 201)
+    if case in ("threshold-vs-worst", "mixed", "atoms-threshold-vs-worst") and n > 1:
         assert got > 1e-3  # the gap depends on every stage's bid table
+
+
+def test_full_recall_dp_evaluates_lone_values_once_per_stage(monkeypatch):
+    floors = []
+    original = D.ValueDistribution.order_max_with_vec
+
+    def counted(self, k, ks):
+        floors.append(np.size(ks))
+        return original(self, k, ks)
+
+    monkeypatch.setattr(D.ValueDistribution, "order_max_with_vec", counted)
+    rule = S.spe_strategy(beta_distribution(2, 2), 4, "full_recall", "worst").player1
+    S.best_response_gap(beta_distribution(2, 2), 4, "full_recall", rule, rule, 801)
+    # per stage the DP's own c_k on the grid and one call of the rule: a whole
+    # row at t = 3, 2 (its row blocks read prefixes of it), b = 0 alone at t = 1
+    assert sorted(floors) == [1] + [801] * 5
 
 
 @pytest.mark.parametrize("law, n", [(D.uniform(), 4), (D.two_point(), 5)], ids=["uniform", "two_point"])
