@@ -53,8 +53,10 @@ BRANCH_TOL = 1e-12
 PASS_DOMINANCE_SLACK = 1e-9
 
 #: G x G float64 tables one stage of the grid engine or of the best-response
-#: DP may hold at once, temporaries included (about 4 measured: 3.1 in the DP,
-#: 4.1 in a grid stage, of which the 2 it keeps)
+#: DP may hold at once, temporaries included (at most 3.1 measured at G = 801:
+#: 3.1 in a grid stage, of which the 2 it keeps; in the DP 1.5 for a symmetric
+#: equilibrium profile and 2.7 for a reply that parts from the best reply on
+#: every row)
 GRID_WORKING_TABLES = 12
 #: largest working set a triangle grid may claim, in bytes (2 GiB: G <= 4729)
 GRID_MEMORY_BUDGET = 2 * 1024**3
@@ -178,7 +180,13 @@ class TriangleContext:
         # a running sum, cell by cell, as a scalar loop would add them
         return float(np.cumsum(np.concatenate(([total], cells)))[-1])
 
-    def expect_over_arrival(self, T: np.ndarray, cols: int | None = None) -> np.ndarray:
+    def expect_over_arrival(
+        self,
+        T: np.ndarray,
+        cols: int | None = None,
+        rows: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """E_X[T(a v X, med[a, b, X])] at every grid node (a_i, b_j), for a
         mirrored table T (T[i, j] == T[j, i]), as every table of the engine is.
 
@@ -200,16 +208,49 @@ class TriangleContext:
         With ``cols`` given, only the first ``cols`` columns are computed and
         a G x cols table is returned, each entry bitwise equal to the full
         table's.  The running sums still cover whole rows, since the diagonal
-        and the row totals read them.
+        and the row totals read them; for ``cols == 1`` on a whole table they
+        are added down the table instead, a row of cells at a time, which
+        gives the same sums with less work.
+
+        Rows are local on an atomless law: row i of the result reads row i of
+        T alone.  So ``rows``, an increasing array of row indices, may name the
+        rows of the mirrored table that T holds (one row of T each), and the
+        result then holds the same rows, bitwise equal to the full call's.  An
+        atom term reads rows i +- 1 and the rows near the atom, so with atoms
+        ``rows`` must name every row.
+
+        ``out`` receives the result and is returned.  It may be T itself or
+        its leading ``cols`` columns: each block of rows is read before it is
+        written, and the atom terms are evaluated before any row is.
         """
         G = self.grid.size
         m = G if cols is None else cols
+        index = np.arange(G) if rows is None else np.asarray(rows)
+        if self.atoms and len(index) != G:
+            raise SpecValidationError("a row subset of the grid expectation needs an atomless law")
+        if out is None:
+            out = np.empty((len(index), m))
         g = self.g
-        out = np.empty((G, m))
+        atom_terms = [
+            (mass * self.bilinear(T, np.maximum(g, x_star), np.minimum(g, x_star)), np.searchsorted(g, x_star))
+            for x_star, mass in self.atoms
+        ]
+        if m == 1 and len(index) == G:
+            self._first_column(T, out)
+        else:
+            self._row_pass(T, index, m, out)
+        for u, stop in atom_terms:
+            out[:, : min(m, stop)] += u[:, None]
+        return out
+
+    def _row_pass(self, T: np.ndarray, index: np.ndarray, m: int, out: np.ndarray) -> None:
+        """The atomless part of :meth:`expect_over_arrival` on the first ``m``
+        columns, for the rows ``index`` of a mirrored table held in T."""
         block = self.row_blocks[0].stop
-        crow_buf = np.empty((block, G))
-        cell_buf = np.empty((block, G - 1))
-        for rows in self.row_blocks:
+        crow_buf = np.empty((block, self.grid.size))
+        cell_buf = np.empty((block, self.grid.size - 1))
+        for r0 in range(0, len(T), block):
+            rows = slice(r0, r0 + block)
             Tb, ob = T[rows], out[rows]
             # crow[i, j] = int_0^(g_j) T(a_i, x) dF(x), the running sum of row i's cells
             crow, right = crow_buf[: len(Tb)], cell_buf[: len(Tb)]
@@ -218,7 +259,7 @@ class TriangleContext:
             np.multiply(Tb[:, 1:], self.phi, out=right)
             crow[:, 1:] += right
             np.cumsum(crow[:, 1:], axis=1, out=crow[:, 1:])
-            diag = crow[np.arange(len(Tb)), np.arange(rows.start, rows.stop)]
+            diag = crow[np.arange(len(Tb)), index[rows]]
             # int_(a, 1] T(x, a) dF(x): the column pass, read off the transpose
             col_suffix = crow[:, -1] - diag
             head = crow[:, :m]
@@ -226,10 +267,37 @@ class TriangleContext:
             np.multiply(self.F[:m], Tb[:, :m], out=ob)
             ob += head
             ob += col_suffix[:, None]
-        for x_star, mass in self.atoms:
-            u = self.bilinear(T, np.maximum(g, x_star), np.minimum(g, x_star))
-            out[:, : min(m, np.searchsorted(g, x_star))] += mass * u[:, None]
-        return out
+
+    def _first_column(self, T: np.ndarray, out: np.ndarray) -> None:
+        """The atomless part of :meth:`expect_over_arrival` on the column
+        b = 0 of a whole mirrored table.  Cell l of every row is
+        rho_l T[l] + phi_l T[l + 1] read down the table (T[i, l] == T[l, i]),
+        so adding these rows of cells in sequence gives every row's running
+        sum at once, bitwise the row pass's: its diagonal entry when the sum
+        reaches it, and its total at the end."""
+        G = self.grid.size
+        rho, phi = self.rho, self.phi
+        diag = np.empty(G)
+        diag[0] = 0.0
+        total = T[0] * rho[0]
+        total += T[1] * phi[0]
+        diag[1] = total[1]
+        block = self.row_blocks[0].stop
+        cells, right = np.empty((block, G)), np.empty((block, G))
+        for l0 in range(1, G - 1, block):
+            h = min(block, G - 1 - l0)
+            c, r = cells[:h], right[:h]
+            np.multiply(T[l0 : l0 + h], rho[l0 : l0 + h, None], out=c)
+            np.multiply(T[l0 + 1 : l0 + h + 1], phi[l0 : l0 + h, None], out=r)
+            c += r
+            for l, cell in enumerate(c, start=l0):
+                total += cell
+                # the running sums now hold cells 0..l: row l + 1's diagonal
+                diag[l + 1] = total[l + 1]
+        col = self.F[0] * T[:, 0]
+        col += diag
+        col += total - diag
+        out[:, 0] = col
 
     def mirror(self, T: np.ndarray) -> np.ndarray:
         """Copy the triangle {b <= a} of T onto {b > a}, in place, one row at a
@@ -283,7 +351,9 @@ def grid_tables(
     key = (dist.cache_key(), grid.size)
     if key not in _TABLE_CACHE:
         ctx = TriangleContext(dist, grid)
-        base = ctx.mirror(np.add.outer(ctx.g, ctx.g) / 2.0)
+        # (a + b)/2 is mirrored as it stands: a + b rounds as b + a does
+        base = np.add.outer(ctx.g, ctx.g)
+        base /= 2.0
         _TABLE_CACHE[key] = (ctx, [StageTables(ctx, 0, base=base)])
     ctx, tables = _TABLE_CACHE[key]
     while len(tables) <= n:

@@ -406,11 +406,21 @@ def best_response_gap(
     reply admits no profitable deviation (up to grid error).
 
     With recall, the states are the grid nodes (a, b) of the triangle
-    b <= a, and every stage but the first builds G x G value tables.  The
-    first arrival always finds the state (X_1, 0), so the last backward
+    b <= a, and every stage but the first updates one G x G table, the best
+    reply's values, with each expectation written over the table it reads.
+    The first arrival always finds the state (X_1, 0), so the last backward
     stage (t = 1) computes only the column b = 0: E_X[v_2(a v X, med[a, 0, X])]
     as a G-vector, and the bid rules and the stage rule once on (a, 0).  Its
-    entries are bitwise those of the full tables' column b = 0."""
+    entries are bitwise those of the full tables' column b = 0.
+
+    The equilibrium reply's table is kept only on the rows where it differs
+    from the best reply's, bit for bit: a differing cell (i, j) makes rows i
+    and j differ in the mirrored table.  On an atomless law row i of the
+    expectation reads row i of the table alone, so the reply's expectation is
+    computed on those rows only and equals the best reply's on every other
+    row.  For an equilibrium profile the rows are few (2 to 179 of 2001 for
+    the uniform law at n <= 4).  On a law with atoms an atom term reads other
+    rows too, and every row is kept once any cell differs."""
     if n < 1:
         raise SpecValidationError("n must be >= 1")
     if variant == NO_RECALL:
@@ -475,16 +485,23 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
         # the first arrival finds b = 0, so stage t = 1 needs that column alone
         return 1 if t == 1 else grid_size
 
-    # both values start at the even split at t = n, one table until they part
-    v_br = v_eq = np.add.outer(g, g[: width(n)]) / 2.0
+    # v holds the best reply's values.  The equilibrium reply's table equals v
+    # except on the rows `diff`, which `eq` keeps whole, one mirrored row each;
+    # both start at the even split at t = n, so `diff` starts empty
+    v = np.add.outer(g, g[: width(n)])
+    v /= 2.0
+    diff = np.empty(0, dtype=np.intp)
+    eq = v[diff]
+    parted = []
     for t in range(n - 1, 0, -1):
         k = n - t
         m = width(t)
-        # continuation values E_X[v(a v X, med[a, b, X])]; rebinding the names
-        # frees the previous stage's tables
-        shared = v_eq is v_br
-        v_br = ctx.expect_over_arrival(v_br, m)
-        v_eq = v_br.copy() if shared else ctx.expect_over_arrival(v_eq, m)
+        # continuation values E_X[v(a v X, med[a, b, X])], each written over
+        # the table it reads.  Row i of E reads row i of the table alone (atoms
+        # make `diff` every row), so the reply's rows outside `diff` are v's
+        if diff.size:
+            ctx.expect_over_arrival(eq, m, rows=diff, out=eq[:, :m])
+        ctx.expect_over_arrival(v, m, out=v[:, :m])
         ck = ctx.lone_values(k)[None, :]
         # states only matter on the triangle b <= a: the bid rules are
         # evaluated one block of rows at a time, on its columns up to the end
@@ -495,16 +512,52 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
             blocks = [(slice(0, grid_size), 1)]
         else:
             blocks = [(rows, rows.stop) for rows in reversed(ctx.row_blocks)]
+        # the rows where the reply's values on the triangle part from v's,
+        # with those values, and the rows where its mirrored table does
+        parted = []
+        in_diff = np.zeros(grid_size, dtype=bool)
         for rows, stop in blocks:
             a, b = A[rows], B[:, :stop]
             shape = (len(a), stop)
             q = _bid_prob(opponent, t, k, a, b, shape)
             p = q if reply is opponent else _bid_prob(reply, t, k, a, b, shape)
-            _br_stage(a, ck[:, :stop], q, p, v_br[rows, :stop], v_eq[rows, :stop], p is q)
+            w_br = v[rows, :stop]
+            w_eq = w_br.copy()
+            lo, hi = np.searchsorted(diff, (rows.start, rows.stop))
+            w_eq[diff[lo:hi] - rows.start] = eq[lo:hi, :stop]
+            _br_stage(a, ck[:, :stop], q, p, w_br, w_eq, p is q)
+            # compared bit for bit, and cut at the diagonal in the diagonal tile
+            apart = w_eq.view(np.int64) != w_br.view(np.int64)
+            apart[:, rows.start :] &= np.tri(len(a), stop - rows.start, dtype=bool)
+            hit = np.flatnonzero(apart.any(axis=1))
+            if hit.size:
+                parted.append((rows.start + hit, w_eq[hit]))
+                # a cell (i, j) puts row j there too, where it sits at column i
+                in_diff[rows.start + hit] = True
+                in_diff[:stop] |= apart.any(axis=0)
         if m > 1:
-            ctx.mirror(v_br)
-            ctx.mirror(v_eq)
-    return float(ctx.expect(v_br[:, 0]) - ctx.expect(v_eq[:, 0]))
+            ctx.mirror(v)
+            del eq  # read: release the previous rows before the next are built
+            diff, eq = _reply_rows(ctx, v, parted, in_diff)
+    # the reply's column b = 0
+    col = v[:, 0].copy()
+    for hit, vals in parted:
+        col[hit] = vals[:, 0]
+    return float(ctx.expect(v[:, 0]) - ctx.expect(col))
+
+
+def _reply_rows(ctx, v, parted, in_diff):
+    """The rows ``diff`` kept of the reply's mirrored table, and those rows,
+    from the mirrored v and the reply's parted rows on the triangle.  On a law
+    with atoms every row is kept once any row parts."""
+    diff = np.arange(len(v)) if ctx.atoms and in_diff.any() else np.flatnonzero(in_diff)
+    eq = v[diff]
+    for hit, vals in parted:
+        for i, row in zip(hit, vals):
+            at = np.searchsorted(diff, i)
+            eq[at, : i + 1] = row[: i + 1]  # row i on the triangle
+            eq[:at, i] = row[diff[:at]]  # its cell (i, j) at (j, i), kept rows j < i
+    return diff, eq
 
 
 def spe_gap(

@@ -234,29 +234,46 @@ def test_criterion_8_equilibrium_verification():
 
 
 #: largest relative difference allowed between the gaps of one mutant at G = 401
-#: and G = 801 for delta = 0.016 (5.1 % measured, best profile at n = 3)
+#: and G = 801 for delta = 0.016 (measured: 5.1 % with recall, best profile at
+#: n = 3; 7.6 % without recall, the best profile's waiting player at n = 3)
 MUTANT_GRID_AGREEMENT = 0.10
 
 
+def _delayed(rule, delta):
+    """A mutant reply that bids where ``rule`` bids at (a - delta, b), so it
+    waits delta too long."""
+    return S.Strategy("mutant", lambda t, k, a, b: rule.bid_prob(t, k, np.asarray(a) - delta, b))
+
+
+def _assert_delays_priced(variant, which, n, opponent, rule):
+    # the DP must price the deviation above 0, and price it alike on two
+    # grids once delta spans several cells
+    for delta in (0.004, 0.016):
+        mutant = _delayed(rule, delta)
+        gaps = [S.best_response_gap(UNIFORM, n, variant, opponent, mutant, G) for G in (401, 801)]
+        assert min(gaps) > 0.0, (which, n, delta, gaps)
+        if delta == 0.016:
+            assert abs(gaps[0] - gaps[1]) <= MUTANT_GRID_AGREEMENT * gaps[1], (which, n, gaps)
+
+
 def test_criterion_8_detects_delayed_bids():
-    # a mutant reply bids where the profile's rule bids at (a - delta, b), so it
-    # waits delta too long; the DP must price that deviation above 0, and
-    # price it alike on two grids once delta spans several cells
     with _Check("8 sensitivity to delayed bids"):
         for which in ("best", "worst"):
             for n in (3, 4):
                 rule = S.spe_strategy(UNIFORM, n, "full_recall", which, grid=ACCEPT_GRID).player1
-                for delta in (0.004, 0.016):
-                    mutant = S.Strategy(
-                        "mutant",
-                        lambda t, k, a, b, f=rule.bid_prob, dl=delta: f(t, k, np.asarray(a) - dl, b),
-                    )
-                    gaps = [
-                        S.best_response_gap(UNIFORM, n, "full_recall", rule, mutant, G) for G in (401, 801)
-                    ]
-                    assert min(gaps) > 0.0, (which, n, delta, gaps)
-                    if delta == 0.016:
-                        assert abs(gaps[0] - gaps[1]) <= MUTANT_GRID_AGREEMENT * gaps[1], (which, n, gaps)
+                _assert_delays_priced("full_recall", which, n, rule, rule)
+
+
+def test_criterion_8_detects_delayed_bids_without_recall():
+    # each seat's rule is delayed against the other seat's: the worst profile
+    # is one stationary rule, the best a designated bidder and a waiting player
+    with _Check("8 sensitivity to delayed bids, no recall"):
+        for which in ("best", "worst"):
+            for n in (3, 4):
+                prof = S.spe_strategy(UNIFORM, n, "no_recall", which)
+                seats = [(prof.player2, prof.player1), (prof.player1, prof.player2)]
+                for opponent, rule in seats[: 1 if prof.symmetric else 2]:
+                    _assert_delays_priced("no_recall", which, n, opponent, rule)
 
 
 def test_criterion_9_ratio_series_shape():

@@ -254,12 +254,30 @@ def test_atomless_expectation_unchanged(rng):
 def test_leading_columns_match_full_table(law, rng):
     # atoms at 0 (never added to a column), on a node, inside and at 1
     ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
+    assert len(ctx.row_blocks) == 2  # of unequal height
     T = ctx.mirror(rng.random((201, 201)))
     full = ctx.expect_over_arrival(T)
+    # rows on both blocks and at both ends, every row, and no row
+    subsets = [np.array([0, 1, 99, 100, 101, 150, 199, 200]), np.arange(201), np.arange(0)]
     for cols in (1, 2, 50, 51, 52, 200, 201):
         part = ctx.expect_over_arrival(T, cols)
         assert part.shape == (201, cols)
         assert np.array_equal(part, full[:, :cols])
+        # written over the table it reads
+        inplace = T.copy()
+        got = ctx.expect_over_arrival(inplace, cols, out=inplace[:, :cols])
+        assert np.shares_memory(got, inplace) and np.array_equal(got, full[:, :cols])
+        # a subset of the rows, held alone, in place too
+        for rows in subsets:
+            held = T[rows]
+            if law.atoms and len(rows) < 201:
+                # an atom term reads rows other than its own
+                with pytest.raises(SpecValidationError):
+                    ctx.expect_over_arrival(held, cols, rows=rows)
+                continue
+            assert np.array_equal(ctx.expect_over_arrival(held, cols, rows=rows), full[rows, :cols])
+            ctx.expect_over_arrival(held, cols, rows=rows, out=held[:, :cols])
+            assert np.array_equal(held[:, :cols], full[rows, :cols])
 
 
 def test_mirror_copies_lower_triangle(rng):

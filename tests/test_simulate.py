@@ -104,16 +104,28 @@ def test_asymmetric_gap_unchanged(variant, want):
     assert gap == pytest.approx(want, abs=1e-12)
 
 
-def test_full_recall_gap_memory_peak():
-    # the best profile reads grid tables at the default grid; build them first
-    S.spe_strategy(D.uniform(), 4, "full_recall", "best")
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        S.spe_gap(D.uniform(), 4, "full_recall", "best", grid_size=801)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 801 * 801 * 8
+
+
+def test_full_recall_gap_memory_peak():
+    table = 801 * 801 * 8
+    # the profiles read grid tables at the default grid; build them first
+    S.spe_strategy(D.uniform(), 4, "full_recall", "best")
+    worst = S.spe_strategy(D.uniform(), 4, "full_recall", "worst").player1
+    # one table for the best reply, and the equilibrium reply's few differing
+    # rows (1.47 tables measured, with the bid rule's temporaries)
+    assert _traced_peak(lambda: S.spe_gap(D.uniform(), 4, "full_recall", "best", grid_size=801)) <= 2 * table
+    # a reply that parts from the best one on every row keeps them all
+    # (2.66 tables measured; 3.15 for the symmetric profile before the reply
+    # kept only its differing rows)
+    never = lambda: S.best_response_gap(D.uniform(), 4, "full_recall", worst, S.never_bid(), 801)  # noqa: E731
+    assert _traced_peak(never) <= 3.15 * table
 
 
 def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
