@@ -47,6 +47,10 @@ PROTOCOL = (
 )
 #: per-layer metrics quoted by name, next to the full list
 NAMED_LAYERS = (
+    "distributions.sample.busy_s",
+    "distributions.sample.self_s",
+    "simulate.play.busy_s",
+    "simulate.play.self_s",
     "simulate.best_response_gap.busy_s",
     "simulate.best_response_gap.self_s",
     "simulate.best_response_gap.alloc_peak_mb",

@@ -17,7 +17,9 @@ against the density:
   Chebyshev points;
 * ``sample`` inverts the CDF: in closed form on constant-density pieces,
   and otherwise by Newton steps bracketed between two knots of a per-piece
-  CDF table, with bisection for the rare draw Newton leaves unsettled;
+  CDF table, with bisection for the rare draw Newton leaves unsettled.  A
+  guide table over equal buckets of [0, 1] finds the knot bracket, mostly
+  with one comparison;
 * ``partial_expectation`` integrates P(a) / (a + s), or P(a) alone, P a
   polynomial, in closed form: on each density piece P times the density is
   divided by (a + s) synthetically, leaving a polynomial plus r / (a + s),
@@ -48,7 +50,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +60,9 @@ MASS_TOL = 1e-12
 
 #: knots of the per-piece CDF table that brackets each inverse-CDF draw
 SAMPLE_KNOTS = 1025
+#: buckets of the guide table that finds a draw's knot bracket; a power of
+#: two, so target * SAMPLE_BUCKETS and m / SAMPLE_BUCKETS are exact
+SAMPLE_BUCKETS = 4096
 #: Newton steps per draw; a draw whose last step changed its CDF value by
 #: more than ``4 * eps`` finishes by bisection inside its knot bracket
 NEWTON_STEPS = 3
@@ -396,43 +401,57 @@ class ValueDistribution:
     @cached_property
     def _sample_tables(self) -> tuple:
         """Per density piece: None for a constant density (inverted in closed
-        form), else ``(knots, cdf, F)`` with F the within-piece CDF series and
-        ``cdf`` its values at ``SAMPLE_KNOTS`` equally spaced knots."""
+        form), else its :class:`_SampleTable`."""
         tables = []
+        edges = np.arange(SAMPLE_BUCKETS + 1) / SAMPLE_BUCKETS
         for p, M in zip(self.pieces, self._moment_series(0)):
             if len(p.coeffs) == 1:
                 tables.append(None)
                 continue
             F = M / p.mass
             knots = np.linspace(p.lo, p.hi, SAMPLE_KNOTS)
-            tables.append((knots, np.maximum.accumulate(F(knots)), F))
+            cdf = np.maximum.accumulate(F(knots))
+            guide = np.minimum(np.searchsorted(cdf, edges, side="right"), SAMPLE_KNOTS - 1)
+            guide = np.append(guide, guide[-1])
+            tables.append(_SampleTable(knots, cdf, F, guide, np.diff(guide) > 1))
         return tuple(tables)
+
+    def _draw_piece(self, j: int, target: np.ndarray) -> np.ndarray:
+        """Invert piece j's within-piece CDF at ``target``, which a constant
+        density overwrites."""
+        p, table = self.pieces[j], self._sample_tables[j]
+        if table is None:
+            # constant density: lo + target (hi - lo), in place
+            target *= p.hi - p.lo
+            target += p.lo
+            return target
+        return _invert_piece(p, table, target)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
         """i.i.d. draws; deterministic given the generator state.  Each draw
-        reads one double of ``rng`` and depends on it alone."""
+        reads one double u of ``rng`` and depends on it alone: u picks a
+        component (atoms first, then pieces, in order) and is rescaled to a
+        target in that piece's CDF.  A law of one piece and no atoms skips
+        the component step, since its target (u - 0) / (1 - 0) is u itself."""
         scalar = size is None
         count = 1 if scalar else int(size)
         u = rng.random(count)
-        out = np.empty(count)
-        # component table: atoms first, then pieces, in order
-        weights = [m for _, m in self.atoms] + [p.mass for p in self.pieces]
-        edges = np.concatenate([[0.0], np.cumsum(weights)])
-        edges[-1] = 1.0
-        comp = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(weights) - 1)
-        for i, (x, _) in enumerate(self.atoms):
-            out[comp == i] = x
-        base = len(self.atoms)
-        for j, (p, table) in enumerate(zip(self.pieces, self._sample_tables)):
-            mask = comp == base + j
-            if not np.any(mask):
-                continue
-            target = (u[mask] - edges[base + j]) / (edges[base + j + 1] - edges[base + j])
-            if table is None:
-                # constant density: invert in closed form
-                out[mask] = p.lo + target * (p.hi - p.lo)
-            else:
-                out[mask] = _invert_piece(p, table, target)
+        if not self.atoms and len(self.pieces) == 1:
+            out = self._draw_piece(0, u)
+        else:
+            out = np.empty(count)
+            weights = [m for _, m in self.atoms] + [p.mass for p in self.pieces]
+            edges = np.concatenate([[0.0], np.cumsum(weights)])
+            edges[-1] = 1.0
+            comp = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(weights) - 1)
+            for i, (x, _) in enumerate(self.atoms):
+                out[comp == i] = x
+            base = len(self.atoms)
+            for j in range(len(self.pieces)):
+                mask = comp == base + j
+                if np.any(mask):
+                    target = (u[mask] - edges[base + j]) / (edges[base + j + 1] - edges[base + j])
+                    out[mask] = self._draw_piece(j, target)
         if scalar:
             return float(out[0])
         return out
@@ -462,24 +481,92 @@ def _chebyshev_point_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, 
     return (hi - lo) / 2.0 * math.fsum(coeffs * weights)
 
 
-def _invert_piece(p: DensityPiece, table: tuple, target: np.ndarray) -> np.ndarray:
-    """Solve F(x) = target on one piece: a knot bracket from the table, a
-    linear-interpolation start, then Newton steps clipped to the bracket."""
-    knots, cdf, F = table
-    j = np.clip(np.searchsorted(cdf, target, side="right") - 1, 0, len(knots) - 2)
-    lo, hi = knots[j], knots[j + 1]
-    rise = cdf[j + 1] - cdf[j]
+class _SampleTable(NamedTuple):
+    """One polynomial piece's inverse-CDF tables.
+
+    ``F`` is the within-piece CDF series and ``cdf`` its values at the
+    ``SAMPLE_KNOTS`` equally spaced ``knots``.  The guide table splits [0, 1]
+    into ``SAMPLE_BUCKETS`` equal buckets: ``guide[m]`` counts the ``cdf``
+    values <= m / SAMPLE_BUCKETS, capped at ``SAMPLE_KNOTS - 1`` (brackets
+    are clipped to ``SAMPLE_KNOTS - 2``, so the cap moves no bracket), and
+    ``crowded[m]`` marks the buckets whose count rises by more than one from
+    edge m to edge m + 1.  A last, repeated entry serves the target 1.
+    """
+
+    knots: np.ndarray
+    cdf: np.ndarray
+    F: np.polynomial.Chebyshev
+    guide: np.ndarray
+    crowded: np.ndarray
+
+
+def _knot_bracket(table: _SampleTable, target: np.ndarray) -> np.ndarray:
+    """Each target's knot bracket ``clip(searchsorted(cdf, target, "right")
+    - 1, 0, SAMPLE_KNOTS - 2)``, for targets in [0, 1], read off the guide
+    table: in a bucket whose counts rise by at most one, one comparison with
+    the next knot's CDF value settles the count; crowded buckets search."""
+    cdf = table.cdf
+    m = (target * SAMPLE_BUCKETS).astype(np.intp)
+    count = table.guide[m]
+    count += cdf[count] <= target
+    wide = np.flatnonzero(table.crowded[m])
+    if wide.size:
+        count[wide] = np.searchsorted(cdf, target[wide], side="right")
+    count -= 1
+    return np.clip(count, 0, SAMPLE_KNOTS - 2, out=count)
+
+
+def _invert_piece(p: DensityPiece, table: _SampleTable, target: np.ndarray) -> np.ndarray:
+    """Solve F(x) = target on one piece: a knot bracket from the guide table,
+    a linear-interpolation start, then Newton steps clipped to the bracket,
+    each evaluating the Chebyshev series of F by Clenshaw's recurrence and
+    the density by Horner's rule, in place on reused work arrays."""
+    knots, cdf, F = table.knots, table.cdf, table.F
+    j = _knot_bracket(table, target)
+    j1 = j + 1
+    lo, hi = knots[j], knots[j1]
+    rise = cdf[j1] - cdf[j]
     frac = np.divide(target - cdf[j], rise, out=np.zeros_like(target), where=rise > 0.0)
     x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-    # free the lookups: each evaluation of F below holds about six draw-sized arrays
-    del j, rise, frac
-    for _ in range(NEWTON_STEPS):
-        resid = F(x) - target
-        slope = np.maximum(p(x) / p.mass, np.finfo(float).tiny)
-        nxt = np.clip(x - resid / slope, lo, hi)
-        # the step's size in probability units, where rounding sets the floor
-        moved = np.abs(nxt - x) * slope
-        x = nxt
+    # free the lookups before the six work arrays are taken
+    del j, j1, rise, frac
+    off, scl = F.mapparms()
+    coef = F.coef
+    mass = p.mass
+    y, y2, c0, c1, tmp, slope = (np.empty_like(x) for _ in range(6))
+    for step in range(NEWTON_STEPS):
+        # F(x) as ``F.__call__`` computes it, op for op: y = off + scl x,
+        # then Clenshaw's recurrence (F has at least three coefficients)
+        np.multiply(x, scl, out=y)
+        y += off
+        np.add(y, y, out=y2)
+        c0.fill(coef[-2])
+        c1.fill(coef[-1])
+        for c in coef[-3::-1]:
+            np.multiply(c1, y2, out=tmp)
+            tmp += c0
+            np.subtract(c, c1, out=c0)
+            c1, tmp = tmp, c1
+        np.multiply(c1, y, out=y)
+        y += c0
+        y -= target
+        # the density p(x) / mass by Horner's rule, floored at tiny; its
+        # first step 0 x + c is 0 + c, since x >= 0
+        slope.fill(0.0 + p.coeffs[-1])
+        for c in p.coeffs[-2::-1]:
+            slope *= x
+            slope += c
+        slope /= mass
+        np.maximum(slope, np.finfo(float).tiny, out=slope)
+        # the clipped step, into y
+        np.divide(y, slope, out=y)
+        np.subtract(x, y, out=y)
+        np.clip(y, lo, hi, out=y)
+        if step == NEWTON_STEPS - 1:
+            # the last step's size in probability units, where rounding sets the floor
+            moved = np.abs(np.subtract(y, x, out=tmp), out=tmp)
+            moved *= slope
+        x, y = y, x
     slow = np.flatnonzero(moved > _SETTLED_STEP)
     if slow.size:
         x[slow] = _bisect_piece(F, target[slow], lo[slow], hi[slow])

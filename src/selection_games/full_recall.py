@@ -98,7 +98,37 @@ def med(a, b, x):
 # -- triangular grid engine ---------------------------------------------------------
 
 
-class TriangleContext:
+class GridLine:
+    """The grid's nodes on [0, 1] with the law's weights on them: what the
+    expectation of a function on the grid against a fresh arrival needs.  It
+    holds G-vectors only, so every grid size fits."""
+
+    def __init__(self, dist: ValueDistribution, grid: GridConfig):
+        self.dist = dist
+        self.grid = grid
+        self.g = np.linspace(0.0, 1.0, grid.size)
+        self.h = self.g[1] - self.g[0]
+        # density cell moments: w0 = mass of a cell, w1 = first moment;
+        # f is linear on a cell with weights rho (left node) and phi (right)
+        w0 = dist.cell_moments(self.g, 0)
+        w1 = dist.cell_moments(self.g, 1)
+        self.phi = np.clip((w1 - self.g[:-1] * w0) / self.h, 0.0, None)
+        self.rho = np.clip(w0 - self.phi, 0.0, None)
+        self.F = np.asarray(dist.cdf(self.g))
+        self.atoms = dist.atoms
+
+    def expect(self, vals: np.ndarray) -> float:
+        """E[f(X)] for f given by its values on the grid, linear on each cell:
+        the atoms by interpolation, then the cells summed in grid order."""
+        total = 0.0
+        for x, mass in self.atoms:
+            total += mass * float(np.interp(x, self.g, vals))
+        cells = vals[:-1] * self.rho + vals[1:] * self.phi
+        # a running sum, cell by cell, as a scalar loop would add them
+        return float(np.cumsum(np.concatenate(([total], cells)))[-1])
+
+
+class TriangleContext(GridLine):
     """Precomputed per-(distribution, grid) machinery for expectations over
     a fresh arrival, of grid tables and of functions on the grid.
 
@@ -115,18 +145,7 @@ class TriangleContext:
                 f"grid size {G} needs about {working / 2**30:.1f} GiB of G x G tables, "
                 f"over the budget of {GRID_MEMORY_BUDGET / 2**30:.1f} GiB"
             )
-        self.dist = dist
-        self.grid = grid
-        self.g = np.linspace(0.0, 1.0, G)
-        self.h = self.g[1] - self.g[0]
-        # density cell moments: w0 = mass of a cell, w1 = first moment;
-        # f is linear on a cell with weights rho (left node) and phi (right)
-        w0 = dist.cell_moments(self.g, 0)
-        w1 = dist.cell_moments(self.g, 1)
-        self.phi = np.clip((w1 - self.g[:-1] * w0) / self.h, 0.0, None)
-        self.rho = np.clip(w0 - self.phi, 0.0, None)
-        self.F = np.asarray(dist.cdf(self.g))
-        self.atoms = dist.atoms
+        super().__init__(dist, grid)
         self._c_cache: dict[int, np.ndarray] = {}
 
     @cached_property
@@ -169,16 +188,6 @@ class TriangleContext:
         )
         lower_tri = T[i, j] + (T[i + 1, j] - T[i, j]) * (fx - fy) + (T[i + 1, j + 1] - T[i, j]) * fy
         return np.where((i == j) & (fx >= fy), lower_tri, square)
-
-    def expect(self, vals: np.ndarray) -> float:
-        """E[f(X)] for f given by its values on the grid, linear on each cell:
-        the atoms by interpolation, then the cells summed in grid order."""
-        total = 0.0
-        for x, mass in self.atoms:
-            total += mass * float(np.interp(x, self.g, vals))
-        cells = vals[:-1] * self.rho + vals[1:] * self.phi
-        # a running sum, cell by cell, as a scalar loop would add them
-        return float(np.cumsum(np.concatenate(([total], cells)))[-1])
 
     def expect_over_arrival(
         self,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .errors import SpecValidationError, UnsupportedDistributionError
-from .full_recall import GridConfig, TriangleContext, grid_tables, uniform_pass_value
+from .full_recall import GridConfig, GridLine, TriangleContext, grid_tables, uniform_pass_value
 from .no_recall import no_recall_sequence
 from .prophet import prophet_values
 from .stage_games import stage_bids
@@ -431,7 +431,8 @@ def best_response_gap(
 
 
 def _br_gap_no_recall(d, n, opponent, reply, grid_size):
-    ctx = TriangleContext(d, GridConfig(size=grid_size))
+    # the no-recall DP holds G-vectors only: no G x G budget applies
+    ctx = GridLine(d, GridConfig(size=grid_size))
     g = ctx.g
     cs = prophet_values(d, n).values
     r_br = 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,30 @@ def test_simulate_json_deterministic(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["runs"] == 2000 and payload["seed"] == 7
+
+
+DIST_ARGS = {"uniform": "uniform", "beta22": '{"type":"piecewise_poly","pieces":[{"lo":0,"hi":1,"coeffs":[0,6,-6]}]}'}
+
+
+#: sha256 of the simulate JSON below, recorded from the sampler before its
+#: guide table and one-piece path: a faster sampler keeps every bit of a report
+@pytest.mark.parametrize(
+    "dist, variant, digest",
+    [
+        ("uniform", "fullrecall", "ccfc8db8cee936a2b9d2a202d312a87bb7a5af9930549ac228173cbff0ce665e"),
+        ("uniform", "norecall", "b84ec730097ace4d6ff06e4bbab7676ae62ac504e009e9c664a4c54c165b19d8"),
+        ("beta22", "fullrecall", "352c922a86d300e48c70ecad298789a668494e7b36e8eaafc2a80b06e37b5227"),
+        ("beta22", "norecall", "9f2938823bf8e72f448d8e1c3a9c0ff304f4f01b6c511df6099d740fed3e7a59"),
+    ],
+)
+def test_simulate_json_pinned(capsys, dist, variant, digest):
+    argv = [
+        "simulate", "--dist", DIST_ARGS[dist], "--variant", variant, "--n", "3", "--runs", "20000",
+        "--seed", "5", "--grid", "201", "--format", "json",
+    ]
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_validation_error_exit_code(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -602,6 +603,51 @@ def test_sampling_bisection_fallback_near_density_zero(monkeypatch):
     bound = max(np.max(_backward_error(law, u, ref, comp)), 4.0 * np.finfo(float).eps)
     assert np.max(_backward_error(law, u, got, comp)) <= bound
     assert np.all(np.diff(got) > 0.0)
+
+
+#: sha256 of the bytes of 10**5 draws from default_rng(20260), recorded from
+#: the sampler before its guide table and one-piece path: a faster sampler
+#: keeps every bit
+SAMPLE_DIGESTS = {
+    "beta22": "f49741d6919e4d8557a4d5973acdb2a26ce09971c37eaf2b213e8c76d52517e4",
+    "beta13": "6c57cbf203ac808cac525f4346a6e3316daf61c7230d23cc791dcbb0ec91f3fc",
+    "beta35": "8d4e5eb4e4ed0158f8ba1732e083e86d746d1dac320cecf5c0b147f407e684fb",
+    "tilted-step": "66a7c69adba0d31e63e46d84c6c473651737569b055050bb395ef66f95fd62ba",
+    "atoms+beta22": "933fa2f5fb2ffa6cbb39f097ffac346ad0e753d57eb134dc237e6ac301e52714",
+    "uniform": "cc43ca8641cdcc9e8c71397f7e5de2a05db858172d91985052814ad1d4568b24",
+    "tightness": "9eabfce50377905c0370472fc013732cd86f3c69655f20035b971a05973569be",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_sampling_draws_pinned(name):
+    law = {**SAMPLER_LAWS, "uniform": D.uniform(), "tightness": tightness_family(0.1, 0.05)}[name]
+    draws = law.sample(np.random.default_rng(20260), 10**5)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["beta22", "beta13", "beta35", "beta67", "atoms+beta22"])
+def test_guide_table_bracket_matches_search(name):
+    law = beta_distribution(6, 7) if name == "beta67" else SAMPLER_LAWS[name]
+    table = law._sample_tables[0]
+    cdf, crowded = table.cdf, table.crowded
+    M = D.SAMPLE_BUCKETS
+    bucket_edges = np.arange(M + 1) / M
+    targets = np.concatenate([
+        cdf,
+        np.nextafter(cdf, 0.0),
+        np.nextafter(cdf, 1.0),
+        bucket_edges,
+        np.nextafter(bucket_edges[1:], 0.0),
+        [0.0, 1.0 - 2.0**-53],
+        np.random.default_rng(5).random(10**5),
+    ])
+    targets = np.clip(targets, 0.0, 1.0)
+    want = np.clip(np.searchsorted(cdf, targets, side="right") - 1, 0, D.SAMPLE_KNOTS - 2)
+    assert np.array_equal(D._knot_bracket(table, targets), want)
+    if name in ("beta35", "beta67"):
+        # many knots share a bucket here, so the search path runs too
+        assert np.any(crowded[(targets * M).astype(int)])
 
 
 def test_point_mass_sampling(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from selection_games import distributions as D
 from selection_games import simulate as S
-from selection_games.errors import SpecValidationError, UnsupportedDistributionError
+from selection_games.errors import ResourceBudgetError, SpecValidationError, UnsupportedDistributionError
 from selection_games.full_recall import GridConfig, TriangleContext, grid_tables, uniform_pass_value
 from selection_games.prophet import prophet_values
 from selection_games.testkit import beta_distribution
@@ -88,6 +88,19 @@ def test_best_response_gap_flags_bad_strategy():
     c3 = prophet_values(D.uniform(), 3)[3]
     assert gap == pytest.approx(c3, abs=1e-3)
     assert gap > 0.5
+
+
+
+def test_no_recall_gap_runs_past_the_grid_table_budget():
+    # the no-recall DP holds G-vectors only, so it runs on a grid whose
+    # G x G tables the full-recall DP refuses
+    u = D.uniform()
+    prof = S.spe_strategy(u, 3, "no_recall", "worst")
+    for opponent, reply in ((prof.player1, prof.player2), (S.never_bid(), S.never_bid())):
+        coarse, fine = (S.best_response_gap(u, 3, "no_recall", opponent, reply, G) for G in (4001, 8001))
+        assert fine == pytest.approx(coarse, abs=1e-9)
+    with pytest.raises(ResourceBudgetError):
+        S.best_response_gap(u, 3, "full_recall", S.never_bid(), S.never_bid(), 8001)
 
 
 @pytest.mark.parametrize(
