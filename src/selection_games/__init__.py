@@ -30,7 +30,6 @@ from .no_recall import (
     NoRecallSummary,
     no_recall_sequence,
     no_recall_summary,
-    per_value_selectors,
     uniform_no_recall_closed,
 )
 from .oracle import DiscreteSPEPSet, oracle_spep, oracle_summaries

@@ -684,7 +684,7 @@ def parse_spec(spec: dict | str) -> ValueDistribution:
         except (KeyError, TypeError) as exc:
             raise SpecValidationError("each piece needs fields 'lo', 'hi', 'coeffs'") from exc
     if kind == "mixture_general":
-        # free-form atoms + pieces, as produced by spec_dict for mixed laws
+        # free-form atoms + pieces, as testkit.spec_dict writes mixed laws
         try:
             atoms = tuple((float(a["x"]), float(a["p"])) for a in spec.get("atoms", []))
             pieces = tuple(
@@ -695,21 +695,3 @@ def parse_spec(spec: dict | str) -> ValueDistribution:
             raise SpecValidationError("malformed 'atoms'/'pieces' in mixture_general") from exc
         return ValueDistribution(atoms=atoms, pieces=pieces)
     raise SpecValidationError(f"unknown distribution type {kind!r}")
-
-
-def spec_dict(d: ValueDistribution) -> dict:
-    """Serialize back to the JSON spec form (always piecewise-general)."""
-    if not d.pieces:
-        return {"type": "discrete", "atoms": [{"x": x, "p": m} for x, m in d.atoms]}
-    if not d.atoms:
-        if len(d.pieces) == 1 and d.pieces[0].coeffs == (1.0,):
-            return {"type": "uniform"}
-        return {
-            "type": "piecewise_poly",
-            "pieces": [{"lo": p.lo, "hi": p.hi, "coeffs": list(p.coeffs)} for p in d.pieces],
-        }
-    return {
-        "type": "mixture_general",
-        "atoms": [{"x": x, "p": m} for x, m in d.atoms],
-        "pieces": [{"lo": p.lo, "hi": p.hi, "coeffs": list(p.coeffs)} for p in d.pieces],
-    }

@@ -25,11 +25,12 @@ Three evaluation paths:
   (distribution, grid) pair.
 
 The grid memo keeps only what later stages read: per stage k >= 1 the
-mirrored both-pass continuations d-_k = E_X[low_{k-1}] and
-d+_k = E_X[high_{k-1}], and the even-split table at k = 0.  low_k and high_k
-are derived from d-_k, d+_k and c_k on demand (L and H are one ``np.where``
-away) and are not kept; the band reads its (0, 0) corner through the same
-stage rule on scalars.
+both-pass continuations d-_k = E_X[low_{k-1}] and d+_k = E_X[high_{k-1}],
+each once, as its packed lower triangle {b <= a}; nothing at k = 0, where
+both values are the even split (a + b)/2.  low_k and high_k are derived from
+d-_k, d+_k and c_k on demand (L and H are one ``np.where`` away) and are not
+kept; the band reads its (0, 0) corner through the same stage rule on
+scalars.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ BRANCH_TOL = 1e-12
 PASS_DOMINANCE_SLACK = 1e-9
 
 #: G x G float64 tables one stage of the grid engine or of the best-response
-#: DP may hold at once, temporaries included (at most 3.1 measured at G = 801:
-#: 3.1 in a grid stage, of which the 2 it keeps; in the DP 1.5 for a symmetric
-#: equilibrium profile and 2.7 for a reply that parts from the best reply on
-#: every row)
+#: DP may hold at once, temporaries included (at most 2.7 measured at G = 801:
+#: 2.01 in a grid stage, of which 1.0 in the two packed triangles it keeps and
+#: 1.0 in its work table; in the DP 1.5 for a symmetric equilibrium profile
+#: and 2.7 for a reply that parts from the best reply on every row)
 GRID_WORKING_TABLES = 12
 #: largest working set a triangle grid may claim, in bytes (2 GiB: G <= 4729)
 GRID_MEMORY_BUDGET = 2 * 1024**3
@@ -149,9 +150,11 @@ class TriangleContext(GridLine):
         self._c_cache: dict[int, np.ndarray] = {}
 
     @cached_property
-    def lower(self) -> np.ndarray:
-        """Triangle mask {b <= a}, built once per grid."""
-        return np.tri(self.grid.size, dtype=bool)
+    def row_starts(self) -> np.ndarray:
+        """Where row i starts in a packed lower triangle: i(i + 1)/2, for
+        i = 0..G - 1."""
+        i = np.arange(self.grid.size)
+        return i * (i + 1) // 2
 
     @cached_property
     def row_blocks(self) -> tuple[slice, ...]:
@@ -167,11 +170,15 @@ class TriangleContext(GridLine):
         return self._c_cache[k]
 
     def bilinear(self, T: np.ndarray, x, y):
-        """Interpolate a mirrored table at (x, y).
+        """Interpolate a table at points (x, y) with x >= y: a packed lower
+        triangle (entry (i, j <= i) at i(i + 1)/2 + j) or a mirrored G x G
+        table, each read by flat index.
 
         Cells on the diagonal use linear interpolation over the triangle
         {y <= x} only: the mirrored surface is continuous but kinked across
         the diagonal, and plain bilinear interpolation would smear the kink.
+        So every value used lies on the triangle; the corner (i, i + 1) that
+        a diagonal cell's square form reads is discarded.
         """
         G = self.grid.size
         xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) / self.h
@@ -180,13 +187,14 @@ class TriangleContext(GridLine):
         j = np.clip(ys.astype(int), 0, G - 2)
         fx = xs - i
         fy = ys - j
-        square = (
-            T[i, j] * (1 - fx) * (1 - fy)
-            + T[i + 1, j] * fx * (1 - fy)
-            + T[i, j + 1] * (1 - fx) * fy
-            + T[i + 1, j + 1] * fx * fy
-        )
-        lower_tri = T[i, j] + (T[i + 1, j] - T[i, j]) * (fx - fy) + (T[i + 1, j + 1] - T[i, j]) * fy
+        if T.ndim == 2:
+            T, row, below = T.reshape(-1), i * G, (i + 1) * G
+        else:
+            row, below = self.row_starts[i], self.row_starts[i + 1]
+        t00, t10 = T[row + j], T[below + j]
+        t01, t11 = T[row + j + 1], T[below + j + 1]
+        square = t00 * (1 - fx) * (1 - fy) + t10 * fx * (1 - fy) + t01 * (1 - fx) * fy + t11 * fx * fy
+        lower_tri = t00 + (t10 - t00) * (fx - fy) + (t11 - t00) * fy
         return np.where((i == j) & (fx >= fy), lower_tri, square)
 
     def expect_over_arrival(
@@ -315,24 +323,32 @@ class TriangleContext(GridLine):
             T[i, i + 1 :] = T[i + 1 :, i]
         return T
 
+    def pack(self, T: np.ndarray) -> np.ndarray:
+        """The triangle {b <= a} of a G x G table, packed row after row."""
+        tri = np.empty(self.grid.size * (self.grid.size + 1) // 2)
+        for i, s in enumerate(self.row_starts.tolist()):
+            tri[s : s + i + 1] = T[i, : i + 1]
+        return tri
+
 
 @dataclass(frozen=True)
 class StageTables:
     """Grid tables with k arrivals to come.
 
-    Stored: for k >= 1 the mirrored both-pass continuations ``dminus`` =
-    E_X[low_{k-1}] and ``dplus`` = E_X[high_{k-1}] (c_k(b) is cached by
-    ``ctx.lone_values``); at k = 0 the even-split table ``base`` = (a + b)/2,
-    which is both the worst and the best value.
+    Stored for k >= 1, each once as its packed lower triangle (G(G + 1)/2
+    values, entry (i, j <= i) at i(i + 1)/2 + j; see
+    :meth:`TriangleContext.pack`): the both-pass continuations ``dminus`` =
+    E_X[low_{k-1}] and ``dplus`` = E_X[high_{k-1}].  c_k(b) is cached by
+    ``ctx.lone_values``.  Nothing is stored at k = 0.
     Derived on demand and not kept: ``low`` and ``high``, the worst and best
-    stage values at (a, c_k(b), d) on the grid, then mirrored.
+    values as mirrored G x G tables: the even split (a + b)/2 at k = 0, else
+    the stage rule at (a, c_k(b), d) on the grid.
     """
 
     ctx: TriangleContext
     k: int
     dminus: np.ndarray | None = None
     dplus: np.ndarray | None = None
-    base: np.ndarray | None = None
 
     @property
     def low(self) -> np.ndarray:
@@ -342,12 +358,31 @@ class StageTables:
     def high(self) -> np.ndarray:
         return self._values(best=True)
 
-    def _values(self, best: bool) -> np.ndarray:
-        if self.k == 0:
-            return self.base
+    def _values(self, best: bool, out: np.ndarray | None = None) -> np.ndarray:
+        """The worst (best) values, mirrored, written into the G x G ``out``
+        (a new table by default) and returned.  The stage rule is applied one
+        block of rows at a time, on the columns up to the end of the block's
+        diagonal tile, and the upper half is mirrored afterwards."""
         ctx = self.ctx
+        G = ctx.grid.size
+        if out is None:
+            # zeros: the diagonal tiles' upper cells meet the stage rule
+            # before the mirror overwrites them
+            out = np.zeros((G, G))
+        if self.k == 0:
+            # (a + b)/2 is mirrored as it stands: a + b rounds as b + a does
+            np.add.outer(ctx.g, ctx.g, out=out)
+            out /= 2.0
+            return out
         d = self.dplus if best else self.dminus
-        return ctx.mirror(stage_value(ctx.g[:, None], ctx.lone_values(self.k)[None, :], d, best))
+        c = ctx.lone_values(self.k)
+        starts = ctx.row_starts.tolist()
+        for rows in ctx.row_blocks:
+            for i in range(rows.start, rows.stop):
+                out[i, : i + 1] = d[starts[i] : starts[i] + i + 1]
+            block = out[rows, : rows.stop]
+            block[...] = stage_value(ctx.g[rows, None], c[None, : rows.stop], block, best)
+        return ctx.mirror(out)
 
 
 _TABLE_CACHE: dict[tuple, tuple[TriangleContext, list[StageTables]]] = {}
@@ -356,41 +391,43 @@ _TABLE_CACHE: dict[tuple, tuple[TriangleContext, list[StageTables]]] = {}
 def grid_tables(
     dist: ValueDistribution, n: int, grid: GridConfig
 ) -> tuple[TriangleContext, list[StageTables]]:
-    """Value tables for k = 0..n, cached per (dist, grid)."""
+    """Value tables for k = 0..n, cached per (dist, grid).  Each stage is
+    built in one G x G work table: the previous stage's values, mirrored,
+    then their expectation over the arrival in place, checked and packed."""
     key = (dist.cache_key(), grid.size)
     if key not in _TABLE_CACHE:
         ctx = TriangleContext(dist, grid)
-        # (a + b)/2 is mirrored as it stands: a + b rounds as b + a does
-        base = np.add.outer(ctx.g, ctx.g)
-        base /= 2.0
-        _TABLE_CACHE[key] = (ctx, [StageTables(ctx, 0, base=base)])
+        _TABLE_CACHE[key] = (ctx, [StageTables(ctx, 0)])
     ctx, tables = _TABLE_CACHE[key]
+    # zeros: see StageTables._values
+    work = np.zeros((grid.size, grid.size)) if len(tables) <= n else None
     while len(tables) <= n:
         k = len(tables)
-        prev = tables[k - 1]
-        # the previous stage's values exist only while their expectation is taken
-        dminus = ctx.expect_over_arrival(prev.low)
-        dplus = ctx.expect_over_arrival(prev.high)
-        a_col = ctx.g[:, None]
-        cb = ctx.lone_values(k)[None, :]
-        _check_pass_dominance(ctx.lower, a_col, cb, dminus)
-        _check_pass_dominance(ctx.lower, a_col, cb, dplus)
-        tables.append(StageTables(ctx, k, ctx.mirror(dminus), ctx.mirror(dplus)))
+        continuations = []
+        for best in (False, True):
+            tables[k - 1]._values(best, out=work)
+            ctx.expect_over_arrival(work, out=work)
+            _check_pass_dominance(ctx, k, work)
+            continuations.append(ctx.pack(work))
+        tables.append(StageTables(ctx, k, *continuations))
     return ctx, tables
 
 
-def _check_pass_dominance(lower, a_col, cb, dmat) -> None:
+def _check_pass_dominance(ctx: TriangleContext, k: int, d: np.ndarray) -> None:
     """Whenever the rival's lone value c is at least a, passing must be worth
     at least a too (the structural inequality behind the stage cases) on the
-    triangle ``lower`` = {b <= a}."""
-    mask = (cb - a_col >= -BRANCH_TOL) & lower
-    bad = mask & (dmat < a_col - PASS_DOMINANCE_SLACK)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise InconsistencyError(
-            f"continuation payoff {dmat[i, j]} below available value {a_col[i, 0]} "
-            f"at grid node ({i}, {j}) despite c >= a"
-        )
+    triangle {b <= a} of the G x G table d, one block of rows at a time."""
+    c = ctx.lone_values(k)
+    for rows in ctx.row_blocks:
+        a = ctx.g[rows, None]
+        bad = (c[None, : rows.stop] - a >= -BRANCH_TOL) & (d[rows, : rows.stop] < a - PASS_DOMINANCE_SLACK)
+        bad &= np.tri(len(a), rows.stop, rows.start, dtype=bool)
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise InconsistencyError(
+                f"continuation payoff {d[rows.start + i, j]} below available value {a[i, 0]} "
+                f"at grid node ({rows.start + i}, {j}) despite c >= a"
+            )
 
 
 # -- exact path for finite-support laws ----------------------------------------------
@@ -465,8 +502,8 @@ def band(dist: ValueDistribution, n: int, grid: GridConfig | None = None) -> Ful
     stage = tables[n]
     # the (0, 0) corner of low_n and high_n, by the stage rule on scalars
     a, c = ctx.g[0], ctx.lone_values(n)[0]
-    low = float(stage_value(a, c, stage.dminus[0, 0], best=False))
-    high = float(stage_value(a, c, stage.dplus[0, 0], best=True))
+    low = float(stage_value(a, c, stage.dminus[0], best=False))
+    high = float(stage_value(a, c, stage.dplus[0], best=True))
     return FullRecallBand(n=n, low=low, high=high, grid=grid)
 
 

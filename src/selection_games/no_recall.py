@@ -11,9 +11,10 @@ three scalars summarize it at horizon n:
 All three start at E(X)/2 for one arrival and satisfy stage recursions
 obtained by integrating, over the next arrival a, the corresponding
 extreme Nash payoff of the stage game with lone-player value c_k (the
-selectors of :func:`per_value_selectors`).  Below a'_k every selector is
-the previous value, and the law has mass 1 on [0, 1], so each step is that
-value plus one integral per branch of what the branch adds to it:
+selectors of :func:`testkit.per_value_selectors`, which the tests check the
+branches against).  Below a'_k every selector is the previous value, and the
+law has mass 1 on [0, 1], so each step is that value plus one integral per
+branch of what the branch adds to it:
 
     a'_{k+1}  = a'_k + int_(a'_k, c_k] (a - a'_k) dF
                      + int_(c_k, 1] ((a + c_k)/2 - a'_k) dF
@@ -156,39 +157,6 @@ def uniform_no_recall_closed(n: int) -> NoRecallSummary:
         )
         ap, al, be = ap_next, two_alpha / 2.0, two_beta / 2.0
     return NoRecallSummary(n, ap, al, be, prophet)
-
-
-def per_value_selectors(summary: NoRecallSummary, a: float) -> tuple[float, float, float]:
-    """The three per-arrival integrands of the stage recursions at value a:
-    (worst single payoff, best payoff sum, worst payoff sum) of the stage
-    game when the continuation ranges over the whole equilibrium set."""
-    if not 0.0 <= a <= 1.0:
-        raise SpecValidationError("a must lie in [0, 1]")
-    c = summary.prophet[summary.n]
-    ap, al, be = summary.alpha_prime, summary.alpha, summary.beta
-    if a < ap:
-        single = ap
-    elif a < c:
-        single = a
-    else:
-        single = (a + c) / 2.0
-    if a < ap:
-        best_sum = 2.0 * be
-    elif a < be:
-        best_sum = max(a + c, 2.0 * be)
-    else:
-        best_sum = a + c
-    if a < ap:
-        worst_sum = 2.0 * al
-    elif a < al:
-        worst_sum = min(2.0 * al, a + c)
-    elif a < be:
-        worst_sum = 2.0 * a
-    elif a < c:
-        worst_sum = 2.0 * (2.0 * a * c - be * (a + c)) / (c + a - 2.0 * be)
-    else:
-        worst_sum = a + c
-    return (single, best_sum, worst_sum)
 
 
 def best_single_two_arrivals(d: ValueDistribution) -> float:

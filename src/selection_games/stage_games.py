@@ -89,26 +89,6 @@ class StageGameOutcome:
     def payoffs(self) -> tuple[tuple, ...]:
         return tuple(e.payoff for e in self.equilibria)
 
-    @property
-    def min_sum(self):
-        return min(p[0] + p[1] for p in self.payoffs)
-
-    @property
-    def max_sum(self):
-        return max(p[0] + p[1] for p in self.payoffs)
-
-    @property
-    def min_single(self):
-        return min(min(p) for p in self.payoffs)
-
-    @property
-    def max_single(self):
-        return max(max(p) for p in self.payoffs)
-
-    @property
-    def payoff_extremes(self):
-        return (self.min_sum, self.max_sum, self.min_single)
-
 
 # -- the full-recall stage rule -------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Shared reference data for the test suite.
+"""Shared reference data for the test suite, and the helpers only the tests
+use.
 
 Every expected value carries the label of the published reference row it
 encodes, plus the tolerance at which a reproduction is accepted: 1e-3 for
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ValueDistribution, piecewise_poly
+from .errors import SpecValidationError
+from .no_recall import NoRecallSummary
 
 
 @dataclass(frozen=True)
@@ -222,3 +225,54 @@ def continuous_test_laws() -> list[tuple[str, ValueDistribution]]:
         ("beta13", beta_distribution(1, 3)),
         ("tilted-step", tilted),
     ]
+
+
+def per_value_selectors(summary: NoRecallSummary, a: float) -> tuple[float, float, float]:
+    """The three per-arrival integrands of the stage recursions at value a:
+    (worst single payoff, best payoff sum, worst payoff sum) of the stage
+    game when the continuation ranges over the whole equilibrium set."""
+    if not 0.0 <= a <= 1.0:
+        raise SpecValidationError("a must lie in [0, 1]")
+    c = summary.prophet[summary.n]
+    ap, al, be = summary.alpha_prime, summary.alpha, summary.beta
+    if a < ap:
+        single = ap
+    elif a < c:
+        single = a
+    else:
+        single = (a + c) / 2.0
+    if a < ap:
+        best_sum = 2.0 * be
+    elif a < be:
+        best_sum = max(a + c, 2.0 * be)
+    else:
+        best_sum = a + c
+    if a < ap:
+        worst_sum = 2.0 * al
+    elif a < al:
+        worst_sum = min(2.0 * al, a + c)
+    elif a < be:
+        worst_sum = 2.0 * a
+    elif a < c:
+        worst_sum = 2.0 * (2.0 * a * c - be * (a + c)) / (c + a - 2.0 * be)
+    else:
+        worst_sum = a + c
+    return (single, best_sum, worst_sum)
+
+
+def spec_dict(d: ValueDistribution) -> dict:
+    """Serialize back to the JSON spec form (always piecewise-general)."""
+    if not d.pieces:
+        return {"type": "discrete", "atoms": [{"x": x, "p": m} for x, m in d.atoms]}
+    if not d.atoms:
+        if len(d.pieces) == 1 and d.pieces[0].coeffs == (1.0,):
+            return {"type": "uniform"}
+        return {
+            "type": "piecewise_poly",
+            "pieces": [{"lo": p.lo, "hi": p.hi, "coeffs": list(p.coeffs)} for p in d.pieces],
+        }
+    return {
+        "type": "mixture_general",
+        "atoms": [{"x": x, "p": m} for x, m in d.atoms],
+        "pieces": [{"lo": p.lo, "hi": p.hi, "coeffs": list(p.coeffs)} for p in d.pieces],
+    }

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from selection_games import distributions as D
 from selection_games.efficiency import tightness_family
 from selection_games.errors import SpecValidationError
-from selection_games.testkit import beta_distribution, continuous_test_laws, two_point_top_two
+from selection_games.testkit import beta_distribution, continuous_test_laws, spec_dict, two_point_top_two
 
 EPS = np.finfo(float).eps
 
@@ -676,7 +676,7 @@ def test_two_point_atom_frequencies(rng):
 def test_parse_round_trip():
     spec = {"type": "uniform"}
     law = D.parse_spec(spec)
-    assert D.spec_dict(law) == spec
+    assert spec_dict(law) == spec
 
 
 def test_parse_discrete_and_mixture():

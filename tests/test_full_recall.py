@@ -10,7 +10,7 @@ from selection_games import distributions as D
 from selection_games import full_recall as FR
 from selection_games.cli import run
 from selection_games.efficiency import ratios, tightness_family
-from selection_games.errors import SpecValidationError
+from selection_games.errors import InconsistencyError, SpecValidationError
 from selection_games.prophet import prophet_values
 from selection_games.testkit import (
     GRID_BAND_TOL,
@@ -142,8 +142,16 @@ def test_lower_bound_via_lone_player_value():
             c_k = prophet_values(law, k)[k]
             cap = law.expect_order_max_with(k, 0.0)
             mask = g <= cap
-            dmin = tables[k].dminus[:, 0]
+            dmin = tables[k].dminus[ctx.row_starts]  # the column b = 0 of the packed triangle
             assert np.all(dmin[mask] >= (g[mask] + c_k) / 2 - 1e-9)
+
+
+def _mirrored(ctx, packed):
+    """The mirrored G x G table of a packed lower triangle."""
+    G = ctx.grid.size
+    T = np.zeros((G, G))
+    T[np.tril_indices(G)] = packed
+    return ctx.mirror(T)
 
 
 @pytest.mark.parametrize(
@@ -157,13 +165,19 @@ def test_stage_cache_keeps_only_continuations(law):
     FR._TABLE_CACHE.pop(key, None)
     ctx, tables = FR.grid_tables(law, n, FR.GridConfig(size=G))
     assert FR._TABLE_CACHE[key][1] is tables
-    # what the cache entry holds: the base table, then dminus and dplus per stage
-    held = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    # what the cache entry holds: dminus and dplus per stage k >= 1, each a
+    # packed lower triangle, and no G x G table, in the stages or the context
+    held = list(vars(ctx).values())
     for stage in tables:
         held += [getattr(stage, f.name) for f in dataclasses.fields(stage)]
-    tables_held = [v for v in held if isinstance(v, np.ndarray) and v.shape == (G, G) and v.dtype == float]
-    assert len({id(v) for v in tables_held}) == len(tables_held) == 1 + 2 * n
-    assert sum(v.nbytes for v in tables_held) == (1 + 2 * n) * 8 * G * G
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    tri = [v for v in arrays if v.shape == (G * (G + 1) // 2,) and v.dtype == np.float64]
+    assert len({id(v) for v in tri}) == len(tri) == 2 * n
+    assert sum(v.nbytes for v in tri) == 2 * n * 8 * G * (G + 1) // 2
+    assert [st.dminus is None and st.dplus is None for st in tables] == [True] + [False] * n
+    # every other array is a grid line: no (G, G) table is held
+    assert all(v.size <= G for v in arrays if not any(v is t for t in tri))
+
     # low and high, derived on demand, are the stage rule applied to the
     # stored continuations, then mirrored: the worst bids where a >= c, the
     # best where a > max(c, d)
@@ -173,8 +187,9 @@ def test_stage_cache_keeps_only_continuations(law):
     for k in range(1, n + 1):
         st = tables[k]
         cb = ctx.lone_values(k)[None, :]
-        low = ctx.mirror(np.where(a_col >= cb, (a_col + cb) / 2.0, st.dminus))
-        high = np.where((a_col > cb) & (a_col > st.dplus), (a_col + cb) / 2.0, st.dplus)
+        dminus, dplus = _mirrored(ctx, st.dminus), _mirrored(ctx, st.dplus)
+        low = ctx.mirror(np.where(a_col >= cb, (a_col + cb) / 2.0, dminus))
+        high = np.where((a_col > cb) & (a_col > dplus), (a_col + cb) / 2.0, dplus)
         assert np.array_equal(st.low, low)
         assert np.array_equal(st.high, ctx.mirror(high))
         b = FR.band(law, k, FR.GridConfig(size=G))
@@ -182,11 +197,41 @@ def test_stage_cache_keeps_only_continuations(law):
         assert FR.lh_values(law, k, 0.0, 0.0, FR.GridConfig(size=G)) == (b.low, b.high)
 
 
+@pytest.mark.parametrize("law", [beta_distribution(2, 2), tightness_family(0.1, 0.05)], ids=["beta22", "tightness"])
+def test_bilinear_reads_packed_triangle_as_mirrored_table(law, rng):
+    G = 201
+    ctx, tables = FR.grid_tables(law, 3, FR.GridConfig(size=G))
+    g = ctx.g
+    x, y = np.sort(rng.random((2, 10**4)), axis=0)[::-1]
+    # inside every diagonal cell (fx >= fy), at its corners, and on the edges
+    cell = g[:-1, None] + ctx.h * np.sort(rng.random((G - 1, 2)), axis=1)[:, ::-1]
+    edge = np.linspace(0.0, 1.0, 1001)
+    xs = np.concatenate([x, cell[:, 0], g, g[1:], np.ones_like(edge), edge])
+    ys = np.concatenate([y, cell[:, 1], g, g[:-1], edge, np.zeros_like(edge)])
+    assert np.all(xs >= ys)
+    for st in tables[1:]:
+        for packed in (st.dminus, st.dplus):
+            want = ctx.bilinear(_mirrored(ctx, packed), xs, ys)
+            assert np.array_equal(ctx.bilinear(packed, xs, ys), want)
+
+
 def test_pass_dominance_check_active():
     # building tables runs the structural check; reaching here means no
     # violation was raised for these laws
     FR.grid_tables(D.uniform(), 5, SMALL)
     FR.grid_tables(D.mixture_with_uniform(0.5, D.discrete([(0.6, 1.0)])), 3, SMALL)
+
+
+def test_pass_dominance_check_reads_the_triangle_only():
+    ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=201))
+    assert [rows.stop for rows in ctx.row_blocks] == [163, 201]
+    d = np.ones((201, 201))  # passing is worth 1 >= a everywhere
+    d[np.triu_indices(201, 1)] = 0.0  # {b > a} is not a state
+    FR._check_pass_dominance(ctx, 1, d)
+    # a = 0.9 <= c_1(0.895) = 0.9005 on the second block's diagonal tile
+    d[180, 179] = 0.5
+    with pytest.raises(InconsistencyError, match=r"grid node \(180, 179\)"):
+        FR._check_pass_dominance(ctx, 1, d)
 
 
 def test_band_for_mixed_law_brackets_components():
@@ -383,3 +428,26 @@ def test_grid_memory_guard_refuses_huge_grid_without_allocating():
     assert peak < 2**20
     # every grid the library and its benchmark use stays under the budget
     assert FR.GRID_WORKING_TABLES * 8 * 2001**2 <= FR.GRID_MEMORY_BUDGET
+
+
+@pytest.mark.parametrize(
+    "law, measured",
+    [(D.uniform(), 1.0622), (tightness_family(0.1, 0.05), 1.0672)],
+    ids=["uniform", "tightness"],
+)
+def test_grid_stage_peak_is_one_work_table(law, measured):
+    # building stage 2 from stage 1 allocates, beyond the two packed triangles
+    # it keeps, one G x G work table and the block buffers: `measured` G x G
+    # tables at G = 401, as measured
+    G = 401
+    grid = FR.GridConfig(size=G)
+    FR._TABLE_CACHE.pop((law.cache_key(), G), None)
+    FR.grid_tables(law, 1, grid)
+    tracemalloc.start()
+    try:
+        _, tables = FR.grid_tables(law, 2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = tables[2].dminus.nbytes + tables[2].dplus.nbytes
+    assert (peak - kept) / (8 * G * G) <= measured

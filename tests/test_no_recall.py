@@ -4,7 +4,12 @@ import pytest
 from selection_games import distributions as D
 from selection_games import no_recall as NR
 from selection_games.errors import UnsupportedDistributionError
-from selection_games.testkit import UNIFORM_NO_RECALL_ROWS, beta_distribution, continuous_test_laws
+from selection_games.testkit import (
+    UNIFORM_NO_RECALL_ROWS,
+    beta_distribution,
+    continuous_test_laws,
+    per_value_selectors,
+)
 
 
 def test_rejects_atomic_laws():
@@ -67,15 +72,15 @@ def test_uniform_threshold_inequality():
 def test_per_value_selectors_branches():
     s = NR.no_recall_summary(D.uniform(), 2)
     c = s.prophet[2]
-    lo = NR.per_value_selectors(s, s.alpha_prime / 2)
+    lo = per_value_selectors(s, s.alpha_prime / 2)
     assert lo == (s.alpha_prime, 2 * s.beta, 2 * s.alpha)
-    hi = NR.per_value_selectors(s, 0.99)
+    hi = per_value_selectors(s, 0.99)
     assert hi[0] == pytest.approx((0.99 + c) / 2)
     assert hi[1] == pytest.approx(0.99 + c)
     assert hi[2] == pytest.approx(0.99 + c)
     mid = (s.beta + c) / 2
     want = 2 * (2 * mid * c - s.beta * (mid + c)) / (c + mid - 2 * s.beta)
-    assert NR.per_value_selectors(s, mid)[2] == pytest.approx(want, abs=1e-12)
+    assert per_value_selectors(s, mid)[2] == pytest.approx(want, abs=1e-12)
 
 
 def test_selector_junction_structure():
@@ -84,8 +89,8 @@ def test_selector_junction_structure():
     c = s.prophet[3]
 
     def jump(idx, point):
-        below = NR.per_value_selectors(s, point - eps)[idx]
-        above = NR.per_value_selectors(s, point + eps)[idx]
+        below = per_value_selectors(s, point - eps)[idx]
+        above = per_value_selectors(s, point + eps)[idx]
         return above - below
 
     # worst single payoff and worst sum are continuous at every junction

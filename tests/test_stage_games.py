@@ -211,9 +211,9 @@ def test_payoff_extremes_feed_the_recursions():
     # interior case: min sum from the mixed point, max sum from the
     # asymmetric pure points, min single coordinate = the pending value
     a, c, d, e = Fr(1, 3), Fr(1, 2), Fr(1, 4), Fr(1, 4)
-    out = solve_nr_stage(StageGameNR(a, c, d, e), tol=0)
-    min_sum, max_sum, min_single = out.payoff_extremes
-    assert max_sum == a + c
-    assert min_single == a
-    assert min_sum == Fr(3, 4)  # both coordinates 3/8 at the mixed point
-    assert out.max_single == c
+    payoffs = solve_nr_stage(StageGameNR(a, c, d, e), tol=0).payoffs
+    sums = [p + q for p, q in payoffs]
+    assert max(sums) == a + c
+    assert min(min(p) for p in payoffs) == a
+    assert min(sums) == Fr(3, 4)  # both coordinates 3/8 at the mixed point
+    assert max(max(p) for p in payoffs) == c
