@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from selection_games import distributions as D
 from selection_games import simulate as S
+from selection_games.efficiency import tightness_family
 from selection_games.errors import ResourceBudgetError, SpecValidationError, UnsupportedDistributionError
 from selection_games.full_recall import GridConfig, TriangleContext, grid_tables, uniform_pass_value
 from selection_games.prophet import prophet_values
@@ -205,6 +207,37 @@ def test_full_recall_dp_matches_dense_reference(case, n):
     assert got == _dense_br_gap_full_recall(law, n, opponent, reply, 201)
     if case in ("threshold-vs-worst", "mixed", "atoms-threshold-vs-worst") and n > 1:
         assert got > 1e-3  # the gap depends on every stage's bid table
+
+
+#: sha256 of the packed d-_k and d+_k triangles for k = 1..5 at G = 201, in
+#: that order, and repr of the criterion-8 gaps of the DP cases at n = 4 and
+#: G = 201, recorded before the grid engine and the DP shared one block sweep
+TRIANGLE_DIGESTS = {
+    "uniform": "20ad0a7a42ba96c18894baf55edad99cc0522e908205904a95195b7630fc69cd",
+    "beta22": "f7722074b81237e086a1510d7cb56a062c5711b39555d722e8ad48b5dac10d53",
+    "tightness": "61a88e812501554854a31b8be980180c932900db1a01a5ac6062b67c0448ff3f",
+}
+DP_GAP_REPRS = {
+    "best": "0.0",
+    "worst": "0.0",
+    "threshold-vs-worst": "0.010010641352126148",
+    "mixed": "0.01638648136469545",
+    "atoms-worst": "0.0",
+    "atoms-threshold-vs-worst": "0.022224043749894173",
+}
+
+
+def test_grid_triangles_and_dp_gaps_pinned():
+    laws = {"uniform": D.uniform(), "beta22": beta_distribution(2, 2), "tightness": tightness_family(0.1, 0.05)}
+    for name, law in laws.items():
+        _, tables = grid_tables(law, 5, GridConfig(size=201))
+        digest = hashlib.sha256()
+        for st in tables[1:]:
+            digest.update(st.dminus.tobytes())
+            digest.update(st.dplus.tobytes())
+        assert digest.hexdigest() == TRIANGLE_DIGESTS[name], name
+    for case, (law, opponent, reply) in _dp_cases(4).items():
+        assert repr(S.best_response_gap(law, 4, "full_recall", opponent, reply, 201)) == DP_GAP_REPRS[case], case
 
 
 def test_full_recall_dp_evaluates_lone_values_once_per_stage(monkeypatch):
