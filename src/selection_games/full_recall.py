@@ -29,8 +29,7 @@ both-pass continuations d-_k = E_X[low_{k-1}] and d+_k = E_X[high_{k-1}],
 each once, as its packed lower triangle {b <= a}; nothing at k = 0, where
 both values are the even split (a + b)/2.  low_k and high_k are derived from
 d-_k, d+_k and c_k on demand (L and H are one ``np.where`` away) and are not
-kept; the band reads its (0, 0) corner through the same stage rule on
-scalars.
+kept; the band is :func:`lh_values` at the state (0, 0).
 """
 
 from __future__ import annotations
@@ -162,6 +161,20 @@ class TriangleContext(GridLine):
         G = self.grid.size
         rows = max(1, ROW_BLOCK_BYTES // (8 * G))
         return tuple(slice(r, min(r + rows, G)) for r in range(0, G, rows))
+
+    def triangle_blocks(self, cols: int | None = None):
+        """One stage's walk over the triangle {b <= a}: ``(rows, stop, on_tri)``
+        per block of ``row_blocks``, on the columns up to ``stop``, the end of
+        its diagonal tile; ``on_tri`` marks the cells with b <= a, which read
+        row by row are the block's span of the packed triangle.  The last block
+        goes first: its columns hold every other block's, so a rule that keeps
+        c_k(b) of its longest row computes it once a stage.  With ``cols == 1``,
+        one block of every row on the column b = 0."""
+        if cols == 1:
+            yield slice(0, self.grid.size), 1, np.ones((self.grid.size, 1), dtype=bool)
+            return
+        for rows in reversed(self.row_blocks):
+            yield rows, rows.stop, np.tri(rows.stop - rows.start, rows.stop, rows.start, dtype=bool)
 
     def lone_values(self, k: int) -> np.ndarray:
         """c_k(b) = E(max of k samples v b) on the grid."""
@@ -360,9 +373,8 @@ class StageTables:
 
     def _values(self, best: bool, out: np.ndarray | None = None) -> np.ndarray:
         """The worst (best) values, mirrored, written into the G x G ``out``
-        (a new table by default) and returned.  The stage rule is applied one
-        block of rows at a time, on the columns up to the end of the block's
-        diagonal tile, and the upper half is mirrored afterwards."""
+        (a new table by default) and returned: the stage rule on each block
+        of :meth:`TriangleContext.triangle_blocks`, then the mirror."""
         ctx = self.ctx
         G = ctx.grid.size
         if out is None:
@@ -376,12 +388,10 @@ class StageTables:
             return out
         d = self.dplus if best else self.dminus
         c = ctx.lone_values(self.k)
-        starts = ctx.row_starts.tolist()
-        for rows in ctx.row_blocks:
-            for i in range(rows.start, rows.stop):
-                out[i, : i + 1] = d[starts[i] : starts[i] + i + 1]
-            block = out[rows, : rows.stop]
-            block[...] = stage_value(ctx.g[rows, None], c[None, : rows.stop], block, best)
+        for rows, stop, on_tri in ctx.triangle_blocks():
+            block = out[rows, :stop]
+            block[on_tri] = d[rows.start * (rows.start + 1) // 2 : stop * (stop + 1) // 2]
+            block[...] = stage_value(ctx.g[rows, None], c[None, :stop], block, best)
         return ctx.mirror(out)
 
 
@@ -392,8 +402,9 @@ def grid_tables(
     dist: ValueDistribution, n: int, grid: GridConfig
 ) -> tuple[TriangleContext, list[StageTables]]:
     """Value tables for k = 0..n, cached per (dist, grid).  Each stage is
-    built in one G x G work table: the previous stage's values, mirrored,
-    then their expectation over the arrival in place, checked and packed."""
+    built in one G x G work table, walked by ``ctx.triangle_blocks``: the
+    previous stage's values, mirrored, then their expectation over the
+    arrival in place, checked and packed."""
     key = (dist.cache_key(), grid.size)
     if key not in _TABLE_CACHE:
         ctx = TriangleContext(dist, grid)
@@ -416,12 +427,12 @@ def grid_tables(
 def _check_pass_dominance(ctx: TriangleContext, k: int, d: np.ndarray) -> None:
     """Whenever the rival's lone value c is at least a, passing must be worth
     at least a too (the structural inequality behind the stage cases) on the
-    triangle {b <= a} of the G x G table d, one block of rows at a time."""
+    triangle {b <= a} of the G x G table d, block by block."""
     c = ctx.lone_values(k)
-    for rows in ctx.row_blocks:
+    for rows, stop, on_tri in ctx.triangle_blocks():
         a = ctx.g[rows, None]
-        bad = (c[None, : rows.stop] - a >= -BRANCH_TOL) & (d[rows, : rows.stop] < a - PASS_DOMINANCE_SLACK)
-        bad &= np.tri(len(a), rows.stop, rows.start, dtype=bool)
+        bad = (c[None, :stop] - a >= -BRANCH_TOL) & (d[rows, :stop] < a - PASS_DOMINANCE_SLACK)
+        bad &= on_tri
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             raise InconsistencyError(
@@ -494,17 +505,8 @@ def band(dist: ValueDistribution, n: int, grid: GridConfig | None = None) -> Ful
     """Extremal symmetric equilibrium payoffs of the n-arrival game."""
     if n < 1:
         raise SpecValidationError("band requires n >= 1")
-    if not dist.pieces:
-        lo, hi = _lh_discrete(dist, n, 0.0, 0.0, {})
-        return FullRecallBand(n=n, low=float(lo), high=float(hi))
-    grid = grid or GridConfig()
-    ctx, tables = grid_tables(dist, n, grid)
-    stage = tables[n]
-    # the (0, 0) corner of low_n and high_n, by the stage rule on scalars
-    a, c = ctx.g[0], ctx.lone_values(n)[0]
-    low = float(stage_value(a, c, stage.dminus[0], best=False))
-    high = float(stage_value(a, c, stage.dplus[0], best=True))
-    return FullRecallBand(n=n, low=low, high=high, grid=grid)
+    low, high = lh_values(dist, n, 0.0, 0.0, grid)
+    return FullRecallBand(n=n, low=low, high=high, grid=(grid or GridConfig()) if dist.pieces else None)
 
 
 # -- closed forms for the uniform law --------------------------------------------------

@@ -406,8 +406,9 @@ def best_response_gap(
     reply admits no profitable deviation (up to grid error).
 
     With recall, the states are the grid nodes (a, b) of the triangle
-    b <= a, and every stage but the first updates one G x G table, the best
-    reply's values, with each expectation written over the table it reads.
+    b <= a, walked by :meth:`TriangleContext.triangle_blocks`, and every
+    stage but the first updates one G x G table, the best reply's values,
+    with each expectation written over the table it reads.
     The first arrival always finds the state (X_1, 0), so the last backward
     stage (t = 1) computes only the column b = 0: E_X[v_2(a v X, med[a, 0, X])]
     as a G-vector, and the bid rules and the stage rule once on (a, 0).  Its
@@ -481,43 +482,30 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
     g = ctx.g
     A = g[:, None]
     B = g[None, :]
-
-    def width(t):
-        # the first arrival finds b = 0, so stage t = 1 needs that column alone
-        return 1 if t == 1 else grid_size
-
     # v holds the best reply's values.  The equilibrium reply's table equals v
     # except on the rows `diff`, which `eq` keeps whole, one mirrored row each;
     # both start at the even split at t = n, so `diff` starts empty
-    v = np.add.outer(g, g[: width(n)])
+    v = np.add.outer(g, g if n > 1 else g[:1])
     v /= 2.0
     diff = np.empty(0, dtype=np.intp)
     eq = v[diff]
     parted = []
     for t in range(n - 1, 0, -1):
         k = n - t
-        m = width(t)
+        # the first arrival finds b = 0, so stage t = 1 needs that column alone
+        cols = 1 if t == 1 else None
         # continuation values E_X[v(a v X, med[a, b, X])], each written over
         # the table it reads.  Row i of E reads row i of the table alone (atoms
         # make `diff` every row), so the reply's rows outside `diff` are v's
         if diff.size:
-            ctx.expect_over_arrival(eq, m, rows=diff, out=eq[:, :m])
-        ctx.expect_over_arrival(v, m, out=v[:, :m])
+            ctx.expect_over_arrival(eq, cols, rows=diff, out=eq[:, :cols])
+        ctx.expect_over_arrival(v, cols, out=v[:, :cols])
         ck = ctx.lone_values(k)[None, :]
-        # states only matter on the triangle b <= a: the bid rules are
-        # evaluated one block of rows at a time, on its columns up to the end
-        # of the diagonal tile, and the upper half is mirrored afterwards.  The
-        # last block goes first: its columns hold every other block's, so a
-        # rule that keeps c_k(b) of its longest row computes it once a stage
-        if m == 1:
-            blocks = [(slice(0, grid_size), 1)]
-        else:
-            blocks = [(rows, rows.stop) for rows in reversed(ctx.row_blocks)]
         # the rows where the reply's values on the triangle part from v's,
         # with those values, and the rows where its mirrored table does
         parted = []
         in_diff = np.zeros(grid_size, dtype=bool)
-        for rows, stop in blocks:
+        for rows, stop, on_tri in ctx.triangle_blocks(cols):
             a, b = A[rows], B[:, :stop]
             shape = (len(a), stop)
             q = _bid_prob(opponent, t, k, a, b, shape)
@@ -527,16 +515,16 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
             lo, hi = np.searchsorted(diff, (rows.start, rows.stop))
             w_eq[diff[lo:hi] - rows.start] = eq[lo:hi, :stop]
             _br_stage(a, ck[:, :stop], q, p, w_br, w_eq, p is q)
-            # compared bit for bit, and cut at the diagonal in the diagonal tile
+            # compared bit for bit, on the triangle
             apart = w_eq.view(np.int64) != w_br.view(np.int64)
-            apart[:, rows.start :] &= np.tri(len(a), stop - rows.start, dtype=bool)
+            apart &= on_tri
             hit = np.flatnonzero(apart.any(axis=1))
             if hit.size:
                 parted.append((rows.start + hit, w_eq[hit]))
                 # a cell (i, j) puts row j there too, where it sits at column i
                 in_diff[rows.start + hit] = True
                 in_diff[:stop] |= apart.any(axis=0)
-        if m > 1:
+        if t > 1:
             ctx.mirror(v)
             del eq  # read: release the previous rows before the next are built
             diff, eq = _reply_rows(ctx, v, parted, in_diff)

@@ -215,6 +215,23 @@ def test_bilinear_reads_packed_triangle_as_mirrored_table(law, rng):
             assert np.array_equal(ctx.bilinear(packed, xs, ys), want)
 
 
+@pytest.mark.parametrize("G, spans", [(201, [(163, 201), (0, 163)]), (57, [(0, 57)])])
+def test_triangle_blocks_cover_the_triangle_once(G, spans):
+    ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=G))
+    walk = list(ctx.triangle_blocks())
+    # the last block first; at G = 201 two blocks of unequal height
+    assert [(rows.start, rows.stop) for rows, _, _ in walk] == spans
+    hits = np.zeros((G, G), dtype=int)
+    for rows, stop, on_tri in walk:
+        assert on_tri.shape == (rows.stop - rows.start, stop)
+        hits[rows, :stop] += on_tri
+    # every cell with b <= a once, none with b > a
+    assert np.array_equal(hits, np.tri(G, dtype=int))
+    [(rows, stop, on_tri)] = ctx.triangle_blocks(1)
+    assert (rows, stop) == (slice(0, G), 1)
+    assert on_tri.shape == (G, 1) and on_tri.all()
+
+
 def test_pass_dominance_check_active():
     # building tables runs the structural check; reaching here means no
     # violation was raised for these laws

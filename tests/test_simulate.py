@@ -264,9 +264,10 @@ def test_best_strategy_reads_pass_value_only_where_it_decides(law, n, rng):
     prob = S.spe_strategy(law, n, "full_recall", "best", grid=GRID).player1.bid_prob
     u = rng.random((2, 5000))
     a, b = np.maximum(u[0], u[1]), np.minimum(u[0], u[1])
-    g = ctx.g
+    # the grid nodes with b <= a: bilinear reads the triangle only
+    i, j = np.tril_indices(len(ctx.g))
     for k in range(1, n):
-        for x, y in ((a, b), (g[:, None], g[None, :])):
+        for x, y in ((a, b), (ctx.g[i], ctx.g[j])):
             c = law.order_max_with_vec(k, y)
             if law.pieces and k <= 2:
                 dplus = uniform_pass_value(k, x, y)
