@@ -115,13 +115,15 @@ def _cmd_fullrecall(args) -> None:
     _emit(args, ["n", "l", "h"], rows)
 
 
+def _norecall_table(d: ValueDistribution, n: int) -> tuple[list[str], list[list]]:
+    """Header and rows of ``norecall``, which ``tables --which table3`` also
+    prints."""
+    rows = [[s.n, s.alpha_prime, s.alpha, s.beta] for s in no_recall_sequence(d, n)]
+    return ["n", "alpha_prime", "alpha", "beta"], rows
+
+
 def _cmd_norecall(args) -> None:
-    d = _dist(args)
-    rows = [
-        [s.n, s.alpha_prime, s.alpha, s.beta]
-        for s in no_recall_sequence(d, args.n)
-    ]
-    _emit(args, ["n", "alpha_prime", "alpha", "beta"], rows)
+    _emit(args, *_norecall_table(_dist(args), args.n))
 
 
 def _frac_json(x: Fraction) -> dict:
@@ -220,11 +222,7 @@ def _cmd_tables(args) -> None:
     d = _dist(args)
     grid = _grid(args)
     if args.which == "table3":
-        rows = [
-            [s.n, s.alpha_prime, s.alpha, s.beta]
-            for s in no_recall_sequence(d, args.n)
-        ]
-        _emit(args, ["n", "alpha_prime", "alpha", "beta"], rows)
+        _emit(args, *_norecall_table(d, args.n))
         return
     if args.which == "table4":
         seq = no_recall_sequence(d, args.n)

@@ -651,6 +651,7 @@ def parse_spec(spec: dict | str) -> ValueDistribution:
         {"type": "discrete", "atoms": [{"x": 0.5, "p": 1.0}, ...]}
         {"type": "mixture", "eta": 0.01, "discrete": {...}}
         {"type": "piecewise_poly", "pieces": [{"lo": 0, "hi": 1, "coeffs": [1.0]}]}
+        {"type": "mixture_general", "atoms": [...], "pieces": [...]}
     """
     if isinstance(spec, str):
         try:

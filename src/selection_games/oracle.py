@@ -44,17 +44,15 @@ Pair = tuple[Fraction, Fraction]
 class DiscreteSPEPSet:
     """Exact equilibrium payoff set of a finite-support game.
 
+    ``payoffs`` lists the distinct payoff pairs in sorted order.
     ``endpoints_only`` is set when some stage game along the recursion
     admitted a payoff continuum; in that event the set lists the continuum
     endpoints only (sums and extremes are still exact).
-    ``provenance`` aligns with ``payoffs``: the stage-case tags that fired
-    along each payoff's derivation.
     """
 
     variant: str
     n: int
     payoffs: tuple[Pair, ...]
-    provenance: tuple[frozenset[str], ...]
     endpoints_only: bool = False
 
 
@@ -129,44 +127,27 @@ def _order_max_exact(atoms: Sequence[tuple[Fraction, Fraction]], k: int, b: Frac
     return total
 
 
-def _merge(into: dict, payoff: tuple, prov: frozenset) -> None:
-    # unions only when they add tags, so equal provenance stays one object
-    old = into.get(payoff)
-    if old is None:
-        into[payoff] = prov
-    elif not prov <= old:
-        into[payoff] = old | prov
+def _expectations(ats, per_atom: list[set[Pair]], budget: int) -> tuple[int, set[tuple[int, int]]]:
+    """Every distinct expectation sum_i m_i o_i of one payoff pair o_i from
+    each atom's option set ``per_atom[i]``.
 
-
-def _expectations(ats, per_atom: list[dict[Pair, frozenset]], budget: int) -> tuple[int, dict]:
-    """Every distinct expectation sum_i m_i o_i of one payoff pair o_i per
-    atom, with the union of the chosen pairs' provenance.
-
-    ``per_atom[i]`` maps atom i's options to their provenance.  The atoms are
-    added one at a time and equal partial sums merged after each, so the
-    cost follows the number of distinct partial sums, not the size of the
-    selection product.  Every weighted option m_i o_i is scaled by the lcm
-    ``scale`` of their denominators, so the sums are pairs of ints: returns
-    ``scale`` and the scaled sums.  Raises ResourceBudgetError before an
-    atom step pairs more than ``budget`` partial sums with options.
+    The atoms are added one at a time, a set of partial sums after each, so
+    the cost follows the number of distinct partial sums, not the size of
+    the selection product.  Every weighted option m_i o_i is scaled by the
+    lcm ``scale`` of their denominators, so the sums are pairs of ints:
+    returns ``scale`` and the scaled sums.  Raises ResourceBudgetError
+    before an atom step pairs more than ``budget`` partial sums with options.
     """
     weighted = [[(m * u, m * v) for u, v in options] for (_, m), options in zip(ats, per_atom)]
     scale = math.lcm(*(w.denominator for ws in weighted for pair in ws for w in pair))
-    partial: dict[tuple[int, int], frozenset] = {(0, 0): frozenset()}
-    for ws, options in zip(weighted, per_atom):
-        if len(partial) * len(options) > budget:
+    partial = {(0, 0)}
+    for ws in weighted:
+        if len(partial) * len(ws) > budget:
             raise ResourceBudgetError(
                 f"more than {budget} pairings in one atom step of the oracle enumeration"
             )
-        step = [
-            (u.numerator * (scale // u.denominator), v.numerator * (scale // v.denominator), prov)
-            for (u, v), prov in zip(ws, options.values())
-        ]
-        nxt: dict[tuple[int, int], frozenset] = {}
-        for (s1, s2), prov in partial.items():
-            for u, v, oprov in step:
-                _merge(nxt, (s1 + u, s2 + v), prov if oprov <= prov else prov | oprov)
-        partial = nxt
+        step = [(u.numerator * (scale // u.denominator), v.numerator * (scale // v.denominator)) for u, v in ws]
+        partial = {(s1 + u, s2 + v) for s1, s2 in partial for u, v in step}
     return scale, partial
 
 
@@ -207,79 +188,69 @@ def oracle_spep(
         level, cont = _oracle_full_recall(ats, n, budget)
     else:
         raise SpecValidationError(f"unknown variant {variant!r}")
-    return DiscreteSPEPSet(
-        variant=variant,
-        n=n,
-        payoffs=tuple(p for p, _ in level),
-        provenance=tuple(prov for _, prov in level),
-        endpoints_only=cont,
-    )
+    return DiscreteSPEPSet(variant=variant, n=n, payoffs=level, endpoints_only=cont)
 
 
 def _oracle_no_recall(ats, n: int, budget: int):
-    """Sorted (payoff, provenance) pairs of the no-recall game, and whether a
-    stage admitted a continuum."""
+    """Sorted payoffs of the no-recall game, and whether a stage admitted a
+    continuum."""
     cs = _prophet_exact(ats, n)
-    level: dict[Pair, frozenset] = {(Fraction(0), Fraction(0)): frozenset()}
+    level = {(Fraction(0), Fraction(0))}
     continuum = False
     for k in range(n):
         # payoff sets of the one-pending-value games at horizon k
-        per_atom: list[dict[Pair, frozenset]] = []
+        per_atom: list[set[Pair]] = []
         for x, _ in ats:
-            options: dict[Pair, frozenset] = {}
-            for (dd, ee), prov in level.items():
+            options: set[Pair] = set()
+            for dd, ee in level:
                 game = StageGameNR(x, cs[k], dd, ee)
                 outcome = solve_nr_stage(game, tol=0)
                 verify_outcome(payoff_matrix_nr(game), outcome, slack=0)
                 continuum = continuum or outcome.has_continuum
-                for eq in outcome.equilibria:
-                    _merge(options, eq.payoff, prov | {outcome.case_tag})
+                options.update(outcome.payoffs)
             per_atom.append(options)
         scale, sums = _expectations(ats, per_atom, budget)
         if k < n - 1:
-            level = {(Fraction(p1, scale), Fraction(p2, scale)): prov for (p1, p2), prov in sums.items()}
+            level = {(Fraction(p1, scale), Fraction(p2, scale)) for p1, p2 in sums}
     # the game is symmetric: the payoff set must be swap-symmetric; the
     # scaled sums share scale > 0, so their symmetry and order are the payoffs'
     if any((p2, p1) not in sums for p1, p2 in sums):
         raise InconsistencyError("no-recall payoff set is not symmetric under swap")
-    return [((Fraction(p1, scale), Fraction(p2, scale)), sums[p1, p2]) for p1, p2 in sorted(sums)], continuum
+    return tuple((Fraction(p1, scale), Fraction(p2, scale)) for p1, p2 in sorted(sums)), continuum
 
 
 def _oracle_full_recall(ats, n: int, budget: int):
-    """Sorted ((u, u), provenance) pairs of the full-recall game, and whether
-    a stage admitted a continuum."""
-    memo: dict[tuple, dict[Pair, frozenset]] = {}
+    """Sorted payoffs (u, u) of the full-recall game, and whether a stage
+    admitted a continuum."""
+    memo: dict[tuple, set[Pair]] = {}
     continuum = False
 
-    def solve_state(k: int, a: Fraction, b: Fraction) -> dict[Pair, frozenset]:
+    def solve_state(k: int, a: Fraction, b: Fraction) -> set[Pair]:
         nonlocal continuum
         key = (k, a, b)
         if key in memo:
             return memo[key]
         if k == 0:
-            memo[key] = {((a + b) / 2,) * 2: frozenset()}
+            memo[key] = {((a + b) / 2,) * 2}
             return memo[key]
         per_atom = [solve_state(k - 1, max(a, x), med(a, b, x)) for x, _ in ats]
         c = _order_max_exact(ats, k, b)
-        result: dict[Pair, frozenset] = {}
+        result: set[Pair] = set()
         scale, conts = _expectations(ats, per_atom, budget)
-        for (d, _), prov in conts.items():
+        for d, _ in conts:
             game = StageGameFR(a, c, Fraction(d, scale))
             outcome = solve_fr_stage(game, tol=0)
             verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
             continuum = continuum or outcome.has_continuum
-            for eq in outcome.equilibria:
-                u, v = eq.payoff
-                if u != v:
-                    raise InconsistencyError("full-recall stage payoff left the diagonal")
-                _merge(result, eq.payoff, prov | {outcome.case_tag})
+            result.update(outcome.payoffs)
+        if any(u != v for u, v in result):
+            raise InconsistencyError("full-recall stage payoff left the diagonal")
         if len(result) > budget:
             raise ResourceBudgetError("payoff set exceeded the oracle budget")
         memo[key] = result
         return result
 
-    root = solve_state(n, Fraction(0), Fraction(0))
-    return [(p, root[p]) for p in sorted(root)], continuum
+    return tuple(sorted(solve_state(n, Fraction(0), Fraction(0)))), continuum
 
 
 def oracle_summaries(spep: DiscreteSPEPSet) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -29,26 +29,15 @@ class ProphetSequence:
 
     def __getitem__(self, k: int) -> float:
         if not 1 <= k <= len(self.values):
-            raise IndexError(f"prophet value index {k} out of range")
+            raise IndexError(f"index {k} out of range 1..{len(self.values)}")
         return self.values[k - 1]
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class FeasibleSumSequence:
+class FeasibleSumSequence(ProphetSequence):
     """values[k-1] = optimal expected two-pick sum with k arrivals."""
-
-    values: tuple[float, ...]
-
-    def __getitem__(self, k: int) -> float:
-        if not 1 <= k <= len(self.values):
-            raise IndexError(f"feasible-sum index {k} out of range")
-        return self.values[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def prophet_values(d: ValueDistribution, n: int) -> ProphetSequence:

@@ -68,7 +68,7 @@ class StageGameNR:
 @dataclass(frozen=True)
 class Equilibrium:
     payoff: tuple
-    bid_probs: tuple | None
+    bid_probs: tuple
 
 
 @dataclass(frozen=True)
@@ -303,8 +303,6 @@ def verify_outcome(matrix: Sequence[tuple], outcome: StageGameOutcome, slack=1e-
     payoff must match the profile's expected payoff and neither player may
     gain more than ``slack`` by deviating."""
     for eq in outcome.equilibria:
-        if eq.bid_probs is None:
-            continue
         g1, g2, (u, v) = best_response_slack(matrix, *eq.bid_probs)
         if g1 > slack or g2 > slack:
             raise InconsistencyError(

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -677,6 +678,18 @@ def test_parse_round_trip():
     spec = {"type": "uniform"}
     law = D.parse_spec(spec)
     assert spec_dict(law) == spec
+    # one law per other kind spec_dict writes: piecewise_poly, discrete and
+    # mixture_general, each through its JSON text
+    for law, kind in (
+        (beta_distribution(2, 2), "piecewise_poly"),
+        (D.two_point(), "discrete"),
+        (tightness_family(0.1, 0.05), "mixture_general"),
+    ):
+        spec = spec_dict(law)
+        assert spec["type"] == kind
+        back = D.parse_spec(json.dumps(spec))
+        assert back == law
+        assert spec_dict(back) == spec
 
 
 def test_parse_discrete_and_mixture():

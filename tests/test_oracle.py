@@ -140,41 +140,28 @@ def test_atoms_from_distribution_snaps_floats():
     assert atoms == ((Fr(1, 3), Fr(1, 2)), (Fr(2, 3), Fr(1, 2)))
 
 
-def test_provenance_tags_present():
-    s = O.oracle_spep(TWO_POINT, 2, "no_recall")
-    tags = set().union(*s.provenance)
-    assert any(t.startswith("nr:") for t in tags)
-
-
 # -- the atom-at-a-time sums against the full selection product --------------
-
-
-def _merge(into, payoff, prov):
-    into[payoff] = into[payoff] | prov if payoff in into else prov
 
 
 def _reference_no_recall(ats, n):
     cs = O._prophet_exact(ats, n)
-    level = {(Fr(0), Fr(0)): frozenset()}
+    level = {(Fr(0), Fr(0))}
     continuum = False
     for k in range(n):
         per_atom = []
         for x, _ in ats:
-            options = {}
-            for (dd, ee), prov in level.items():
+            options = set()
+            for dd, ee in level:
                 game = StageGameNR(x, cs[k], dd, ee)
                 outcome = solve_nr_stage(game, tol=0)
                 verify_outcome(payoff_matrix_nr(game), outcome, slack=0)
                 continuum = continuum or outcome.has_continuum
-                for eq in outcome.equilibria:
-                    _merge(options, eq.payoff, prov | {outcome.case_tag})
-            per_atom.append(list(options.items()))
-        nxt = {}
-        for combo in itertools.product(*per_atom):
-            p1 = sum(m * v[0][0] for (_, m), v in zip(ats, combo))
-            p2 = sum(m * v[0][1] for (_, m), v in zip(ats, combo))
-            _merge(nxt, (p1, p2), frozenset().union(*(v[1] for v in combo)))
-        level = nxt
+                options.update(eq.payoff for eq in outcome.equilibria)
+            per_atom.append(options)
+        level = {
+            (sum(m * v[0] for (_, m), v in zip(ats, combo)), sum(m * v[1] for (_, m), v in zip(ats, combo)))
+            for combo in itertools.product(*per_atom)
+        }
     return level, continuum
 
 
@@ -188,38 +175,33 @@ def _reference_full_recall(ats, n):
         if key in memo:
             return memo[key]
         if k == 0:
-            memo[key] = {(a + b) / 2: frozenset()}
+            memo[key] = {(a + b) / 2}
             return memo[key]
-        per_atom = [list(solve_state(k - 1, max(a, x), min(max(x, b), a)).items()) for x, _ in ats]
+        per_atom = [solve_state(k - 1, max(a, x), min(max(x, b), a)) for x, _ in ats]
         c = O._order_max_exact(ats, k, b)
-        conts = {}
-        for combo in itertools.product(*per_atom):
-            d = sum(m * v[0] for (_, m), v in zip(ats, combo))
-            _merge(conts, d, frozenset().union(*(v[1] for v in combo)))
-        result = {}
-        for d, prov in conts.items():
+        conts = {sum(m * v for (_, m), v in zip(ats, combo)) for combo in itertools.product(*per_atom)}
+        result = set()
+        for d in conts:
             game = StageGameFR(a, c, d)
             outcome = solve_fr_stage(game, tol=0)
             verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
             continuum = continuum or outcome.has_continuum
-            for eq in outcome.equilibria:
-                _merge(result, eq.payoff[0], prov | {outcome.case_tag})
+            result.update(eq.payoff[0] for eq in outcome.equilibria)
         memo[key] = result
         return result
 
     root = solve_state(n, Fr(0), Fr(0))
-    return {(u, u): prov for u, prov in root.items()}, continuum
+    return {(u, u) for u in root}, continuum
 
 
 def _reference_spep(atoms, n, variant):
-    """(payoffs, provenance, endpoints_only) by the full selection product,
-    merged only at the end: the enumeration the oracle used before it
-    summed one atom at a time."""
+    """(payoffs, endpoints_only) by the full selection product, merged only
+    at the end: the enumeration the oracle used before it summed one atom at
+    a time."""
     ats = O.exact_atoms(atoms)
     enumerate_ = _reference_no_recall if variant == "no_recall" else _reference_full_recall
     level, continuum = enumerate_(ats, n)
-    payoffs = tuple(sorted(level))
-    return payoffs, tuple(level[p] for p in payoffs), continuum
+    return tuple(sorted(level)), continuum
 
 
 EXACTNESS_CASES = (
@@ -234,7 +216,7 @@ EXACTNESS_CASES = (
 @pytest.mark.parametrize("name,law,n", EXACTNESS_CASES, ids=[f"{c[0]}-n{c[2]}" for c in EXACTNESS_CASES])
 def test_matches_full_product_enumeration(name, law, n, variant):
     s = O.oracle_spep(law, n, variant)
-    assert (s.payoffs, s.provenance, s.endpoints_only) == _reference_spep(law, n, variant)
+    assert (s.payoffs, s.endpoints_only) == _reference_spep(law, n, variant)
 
 
 def _set_digest(payoffs):

@@ -79,3 +79,12 @@ def test_feasible_sum_nondecreasing():
     for law in LAWS:
         s = max_feasible_sum(law, 9).values
         assert all(b >= a - 1e-12 for a, b in zip(s, s[1:]))
+
+
+@pytest.mark.parametrize("sequence", [prophet_values, max_feasible_sum])
+def test_index_outside_one_to_n_raises(sequence):
+    seq = sequence(D.uniform(), 3)
+    assert len(seq) == 3 and seq[1] == seq.values[0] and seq[3] == seq.values[-1]
+    for k in (0, 4):
+        with pytest.raises(IndexError, match=r"out of range 1\.\.3"):
+            seq[k]

@@ -9,8 +9,10 @@ from selection_games import distributions as D
 from selection_games.errors import InconsistencyError
 from selection_games.simulate import FULL_RECALL, spe_strategy
 from selection_games.stage_games import (
+    Equilibrium,
     StageGameFR,
     StageGameNR,
+    StageGameOutcome,
     best_response_slack,
     payoff_matrix_fr,
     payoff_matrix_nr,
@@ -205,6 +207,16 @@ def test_best_response_slack_flags_non_equilibrium():
     g = StageGameNR(a=0.3, c=0.5, d=0.1, e=0.1)
     gains = best_response_slack(payoff_matrix_nr(g), 0.0, 0.0)
     assert max(gains[0], gains[1]) > 0.1
+
+
+def test_verify_outcome_checks_every_equilibrium():
+    # pass/pass is no equilibrium at a > c > d, and bid/bid pays (a + c)/2
+    g = StageGameNR(a=Fr(1, 2), c=Fr(1, 3), d=Fr(1, 4), e=Fr(1, 4))
+    half = (g.a + g.c) / 2
+    for eq in (Equilibrium((g.d, g.e), (0, 0)), Equilibrium((g.a, g.a), (1, 1))):
+        outcome = StageGameOutcome("nr:a", (Equilibrium((half, half), (1, 1)), eq))
+        with pytest.raises(InconsistencyError):
+            verify_outcome(payoff_matrix_nr(g), outcome, slack=0)
 
 
 def test_payoff_extremes_feed_the_recursions():
