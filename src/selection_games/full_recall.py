@@ -26,10 +26,12 @@ Three evaluation paths:
 
 The grid memo keeps only what later stages read: per stage k >= 1 the
 both-pass continuations d-_k = E_X[low_{k-1}] and d+_k = E_X[high_{k-1}],
-each once, as its packed lower triangle {b <= a}; nothing at k = 0, where
-both values are the even split (a + b)/2.  low_k and high_k are derived from
-d-_k, d+_k and c_k on demand (L and H are one ``np.where`` away) and are not
-kept; the band is :func:`lh_values` at the state (0, 0).
+each once, as its packed lower triangle {b <= a} (one array at k = 1, where
+both are the expectation of the even split); nothing at k = 0, where both
+values are the even split (a + b)/2.  Each stage is built in one packed work
+triangle, and no G x G table is allocated.  low_k and high_k are derived
+from d-_k, d+_k and c_k on demand (L and H are one ``np.where`` away) and are
+not kept; the band is :func:`lh_values` at the state (0, 0).
 """
 
 from __future__ import annotations
@@ -53,10 +55,12 @@ BRANCH_TOL = 1e-12
 PASS_DOMINANCE_SLACK = 1e-9
 
 #: G x G float64 tables one stage of the grid engine or of the best-response
-#: DP may hold at once, temporaries included (at most 2.7 measured at G = 801:
-#: 2.01 in a grid stage, of which 1.0 in the two packed triangles it keeps and
-#: 1.0 in its work table; in the DP 1.5 for a symmetric equilibrium profile
-#: and 2.7 for a reply that parts from the best reply on every row)
+#: DP may hold at once, temporaries included (at most 2.24 measured at
+#: G = 801: 1.50 in a grid stage, of which 1.0 in the two packed triangles it
+#: keeps and 0.5 in its packed work triangle; in the DP 0.84 to 1.03 for a
+#: symmetric equilibrium profile, half of it its packed triangle, and 2.24
+#: for a reply that parts from the best reply on every row, whose mirrored
+#: rows are then all kept)
 GRID_WORKING_TABLES = 12
 #: largest working set a triangle grid may claim, in bytes (2 GiB: G <= 4729)
 GRID_MEMORY_BUDGET = 2 * 1024**3
@@ -170,11 +174,21 @@ class TriangleContext(GridLine):
         goes first: its columns hold every other block's, so a rule that keeps
         c_k(b) of its longest row computes it once a stage.  With ``cols == 1``,
         one block of every row on the column b = 0."""
+        G = self.grid.size
         if cols == 1:
-            yield slice(0, self.grid.size), 1, np.ones((self.grid.size, 1), dtype=bool)
+            yield slice(0, G), 1, np.ones((G, 1), dtype=bool)
             return
         for rows in reversed(self.row_blocks):
-            yield rows, rows.stop, np.tri(rows.stop - rows.start, rows.stop, rows.start, dtype=bool)
+            h = rows.stop - rows.start
+            # on_tri[k, j] is j <= rows.start + k: a window of one mask
+            yield rows, rows.stop, self._tri_mask[:h, G - rows.start : G + h]
+
+    @cached_property
+    def _tri_mask(self) -> np.ndarray:
+        """[k, c] is c <= G + k, for k below the tallest block's height."""
+        G = self.grid.size
+        h = self.row_blocks[0].stop
+        return np.tri(h, G + h, G, dtype=bool)
 
     def lone_values(self, k: int) -> np.ndarray:
         """c_k(b) = E(max of k samples v b) on the grid."""
@@ -210,6 +224,41 @@ class TriangleContext(GridLine):
         lower_tri = t00 + (t10 - t00) * (fx - fy) + (t11 - t00) * fy
         return np.where((i == j) & (fx >= fy), lower_tri, square)
 
+    def span(self, rows: slice) -> slice:
+        """Where the rows ``rows`` of a packed lower triangle lie in it."""
+        return slice(rows.start * (rows.start + 1) // 2, rows.stop * (rows.stop + 1) // 2)
+
+    def unpacked(self, P: np.ndarray, rows: slice, on_tri: np.ndarray) -> np.ndarray:
+        """The cells of a block of :meth:`triangle_blocks` in a packed
+        triangle P, as a new table of the block's shape, zero above the
+        diagonal."""
+        block = np.zeros(on_tri.shape)
+        block[on_tri] = P[self.span(rows)]
+        return block
+
+    def mirrored(self, P: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """The rows ``rows`` (every row by default) of the mirrored G x G table
+        of a packed lower triangle P, built one row at a time: P's row i up to
+        the diagonal, then its column i below it."""
+        G = self.grid.size
+        index = range(G) if rows is None else np.asarray(rows).tolist()
+        T = np.empty((len(index), G))
+        s = self.row_starts
+        for r, i in enumerate(index):
+            T[r, : i + 1] = P[s[i] : s[i] + i + 1]
+            T[r, i + 1 :] = P[s[i + 1 :] + i]
+        return T
+
+    def even_split(self, out: np.ndarray | None = None) -> np.ndarray:
+        """(a + b)/2 on the triangle, packed, written into ``out`` (a new
+        triangle by default) one block at a time."""
+        G = self.grid.size
+        if out is None:
+            out = np.empty(G * (G + 1) // 2)
+        for rows, stop, on_tri in self.triangle_blocks():
+            out[self.span(rows)] = ((self.g[rows, None] + self.g[:stop]) / 2.0)[on_tri]
+        return out
+
     def expect_over_arrival(
         self,
         T: np.ndarray,
@@ -218,60 +267,147 @@ class TriangleContext(GridLine):
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """E_X[T(a v X, med[a, b, X])] at every grid node (a_i, b_j), for a
-        mirrored table T (T[i, j] == T[j, i]), as every table of the engine is.
+        table T on the triangle {b <= a}: a packed lower triangle (entry
+        (i, j <= i) at i(i + 1)/2 + j) or a mirrored G x G table
+        (T[i, j] == T[j, i]).
 
         Splitting the arrival X at b and a gives
 
             F(b) T(a, b) + int_(b, a] T(a, x) dF(x) + int_(a, 1] T(x, a) dF(x),
 
         computed against the density via per-cell linear interpolation of T.
-        Both integrals come from one pass of running sums along the rows, one
-        block of rows at a time: for a mirrored T the running sums down the
-        columns are their transpose, bit for bit, since a cumulative sum adds
-        in sequence along either axis.
+        Both integrals come from running sums along the rows of the mirrored
+        table, added cell by cell in sequence: for row i these cover its
+        triangle part up to the diagonal, then column i below it.  A mirrored
+        T is read one block of rows at a time; a packed T one block of its
+        rows at a time, the column parts added down the triangle a row of
+        cells at a time.  Both give the same sums, bit for bit.
         Atoms follow the library convention (the CDF is right-continuous): an
         atom x* <= b is already inside F(b) T(a, b) and adds nothing more.  An
         atom x* > b moves the state to (a v x*, a ^ x*), which does not depend
         on b, so each atom costs one bilinear evaluation along the a axis,
         added to every column with b < x*.
 
-        With ``cols`` given, only the first ``cols`` columns are computed and
-        a G x cols table is returned, each entry bitwise equal to the full
-        table's.  The running sums still cover whole rows, since the diagonal
-        and the row totals read them; for ``cols == 1`` on a whole table they
-        are added down the table instead, a row of cells at a time, which
-        gives the same sums with less work.
+        A packed T gives the packed result, or with ``cols == 1`` the column
+        b = 0 as a G-vector.  ``out`` may be T itself: the atom terms are
+        evaluated first, and each block of rows is written once it and the row
+        after it are read, which no later block reads again.
 
-        Rows are local on an atomless law: row i of the result reads row i of
-        T alone.  So ``rows``, an increasing array of row indices, may name the
-        rows of the mirrored table that T holds (one row of T each), and the
-        result then holds the same rows, bitwise equal to the full call's.  An
-        atom term reads rows i +- 1 and the rows near the atom, so with atoms
-        ``rows`` must name every row.
-
-        ``out`` receives the result and is returned.  It may be T itself or
-        its leading ``cols`` columns: each block of rows is read before it is
-        written, and the atom terms are evaluated before any row is.
+        For a mirrored T, with ``cols`` given, only the first ``cols`` columns
+        are computed and a G x cols table is returned, each entry bitwise
+        equal to the full table's.  Rows are local on an atomless law: row i
+        of the result reads row i of T alone.  So ``rows``, an increasing
+        array of row indices, may name the rows of the mirrored table that T
+        holds (one row of T each), and the result then holds the same rows,
+        bitwise equal to the full call's.  An atom term reads rows i +- 1 and
+        the rows near the atom, so with atoms ``rows`` must name every row.
+        ``out`` may be T itself or its leading ``cols`` columns: each block of
+        rows is read before it is written, and the atom terms are evaluated
+        before any row is.
         """
         G = self.grid.size
+        packed = T.ndim == 1
+        if packed and (rows is not None or cols not in (None, 1)):
+            raise SpecValidationError("a packed triangle takes no row subset, and cols None or 1")
         m = G if cols is None else cols
         index = np.arange(G) if rows is None else np.asarray(rows)
         if self.atoms and len(index) != G:
             raise SpecValidationError("a row subset of the grid expectation needs an atomless law")
         if out is None:
-            out = np.empty((len(index), m))
+            out = np.empty(len(T) if cols is None else G) if packed else np.empty((len(index), m))
         g = self.g
         atom_terms = [
             (mass * self.bilinear(T, np.maximum(g, x_star), np.minimum(g, x_star)), np.searchsorted(g, x_star))
             for x_star, mass in self.atoms
         ]
-        if m == 1 and len(index) == G:
-            self._first_column(T, out)
-        else:
-            self._row_pass(T, index, m, out)
+        if packed and cols is None:
+            diag, total = self._packed_sums(T, out)
+            self._packed_add(out, total - diag, atom_terms)
+            return out
+        if packed:
+            diag, total = self._packed_sums(T)
+            np.multiply(self.F[0], T[self.row_starts], out=out)
+            out += diag
+            out += total - diag
+            for u, stop in atom_terms:
+                if stop:
+                    out += u
+            return out
+        self._row_pass(T, index, m, out)
         for u, stop in atom_terms:
             out[:, : min(m, stop)] += u[:, None]
         return out
+
+    def _packed_sums(self, T: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's running sum of the mirrored table's cells up to its
+        diagonal (``diag``) and over the whole row (``total``), for a packed
+        T; with ``out``, F(b) T plus the row part int_(b, a] T(a, x) dF(x) is
+        written there too, the column part still to come.
+
+        Blocks of rows go first to last.  Each is unpacked with the row after
+        it.  Its row pass gives the running sums up to the diagonal, and its
+        rows of cells rho_l T[l, :l + 1] + phi_l T[l + 1, :l + 1], added in
+        sequence, carry every earlier row's sum on down its column.  The block
+        is written from its unpacked copy, before its column cells are added:
+        no later block reads its rows."""
+        G = self.grid.size
+        rho, phi = self.rho, self.phi
+        # the weight of node j as cell j's left node and as cell j - 1's right
+        rho_at, phi_at = np.append(rho, 0.0), np.insert(phi, 0, 0.0)
+        diag, total = np.empty(G), np.empty(G)
+        size = (self.row_blocks[0].stop + 1) * G
+        unpacked, crow_buf, cell_buf = np.zeros(size), np.empty(size), np.empty(size)
+        for rows, r1, on_tri in reversed(list(self.triangle_blocks())):
+            r0, nb = rows.start, r1 - rows.start
+            # contiguous tables of r1 columns (numpy's fast path): the block's
+            # rows and the row after them, unpacked
+            U = unpacked[: (nb + 1) * r1].reshape(nb + 1, r1)
+            Tb = U[:-1]
+            Tb[on_tri] = T[self.span(rows)]
+            if r1 < G:
+                U[-1] = T[self.span(slice(r1, r1 + 1))][:r1]
+            crow, cells = crow_buf[: nb * r1].reshape(nb, r1), cell_buf[: nb * r1].reshape(nb, r1)
+            np.multiply(Tb, rho_at[:r1], out=crow)
+            np.multiply(Tb, phi_at[:r1], out=cells)
+            # cells[i, j] = cell j - 1 of row i, rho_(j-1) T[i, j - 1] + phi_(j-1) T[i, j]:
+            # one shifted add over the rows laid end to end
+            flat = cells.reshape(-1)
+            np.add(crow.reshape(-1)[:-1], flat[1:], out=flat[1:])
+            # crow[i, j] = int_0^(g_j) T(a_i, x) dF(x), the running sum of row i's cells
+            crow[:, 0] = 0.0
+            np.cumsum(cells[:, 1:], axis=1, out=crow[:, 1:])
+            diag[rows] = total[rows] = crow[np.arange(nb), np.arange(r0, r1)]
+            if out is not None:
+                np.subtract(diag[rows, None], crow, out=crow)  # int_(b, a] T(a, x) dF(x)
+                np.multiply(self.F[:r1], Tb, out=cells)
+                cells += crow
+                out[self.span(rows)] = cells[on_tri]
+            # the column parts: cell l of row i <= l is rho_l T[l, i] + phi_l T[l + 1, i]
+            steps = min(r1, G - 1) - r0
+            cells, right = cells[:steps], crow[:steps]
+            np.multiply(U[:steps], rho[r0 : r0 + steps, None], out=cells)
+            np.multiply(U[1 : steps + 1], phi[r0 : r0 + steps, None], out=right)
+            cells += right
+            for l, cell in enumerate(cells, start=r0):
+                total[: l + 1] += cell[: l + 1]
+        return diag, total
+
+    def _packed_add(self, out: np.ndarray, col_suffix: np.ndarray, atom_terms: list) -> None:
+        """The rest of the packed :meth:`expect_over_arrival`, in place: the
+        column part int_(a, 1] T(x, a) dF(x) on each row, then each atom's
+        term on its columns, one block of rows at a time."""
+        ob_buf = np.empty((self.row_blocks[0].stop, self.grid.size)) if atom_terms else None
+        for rows, stop, on_tri in self.triangle_blocks():
+            cells = out[self.span(rows)]
+            if not atom_terms:
+                cells += np.repeat(col_suffix[rows], np.arange(rows.start + 1, stop + 1))
+                continue
+            ob = ob_buf[: stop - rows.start, :stop]
+            ob[on_tri] = cells
+            ob += col_suffix[rows, None]
+            for u, x_stop in atom_terms:
+                ob[:, :x_stop] += u[rows, None]
+            cells[...] = ob[on_tri]
 
     def _row_pass(self, T: np.ndarray, index: np.ndarray, m: int, out: np.ndarray) -> None:
         """The atomless part of :meth:`expect_over_arrival` on the first ``m``
@@ -298,64 +434,20 @@ class TriangleContext(GridLine):
             ob += head
             ob += col_suffix[:, None]
 
-    def _first_column(self, T: np.ndarray, out: np.ndarray) -> None:
-        """The atomless part of :meth:`expect_over_arrival` on the column
-        b = 0 of a whole mirrored table.  Cell l of every row is
-        rho_l T[l] + phi_l T[l + 1] read down the table (T[i, l] == T[l, i]),
-        so adding these rows of cells in sequence gives every row's running
-        sum at once, bitwise the row pass's: its diagonal entry when the sum
-        reaches it, and its total at the end."""
-        G = self.grid.size
-        rho, phi = self.rho, self.phi
-        diag = np.empty(G)
-        diag[0] = 0.0
-        total = T[0] * rho[0]
-        total += T[1] * phi[0]
-        diag[1] = total[1]
-        block = self.row_blocks[0].stop
-        cells, right = np.empty((block, G)), np.empty((block, G))
-        for l0 in range(1, G - 1, block):
-            h = min(block, G - 1 - l0)
-            c, r = cells[:h], right[:h]
-            np.multiply(T[l0 : l0 + h], rho[l0 : l0 + h, None], out=c)
-            np.multiply(T[l0 + 1 : l0 + h + 1], phi[l0 : l0 + h, None], out=r)
-            c += r
-            for l, cell in enumerate(c, start=l0):
-                total += cell
-                # the running sums now hold cells 0..l: row l + 1's diagonal
-                diag[l + 1] = total[l + 1]
-        col = self.F[0] * T[:, 0]
-        col += diag
-        col += total - diag
-        out[:, 0] = col
-
-    def mirror(self, T: np.ndarray) -> np.ndarray:
-        """Copy the triangle {b <= a} of T onto {b > a}, in place, one row at a
-        time, with no G x G mask."""
-        for i in range(self.grid.size - 1):
-            T[i, i + 1 :] = T[i + 1 :, i]
-        return T
-
-    def pack(self, T: np.ndarray) -> np.ndarray:
-        """The triangle {b <= a} of a G x G table, packed row after row."""
-        tri = np.empty(self.grid.size * (self.grid.size + 1) // 2)
-        for i, s in enumerate(self.row_starts.tolist()):
-            tri[s : s + i + 1] = T[i, : i + 1]
-        return tri
-
 
 @dataclass(frozen=True)
 class StageTables:
     """Grid tables with k arrivals to come.
 
     Stored for k >= 1, each once as its packed lower triangle (G(G + 1)/2
-    values, entry (i, j <= i) at i(i + 1)/2 + j; see
-    :meth:`TriangleContext.pack`): the both-pass continuations ``dminus`` =
-    E_X[low_{k-1}] and ``dplus`` = E_X[high_{k-1}].  c_k(b) is cached by
-    ``ctx.lone_values``.  Nothing is stored at k = 0.
+    values, entry (i, j <= i) at i(i + 1)/2 + j): the both-pass continuations
+    ``dminus`` = E_X[low_{k-1}] and ``dplus`` = E_X[high_{k-1}], one array at
+    k = 1, where both are the expectation of the even split.  c_k(b) is cached
+    by ``ctx.lone_values``.  Nothing is stored at k = 0.
     Derived on demand and not kept: ``low`` and ``high``, the worst and best
-    values as mirrored G x G tables: the even split (a + b)/2 at k = 0, else
-    the stage rule at (a, c_k(b), d) on the grid.
+    values as mirrored G x G tables (:meth:`TriangleContext.mirrored`): the
+    even split (a + b)/2 at k = 0, else the stage rule at (a, c_k(b), d) on
+    the grid.
     """
 
     ctx: TriangleContext
@@ -365,34 +457,28 @@ class StageTables:
 
     @property
     def low(self) -> np.ndarray:
-        return self._values(best=False)
+        return self.ctx.mirrored(self._values(best=False))
 
     @property
     def high(self) -> np.ndarray:
-        return self._values(best=True)
+        return self.ctx.mirrored(self._values(best=True))
 
     def _values(self, best: bool, out: np.ndarray | None = None) -> np.ndarray:
-        """The worst (best) values, mirrored, written into the G x G ``out``
-        (a new table by default) and returned: the stage rule on each block
-        of :meth:`TriangleContext.triangle_blocks`, then the mirror."""
+        """The worst (best) values as a packed triangle, written into ``out``
+        (a new triangle by default) and returned: the stage rule on each block
+        of :meth:`TriangleContext.triangle_blocks`."""
         ctx = self.ctx
+        if self.k == 0:
+            return ctx.even_split(out)
         G = ctx.grid.size
         if out is None:
-            # zeros: the diagonal tiles' upper cells meet the stage rule
-            # before the mirror overwrites them
-            out = np.zeros((G, G))
-        if self.k == 0:
-            # (a + b)/2 is mirrored as it stands: a + b rounds as b + a does
-            np.add.outer(ctx.g, ctx.g, out=out)
-            out /= 2.0
-            return out
+            out = np.empty(G * (G + 1) // 2)
         d = self.dplus if best else self.dminus
         c = ctx.lone_values(self.k)
         for rows, stop, on_tri in ctx.triangle_blocks():
-            block = out[rows, :stop]
-            block[on_tri] = d[rows.start * (rows.start + 1) // 2 : stop * (stop + 1) // 2]
-            block[...] = stage_value(ctx.g[rows, None], c[None, :stop], block, best)
-        return ctx.mirror(out)
+            block = stage_value(ctx.g[rows, None], c[None, :stop], ctx.unpacked(d, rows, on_tri), best)
+            out[ctx.span(rows)] = block[on_tri]
+        return out
 
 
 _TABLE_CACHE: dict[tuple, tuple[TriangleContext, list[StageTables]]] = {}
@@ -402,41 +488,42 @@ def grid_tables(
     dist: ValueDistribution, n: int, grid: GridConfig
 ) -> tuple[TriangleContext, list[StageTables]]:
     """Value tables for k = 0..n, cached per (dist, grid).  Each stage is
-    built in one G x G work table, walked by ``ctx.triangle_blocks``: the
-    previous stage's values, mirrored, then their expectation over the
-    arrival in place, checked and packed."""
+    built in one packed work triangle: the previous stage's values, then their
+    expectation over the arrival in place, checked and copied.  At k = 1 the
+    worst and best values are both the even split, so d-_1 is d+_1 and is
+    built once."""
     key = (dist.cache_key(), grid.size)
     if key not in _TABLE_CACHE:
         ctx = TriangleContext(dist, grid)
         _TABLE_CACHE[key] = (ctx, [StageTables(ctx, 0)])
     ctx, tables = _TABLE_CACHE[key]
-    # zeros: see StageTables._values
-    work = np.zeros((grid.size, grid.size)) if len(tables) <= n else None
+    work = np.empty(grid.size * (grid.size + 1) // 2) if len(tables) <= n else None
     while len(tables) <= n:
         k = len(tables)
         continuations = []
-        for best in (False, True):
+        for best in (False,) if k == 1 else (False, True):
             tables[k - 1]._values(best, out=work)
             ctx.expect_over_arrival(work, out=work)
             _check_pass_dominance(ctx, k, work)
-            continuations.append(ctx.pack(work))
-        tables.append(StageTables(ctx, k, *continuations))
+            continuations.append(work.copy())
+        tables.append(StageTables(ctx, k, continuations[0], continuations[-1]))
     return ctx, tables
 
 
 def _check_pass_dominance(ctx: TriangleContext, k: int, d: np.ndarray) -> None:
     """Whenever the rival's lone value c is at least a, passing must be worth
     at least a too (the structural inequality behind the stage cases) on the
-    triangle {b <= a} of the G x G table d, block by block."""
+    packed triangle d, block by block."""
     c = ctx.lone_values(k)
     for rows, stop, on_tri in ctx.triangle_blocks():
         a = ctx.g[rows, None]
-        bad = (c[None, :stop] - a >= -BRANCH_TOL) & (d[rows, :stop] < a - PASS_DOMINANCE_SLACK)
+        block = ctx.unpacked(d, rows, on_tri)
+        bad = (c[None, :stop] - a >= -BRANCH_TOL) & (block < a - PASS_DOMINANCE_SLACK)
         bad &= on_tri
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             raise InconsistencyError(
-                f"continuation payoff {d[rows.start + i, j]} below available value {a[i, 0]} "
+                f"continuation payoff {block[i, j]} below available value {a[i, 0]} "
                 f"at grid node ({rows.start + i}, {j}) despite c >= a"
             )
 
@@ -474,31 +561,38 @@ def _lh_discrete(dist: ValueDistribution, n: int, a: float, b: float, memo: dict
 def lh_values(
     dist: ValueDistribution,
     n: int,
-    a: float,
-    b: float,
+    a,
+    b,
     grid: GridConfig | None = None,
-) -> tuple[float, float]:
+):
     """(worst, best) symmetric equilibrium payoff of the game with initial
-    values a >= b and n arrivals to come."""
-    if not 0.0 <= b <= a <= 1.0:
+    values a >= b and n arrivals to come, elementwise over arrays a and b:
+    two arrays of their broadcast shape, or two floats for scalars.  The grid
+    path reads each table once for all points, each value bitwise equal to
+    the point's own call; the exact path shares one memo over the points."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not np.all((0.0 <= b) & (b <= a) & (a <= 1.0)):
         raise SpecValidationError(f"need 0 <= b <= a <= 1, got a={a}, b={b}")
     if n < 0:
         raise SpecValidationError("n must be >= 0")
     if n == 0:
-        return ((a + b) / 2.0, (a + b) / 2.0)
-    if not dist.pieces:
-        lo, hi = _lh_discrete(dist, n, a, b, {})
-        return (float(lo), float(hi))
-    grid = grid or GridConfig()
-    ctx, tables = grid_tables(dist, n, grid)
-    stage = tables[n]
-    # interpolate the smooth both-pass continuation surfaces and apply the
-    # stage rule at the query itself; interpolating the branched value
-    # tables directly would smear their jump discontinuities
-    c = dist.expect_order_max_with(n, b)
-    dminus = float(ctx.bilinear(stage.dminus, a, b))
-    dplus = float(ctx.bilinear(stage.dplus, a, b))
-    return (float(stage_value(a, c, dminus, best=False)), float(stage_value(a, c, dplus, best=True)))
+        low = high = (a + b) / 2.0
+    elif not dist.pieces:
+        memo: dict = {}
+        pairs = [_lh_discrete(dist, n, float(x), float(y), memo) for x, y in zip(a.flat, b.flat)]
+        low, high = (np.reshape([float(v[side]) for v in pairs], a.shape) for side in (0, 1))
+    else:
+        ctx, tables = grid_tables(dist, n, grid or GridConfig())
+        stage = tables[n]
+        # interpolate the smooth both-pass continuation surfaces and apply the
+        # stage rule at the query itself; interpolating the branched value
+        # tables directly would smear their jump discontinuities
+        c = dist.order_max_with_vec(n, b)
+        low = stage_value(a, c, ctx.bilinear(stage.dminus, a, b), best=False)
+        high = stage_value(a, c, ctx.bilinear(stage.dplus, a, b), best=True)
+    if a.ndim == 0:
+        return (float(low), float(high))
+    return (low, high)
 
 
 def band(dist: ValueDistribution, n: int, grid: GridConfig | None = None) -> FullRecallBand:

@@ -407,21 +407,23 @@ def best_response_gap(
 
     With recall, the states are the grid nodes (a, b) of the triangle
     b <= a, walked by :meth:`TriangleContext.triangle_blocks`, and every
-    stage but the first updates one G x G table, the best reply's values,
-    with each expectation written over the table it reads.
+    stage but the first updates one packed lower triangle of G(G + 1)/2
+    values, the best reply's, with its expectation written over it and the
+    stage rule applied to each block in a block buffer.
     The first arrival always finds the state (X_1, 0), so the last backward
     stage (t = 1) computes only the column b = 0: E_X[v_2(a v X, med[a, 0, X])]
     as a G-vector, and the bid rules and the stage rule once on (a, 0).  Its
     entries are bitwise those of the full tables' column b = 0.
 
     The equilibrium reply's table is kept only on the rows where it differs
-    from the best reply's, bit for bit: a differing cell (i, j) makes rows i
-    and j differ in the mirrored table.  On an atomless law row i of the
-    expectation reads row i of the table alone, so the reply's expectation is
-    computed on those rows only and equals the best reply's on every other
-    row.  For an equilibrium profile the rows are few (2 to 179 of 2001 for
-    the uniform law at n <= 4).  On a law with atoms an atom term reads other
-    rows too, and every row is kept once any cell differs."""
+    from the best reply's, bit for bit, as whole rows of the mirrored table
+    built from the triangle: a differing cell (i, j) makes rows i and j
+    differ there.  On an atomless law row i of the expectation reads row i of
+    the table alone, so the reply's expectation is computed on those rows
+    only and equals the best reply's on every other row.  For an equilibrium
+    profile the rows are few (2 to 179 of 2001 for the uniform law at
+    n <= 4), and no G x G table is allocated.  On a law with atoms an atom
+    term reads other rows too, and every row is kept once any cell differs."""
     if n < 1:
         raise SpecValidationError("n must be >= 1")
     if variant == NO_RECALL:
@@ -482,24 +484,24 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
     g = ctx.g
     A = g[:, None]
     B = g[None, :]
-    # v holds the best reply's values.  The equilibrium reply's table equals v
-    # except on the rows `diff`, which `eq` keeps whole, one mirrored row each;
-    # both start at the even split at t = n, so `diff` starts empty
-    v = np.add.outer(g, g if n > 1 else g[:1])
-    v /= 2.0
+    # v holds the best reply's values, packed.  The equilibrium reply's table
+    # equals v except on the rows `diff`, which `eq` keeps whole, one mirrored
+    # row each; both start at the even split at t = n, so `diff` starts empty
+    v = ctx.even_split() if n > 1 else (g + g[0]) / 2.0
     diff = np.empty(0, dtype=np.intp)
-    eq = v[diff]
+    eq = np.empty((0, grid_size))
     parted = []
     for t in range(n - 1, 0, -1):
         k = n - t
         # the first arrival finds b = 0, so stage t = 1 needs that column alone
         cols = 1 if t == 1 else None
-        # continuation values E_X[v(a v X, med[a, b, X])], each written over
-        # the table it reads.  Row i of E reads row i of the table alone (atoms
-        # make `diff` every row), so the reply's rows outside `diff` are v's
+        # continuation values E_X[v(a v X, med[a, b, X])], v's over v itself
+        # (at t = 1 its column b = 0, a G-vector).  Row i of E reads row i of
+        # the table alone (atoms make `diff` every row), so the reply's rows
+        # outside `diff` are v's
         if diff.size:
             ctx.expect_over_arrival(eq, cols, rows=diff, out=eq[:, :cols])
-        ctx.expect_over_arrival(v, cols, out=v[:, :cols])
+        v = ctx.expect_over_arrival(v, cols, out=None if cols else v)
         ck = ctx.lone_values(k)[None, :]
         # the rows where the reply's values on the triangle part from v's,
         # with those values, and the rows where its mirrored table does
@@ -510,11 +512,14 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
             shape = (len(a), stop)
             q = _bid_prob(opponent, t, k, a, b, shape)
             p = q if reply is opponent else _bid_prob(reply, t, k, a, b, shape)
-            w_br = v[rows, :stop]
+            # the block's cells of v: at t = 1 the column itself, else unpacked
+            w_br = v[:, None] if cols else ctx.unpacked(v, rows, on_tri)
             w_eq = w_br.copy()
             lo, hi = np.searchsorted(diff, (rows.start, rows.stop))
             w_eq[diff[lo:hi] - rows.start] = eq[lo:hi, :stop]
             _br_stage(a, ck[:, :stop], q, p, w_br, w_eq, p is q)
+            if not cols:
+                v[ctx.span(rows)] = w_br[on_tri]
             # compared bit for bit, on the triangle
             apart = w_eq.view(np.int64) != w_br.view(np.int64)
             apart &= on_tri
@@ -525,22 +530,21 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
                 in_diff[rows.start + hit] = True
                 in_diff[:stop] |= apart.any(axis=0)
         if t > 1:
-            ctx.mirror(v)
             del eq  # read: release the previous rows before the next are built
             diff, eq = _reply_rows(ctx, v, parted, in_diff)
     # the reply's column b = 0
-    col = v[:, 0].copy()
+    col = v.copy()
     for hit, vals in parted:
         col[hit] = vals[:, 0]
-    return float(ctx.expect(v[:, 0]) - ctx.expect(col))
+    return float(ctx.expect(v) - ctx.expect(col))
 
 
 def _reply_rows(ctx, v, parted, in_diff):
     """The rows ``diff`` kept of the reply's mirrored table, and those rows,
-    from the mirrored v and the reply's parted rows on the triangle.  On a law
-    with atoms every row is kept once any row parts."""
-    diff = np.arange(len(v)) if ctx.atoms and in_diff.any() else np.flatnonzero(in_diff)
-    eq = v[diff]
+    built from the packed v and the reply's parted rows on the triangle.  On a
+    law with atoms every row is kept once any row parts."""
+    diff = np.arange(ctx.grid.size) if ctx.atoms and in_diff.any() else np.flatnonzero(in_diff)
+    eq = ctx.mirrored(v, diff)
     for hit, vals in parted:
         for i, row in zip(hit, vals):
             at = np.searchsorted(diff, i)

@@ -72,13 +72,33 @@ def test_grid_matches_closed_forms_on_triangle():
     # agreement at a tighter grid on a coarse triangle sample
     grid = FR.GridConfig(size=2001)
     pts = [(a, b) for a in np.linspace(0, 1, 50) for b in np.linspace(0, 1, 50) if b <= a]
+    a, b = np.array(pts).T
     for n in (1, 2, 3):
-        got = [FR.lh_values(D.uniform(), n, a, b, grid) for a, b in pts]
-        want = [FR.uniform_closed_forms(n, a, b) for a, b in pts]
-        worst_err = max(abs(g[0] - w[0]) for g, w in zip(got, want))
-        best_err = max(abs(g[1] - w[1]) for g, w in zip(got, want))
+        got = FR.lh_values(D.uniform(), n, a, b, grid)
+        want = np.array([FR.uniform_closed_forms(n, x, y) for x, y in pts]).T
+        worst_err = np.max(np.abs(got[0] - want[0]))
+        best_err = np.max(np.abs(got[1] - want[1]))
         assert worst_err < 1e-4
         assert best_err < 1e-4
+
+
+@pytest.mark.parametrize(
+    "law",
+    [D.uniform(), tightness_family(0.1, 0.05), D.two_point(), D.discrete([(0.2, 0.5), (0.7, 0.5)])],
+    ids=["uniform", "tightness", "two_point", "two_atoms"],
+)
+def test_lh_values_on_arrays_match_scalar_calls(law):
+    grid = FR.GridConfig(size=201)
+    pts = [(a, b) for a in np.linspace(0, 1, 21) for b in np.linspace(0, 1, 21) if b <= a]
+    a, b = np.array(pts).T
+    for n in (0, 1, 3):
+        low, high = FR.lh_values(law, n, a, b, grid)
+        scalar = [FR.lh_values(law, n, x, y, grid) for x, y in pts]
+        assert all(type(v) is float for pair in scalar for v in pair)
+        assert np.array_equal(low, [pair[0] for pair in scalar])
+        assert np.array_equal(high, [pair[1] for pair in scalar])
+    with pytest.raises(SpecValidationError):
+        FR.lh_values(law, 2, a, a + 0.01, grid)
 
 
 def test_band_two_point_matches_closed_form():
@@ -146,14 +166,6 @@ def test_lower_bound_via_lone_player_value():
             assert np.all(dmin[mask] >= (g[mask] + c_k) / 2 - 1e-9)
 
 
-def _mirrored(ctx, packed):
-    """The mirrored G x G table of a packed lower triangle."""
-    G = ctx.grid.size
-    T = np.zeros((G, G))
-    T[np.tril_indices(G)] = packed
-    return ctx.mirror(T)
-
-
 @pytest.mark.parametrize(
     "law",
     [D.uniform(), beta_distribution(2, 2), tightness_family(0.1, 0.05)],
@@ -172,26 +184,34 @@ def test_stage_cache_keeps_only_continuations(law):
         held += [getattr(stage, f.name) for f in dataclasses.fields(stage)]
     arrays = [v for v in held if isinstance(v, np.ndarray)]
     tri = [v for v in arrays if v.shape == (G * (G + 1) // 2,) and v.dtype == np.float64]
-    assert len({id(v) for v in tri}) == len(tri) == 2 * n
-    assert sum(v.nbytes for v in tri) == 2 * n * 8 * G * (G + 1) // 2
+    assert len(tri) == 2 * n
+    # at k = 1 both continuations are the even split's expectation: one array
+    assert tables[1].dminus is tables[1].dplus
+    distinct = {id(v): v for v in tri}
+    assert len(distinct) == 2 * n - 1
+    assert sum(v.nbytes for v in distinct.values()) == (2 * n - 1) * 8 * G * (G + 1) // 2
     assert [st.dminus is None and st.dplus is None for st in tables] == [True] + [False] * n
-    # every other array is a grid line: no (G, G) table is held
-    assert all(v.size <= G for v in arrays if not any(v is t for t in tri))
+    # every other float array is a grid line, and the one mask of the
+    # triangle blocks is a block of rows: no (G, G) table is held
+    rest = [v for v in arrays if not any(v is t for t in tri)]
+    assert all(v.size <= G for v in rest if v.dtype != bool)
+    assert all(v.shape[0] <= ctx.row_blocks[0].stop for v in rest if v.dtype == bool)
 
     # low and high, derived on demand, are the stage rule applied to the
     # stored continuations, then mirrored: the worst bids where a >= c, the
     # best where a > max(c, d)
-    even = ctx.mirror(np.add.outer(ctx.g, ctx.g) / 2.0)
+    even = np.add.outer(ctx.g, ctx.g) / 2.0  # mirrored as it stands: a + b rounds as b + a does
     assert np.array_equal(tables[0].low, even) and np.array_equal(tables[0].high, even)
     a_col = ctx.g[:, None]
+    lower = np.tril_indices(G)
     for k in range(1, n + 1):
         st = tables[k]
         cb = ctx.lone_values(k)[None, :]
-        dminus, dplus = _mirrored(ctx, st.dminus), _mirrored(ctx, st.dplus)
-        low = ctx.mirror(np.where(a_col >= cb, (a_col + cb) / 2.0, dminus))
+        dminus, dplus = ctx.mirrored(st.dminus), ctx.mirrored(st.dplus)
+        low = ctx.mirrored(np.where(a_col >= cb, (a_col + cb) / 2.0, dminus)[lower])
         high = np.where((a_col > cb) & (a_col > dplus), (a_col + cb) / 2.0, dplus)
         assert np.array_equal(st.low, low)
-        assert np.array_equal(st.high, ctx.mirror(high))
+        assert np.array_equal(st.high, ctx.mirrored(high[lower]))
         b = FR.band(law, k, FR.GridConfig(size=G))
         assert b.low == st.low[0, 0] and b.high == st.high[0, 0]
         assert FR.lh_values(law, k, 0.0, 0.0, FR.GridConfig(size=G)) == (b.low, b.high)
@@ -211,7 +231,7 @@ def test_bilinear_reads_packed_triangle_as_mirrored_table(law, rng):
     assert np.all(xs >= ys)
     for st in tables[1:]:
         for packed in (st.dminus, st.dplus):
-            want = ctx.bilinear(_mirrored(ctx, packed), xs, ys)
+            want = ctx.bilinear(ctx.mirrored(packed), xs, ys)
             assert np.array_equal(ctx.bilinear(packed, xs, ys), want)
 
 
@@ -242,11 +262,12 @@ def test_pass_dominance_check_active():
 def test_pass_dominance_check_reads_the_triangle_only():
     ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=201))
     assert [rows.stop for rows in ctx.row_blocks] == [163, 201]
-    d = np.ones((201, 201))  # passing is worth 1 >= a everywhere
-    d[np.triu_indices(201, 1)] = 0.0  # {b > a} is not a state
+    # passing is worth 1 >= a everywhere on the packed triangle; the cells
+    # b > a of the diagonal tiles, zero in the check's block, are no states
+    d = np.ones(201 * 202 // 2)
     FR._check_pass_dominance(ctx, 1, d)
     # a = 0.9 <= c_1(0.895) = 0.9005 on the second block's diagonal tile
-    d[180, 179] = 0.5
+    d[ctx.row_starts[180] + 179] = 0.5
     with pytest.raises(InconsistencyError, match=r"grid node \(180, 179\)"):
         FR._check_pass_dominance(ctx, 1, d)
 
@@ -293,7 +314,7 @@ def test_atom_path_matches_dense_reference(law, rng):
     ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
     assert 0.25 in ctx.g  # one atom sits exactly on a grid node
     for _ in range(3):
-        T = ctx.mirror(rng.random((201, 201)))
+        T = ctx.mirrored(rng.random((201, 201))[np.tril_indices(201)])
         np.testing.assert_allclose(
             ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T), rtol=0, atol=1e-12
         )
@@ -304,7 +325,7 @@ def test_atomless_expectation_unchanged(rng):
         # 201 rows make two row blocks of unequal height
         ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
         assert len(ctx.row_blocks) == 2
-        T = ctx.mirror(rng.random((201, 201)))
+        T = ctx.mirrored(rng.random((201, 201))[np.tril_indices(201)])
         assert np.array_equal(ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T))
 
 
@@ -317,7 +338,7 @@ def test_leading_columns_match_full_table(law, rng):
     # atoms at 0 (never added to a column), on a node, inside and at 1
     ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
     assert len(ctx.row_blocks) == 2  # of unequal height
-    T = ctx.mirror(rng.random((201, 201)))
+    T = ctx.mirrored(rng.random((201, 201))[np.tril_indices(201)])
     full = ctx.expect_over_arrival(T)
     # rows on both blocks and at both ends, every row, and no row
     subsets = [np.array([0, 1, 99, 100, 101, 150, 199, 200]), np.arange(201), np.arange(0)]
@@ -342,13 +363,45 @@ def test_leading_columns_match_full_table(law, rng):
             assert np.array_equal(held[:, :cols], full[rows, :cols])
 
 
+@pytest.mark.parametrize(
+    "law",
+    [D.uniform(), beta_distribution(2, 2), tightness_family(0.1, 0.05)],
+    ids=["uniform", "beta22", "tightness"],
+)
+def test_packed_expectation_matches_mirrored_table(law, rng):
+    ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
+    assert len(ctx.row_blocks) == 2  # of unequal height
+    lower = np.tril_indices(201)
+    for _ in range(2):
+        packed = rng.random(201 * 202 // 2)
+        T = ctx.mirrored(packed)
+        assert np.array_equal(T, T.T) and np.array_equal(T[lower], packed)
+        rows = np.array([0, 1, 99, 162, 163, 200])
+        assert np.array_equal(ctx.mirrored(packed, rows), T[rows])
+        full = ctx.expect_over_arrival(T)
+        # the packed result is the mirrored one's lower triangle, bit for bit
+        got = ctx.expect_over_arrival(packed)
+        assert got.shape == packed.shape and np.array_equal(got, full[lower])
+        inplace = packed.copy()
+        assert ctx.expect_over_arrival(inplace, out=inplace) is inplace
+        assert np.array_equal(inplace, full[lower])
+        # cols == 1: the column b = 0 as a G-vector
+        column = ctx.expect_over_arrival(packed, 1)
+        assert column.shape == (201,) and np.array_equal(column, ctx.expect_over_arrival(T, 1)[:, 0])
+        assert np.array_equal(column, full[:, 0])
+        out = np.empty(201)
+        assert ctx.expect_over_arrival(packed, 1, out=out) is out and np.array_equal(out, column)
+    with pytest.raises(SpecValidationError):
+        ctx.expect_over_arrival(packed, 2)
+
+
 def test_mirror_copies_lower_triangle(rng):
     ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=57))
     T = rng.random((57, 57))
     want = T.copy()
     iu = np.triu_indices(57, 1)
     want[iu] = want.T[iu]
-    assert np.array_equal(ctx.mirror(T), want)
+    assert np.array_equal(ctx.mirrored(T[np.tril_indices(57)]), want)
 
 
 def test_unit_mass_on_two_point_grid():
@@ -449,13 +502,14 @@ def test_grid_memory_guard_refuses_huge_grid_without_allocating():
 
 @pytest.mark.parametrize(
     "law, measured",
-    [(D.uniform(), 1.0622), (tightness_family(0.1, 0.05), 1.0672)],
+    [(D.uniform(), 0.8085), (tightness_family(0.1, 0.05), 0.8138)],
     ids=["uniform", "tightness"],
 )
 def test_grid_stage_peak_is_one_work_table(law, measured):
     # building stage 2 from stage 1 allocates, beyond the two packed triangles
-    # it keeps, one G x G work table and the block buffers: `measured` G x G
-    # tables at G = 401, as measured
+    # it keeps, one packed work triangle (half a G x G table) and the block
+    # buffers, 0.2 G x G tables each at G = 401: `measured` G x G tables, as
+    # measured (1.0622 and 1.0672 with a G x G work table)
     G = 401
     grid = FR.GridConfig(size=G)
     FR._TABLE_CACHE.pop((law.cache_key(), G), None)

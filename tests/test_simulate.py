@@ -133,14 +133,26 @@ def test_full_recall_gap_memory_peak():
     # the profiles read grid tables at the default grid; build them first
     S.spe_strategy(D.uniform(), 4, "full_recall", "best")
     worst = S.spe_strategy(D.uniform(), 4, "full_recall", "worst").player1
-    # one table for the best reply, and the equilibrium reply's few differing
-    # rows (1.47 tables measured, with the bid rule's temporaries)
-    assert _traced_peak(lambda: S.spe_gap(D.uniform(), 4, "full_recall", "best", grid_size=801)) <= 2 * table
+    # the best reply's packed triangle, the equilibrium reply's few differing
+    # rows and the block temporaries of the bid rule, 0.05 table each at
+    # G = 801 (1.03 tables measured; 1.47 with a mirrored G x G table)
+    assert _traced_peak(lambda: S.spe_gap(D.uniform(), 4, "full_recall", "best", grid_size=801)) <= 1.03 * table
     # a reply that parts from the best one on every row keeps them all
-    # (2.66 tables measured; 3.15 for the symmetric profile before the reply
-    # kept only its differing rows)
+    # (2.24 tables measured; 2.66 with a mirrored G x G table)
     never = lambda: S.best_response_gap(D.uniform(), 4, "full_recall", worst, S.never_bid(), 801)  # noqa: E731
-    assert _traced_peak(never) <= 3.15 * table
+    assert _traced_peak(never) <= 2.24 * table
+
+
+@pytest.mark.parametrize("law", [D.uniform(), beta_distribution(2, 2)], ids=["uniform", "beta22"])
+def test_full_recall_gap_allocates_no_square_table(law):
+    # on an atomless law, an equilibrium profile's DP holds the packed
+    # triangle and block temporaries: its traced peak stays under one (G, G)
+    # float64 table, which therefore was never allocated (0.56 to 0.68 of one
+    # measured at G = 2001)
+    G = 2001
+    for which in ("best", "worst"):
+        S.spe_strategy(law, 4, "full_recall", which)
+        assert _traced_peak(lambda: S.spe_gap(law, 4, "full_recall", which, grid_size=G)) < 8 * G * G
 
 
 def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
@@ -153,6 +165,7 @@ def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
     B = g[None, :]
     shape = (grid_size, grid_size)
     v_br = v_eq = np.add.outer(g, g) / 2.0
+    lower = np.tril_indices(grid_size)
     for t in range(n - 1, 0, -1):
         k = n - t
         q = S._bid_prob(opponent, t, k, A, B, shape)
@@ -163,8 +176,7 @@ def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
         ck = ctx.lone_values(k)[None, :]
         for rows in ctx.row_blocks:
             S._br_stage(A[rows], ck, q[rows], p[rows], v_br[rows], v_eq[rows], p is q)
-        ctx.mirror(v_br)
-        ctx.mirror(v_eq)
+        v_br, v_eq = ctx.mirrored(v_br[lower]), ctx.mirrored(v_eq[lower])
     return float(ctx.expect(v_br[:, 0]) - ctx.expect(v_eq[:, 0]))
 
 
