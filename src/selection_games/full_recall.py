@@ -26,12 +26,18 @@ Three evaluation paths:
 
 The grid memo keeps only what later stages read: per stage k >= 1 the
 both-pass continuations d-_k = E_X[low_{k-1}] and d+_k = E_X[high_{k-1}],
-each once, as its packed lower triangle {b <= a} (one array at k = 1, where
-both are the expectation of the even split); nothing at k = 0, where both
-values are the even split (a + b)/2.  Each stage is built in one packed work
-triangle, and no G x G table is allocated.  low_k and high_k are derived
-from d-_k, d+_k and c_k on demand (L and H are one ``np.where`` away) and are
-not kept; the band is :func:`lh_values` at the state (0, 0).
+each once, as a stored triangle (one array at k = 1, where both are the
+expectation of the even split); nothing at k = 0, where both values are the
+even split (a + b)/2.  A stored triangle holds the cells {b <= a} in the
+blocks of rows that every pass walks: the rows r0..r1 - 1 of a block as one
+contiguous (r1 - r0) x r1 rectangle, the blocks in order, so that each block
+is read and written in place as a view.  The cells b > a of a block are
+padding, filled with finite values and never read as states; they add 3 %
+to a stored triangle at G = 1001 and 5 % at G = 801 over the G(G + 1)/2
+cells.  Each stage is built in one stored work triangle, and no G x G table
+is allocated.  low_k and high_k are derived from d-_k, d+_k and c_k on
+demand (L and H are one ``np.where`` away) and are not kept; the band is
+:func:`lh_values` at the state (0, 0).
 """
 
 from __future__ import annotations
@@ -55,12 +61,12 @@ BRANCH_TOL = 1e-12
 PASS_DOMINANCE_SLACK = 1e-9
 
 #: G x G float64 tables one stage of the grid engine or of the best-response
-#: DP may hold at once, temporaries included (at most 2.24 measured at
-#: G = 801: 1.50 in a grid stage, of which 1.0 in the two packed triangles it
-#: keeps and 0.5 in its packed work triangle; in the DP 0.84 to 1.03 for a
-#: symmetric equilibrium profile, half of it its packed triangle, and 2.24
-#: for a reply that parts from the best reply on every row, whose mirrored
-#: rows are then all kept)
+#: DP may hold at once, temporaries included (at most 2.13 measured at
+#: G = 801, where a stored triangle is 0.53: 1.58 in a grid stage, of which
+#: 1.05 in the two stored triangles it keeps and 0.53 in its stored work
+#: triangle; in the DP 0.82 to 1.00 for a symmetric equilibrium profile, 0.53
+#: of it its stored triangle, and 2.13 for a reply that parts from the best
+#: reply on every row, whose mirrored rows are then all kept)
 GRID_WORKING_TABLES = 12
 #: largest working set a triangle grid may claim, in bytes (2 GiB: G <= 4729)
 GRID_MEMORY_BUDGET = 2 * 1024**3
@@ -151,13 +157,8 @@ class TriangleContext(GridLine):
             )
         super().__init__(dist, grid)
         self._c_cache: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def row_starts(self) -> np.ndarray:
-        """Where row i starts in a packed lower triangle: i(i + 1)/2, for
-        i = 0..G - 1."""
-        i = np.arange(self.grid.size)
-        return i * (i + 1) // 2
+        # the weight of node j as cell j's left node and as cell j - 1's right
+        self._rho_at, self._phi_at = np.append(self.rho, 0.0), np.insert(self.phi, 0, 0.0)
 
     @cached_property
     def row_blocks(self) -> tuple[slice, ...]:
@@ -166,14 +167,47 @@ class TriangleContext(GridLine):
         rows = max(1, ROW_BLOCK_BYTES // (8 * G))
         return tuple(slice(r, min(r + rows, G)) for r in range(0, G, rows))
 
+    @cached_property
+    def row_starts(self) -> np.ndarray:
+        """Where row i starts in a stored triangle: the rows r0..r1 - 1 of
+        each block of ``row_blocks`` are stored as one contiguous
+        (r1 - r0) x r1 rectangle, the blocks in order, so row i of a block
+        starts (i - r0) r1 after the block.  The cells b > a of a block are
+        padding: writers fill whole blocks with finite values, and no reader
+        takes a padding cell as a state."""
+        starts, offset = [], 0
+        for rows in self.row_blocks:
+            starts.append(offset + np.arange(rows.stop - rows.start) * rows.stop)
+            offset += (rows.stop - rows.start) * rows.stop
+        return np.concatenate(starts)
+
+    @cached_property
+    def stored_size(self) -> int:
+        """The length of a stored triangle, its padding included."""
+        return int(self.row_starts[-1]) + self.grid.size
+
+    def block(self, P: np.ndarray, rows: slice) -> np.ndarray:
+        """The block ``rows`` of ``row_blocks`` of a stored triangle P, as a
+        view of shape (rows.stop - rows.start, rows.stop)."""
+        start = self.row_starts[rows.start]
+        return P[start : start + (rows.stop - rows.start) * rows.stop].reshape(-1, rows.stop)
+
+    def _check_stored(self, P: np.ndarray) -> None:
+        """Refuse a 1-D table that is not a stored triangle of this grid."""
+        if P.ndim == 1 and len(P) != self.stored_size:
+            raise SpecValidationError(
+                f"a stored triangle of grid size {self.grid.size} has {self.stored_size} values, got {len(P)}"
+            )
+
     def triangle_blocks(self, cols: int | None = None):
         """One stage's walk over the triangle {b <= a}: ``(rows, stop, on_tri)``
         per block of ``row_blocks``, on the columns up to ``stop``, the end of
-        its diagonal tile; ``on_tri`` marks the cells with b <= a, which read
-        row by row are the block's span of the packed triangle.  The last block
-        goes first: its columns hold every other block's, so a rule that keeps
-        c_k(b) of its longest row computes it once a stage.  With ``cols == 1``,
-        one block of every row on the column b = 0."""
+        its diagonal tile, which is the shape of the block in a stored
+        triangle; ``on_tri`` marks the cells with b <= a, the others being
+        padding.  The last block goes first: its columns hold every other
+        block's, so a rule that keeps c_k(b) of its longest row computes it
+        once a stage.  With ``cols == 1``, one block of every row on the
+        column b = 0."""
         G = self.grid.size
         if cols == 1:
             yield slice(0, G), 1, np.ones((G, 1), dtype=bool)
@@ -197,16 +231,18 @@ class TriangleContext(GridLine):
         return self._c_cache[k]
 
     def bilinear(self, T: np.ndarray, x, y):
-        """Interpolate a table at points (x, y) with x >= y: a packed lower
-        triangle (entry (i, j <= i) at i(i + 1)/2 + j) or a mirrored G x G
+        """Interpolate a table at points (x, y) with x >= y: a stored triangle
+        (entry (i, j <= i) at ``row_starts[i] + j``) or a mirrored G x G
         table, each read by flat index.
 
         Cells on the diagonal use linear interpolation over the triangle
         {y <= x} only: the mirrored surface is continuous but kinked across
         the diagonal, and plain bilinear interpolation would smear the kink.
         So every value used lies on the triangle; the corner (i, i + 1) that
-        a diagonal cell's square form reads is discarded.
+        a diagonal cell's square form reads, padding in a stored triangle, is
+        discarded.
         """
+        self._check_stored(T)
         G = self.grid.size
         xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) / self.h
         ys = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) / self.h
@@ -224,22 +260,11 @@ class TriangleContext(GridLine):
         lower_tri = t00 + (t10 - t00) * (fx - fy) + (t11 - t00) * fy
         return np.where((i == j) & (fx >= fy), lower_tri, square)
 
-    def span(self, rows: slice) -> slice:
-        """Where the rows ``rows`` of a packed lower triangle lie in it."""
-        return slice(rows.start * (rows.start + 1) // 2, rows.stop * (rows.stop + 1) // 2)
-
-    def unpacked(self, P: np.ndarray, rows: slice, on_tri: np.ndarray) -> np.ndarray:
-        """The cells of a block of :meth:`triangle_blocks` in a packed
-        triangle P, as a new table of the block's shape, zero above the
-        diagonal."""
-        block = np.zeros(on_tri.shape)
-        block[on_tri] = P[self.span(rows)]
-        return block
-
     def mirrored(self, P: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """The rows ``rows`` (every row by default) of the mirrored G x G table
-        of a packed lower triangle P, built one row at a time: P's row i up to
-        the diagonal, then its column i below it."""
+        of a stored triangle P, built one row at a time: P's row i up to the
+        diagonal, then its column i below it."""
+        self._check_stored(P)
         G = self.grid.size
         index = range(G) if rows is None else np.asarray(rows).tolist()
         T = np.empty((len(index), G))
@@ -250,13 +275,12 @@ class TriangleContext(GridLine):
         return T
 
     def even_split(self, out: np.ndarray | None = None) -> np.ndarray:
-        """(a + b)/2 on the triangle, packed, written into ``out`` (a new
-        triangle by default) one block at a time."""
-        G = self.grid.size
+        """(a + b)/2 on the triangle, stored, written into ``out`` (a new
+        triangle by default) one whole block at a time."""
         if out is None:
-            out = np.empty(G * (G + 1) // 2)
-        for rows, stop, on_tri in self.triangle_blocks():
-            out[self.span(rows)] = ((self.g[rows, None] + self.g[:stop]) / 2.0)[on_tri]
+            out = np.empty(self.stored_size)
+        for rows, stop, _ in self.triangle_blocks():
+            self.block(out, rows)[...] = (self.g[rows, None] + self.g[:stop]) / 2.0
         return out
 
     def expect_over_arrival(
@@ -267,9 +291,8 @@ class TriangleContext(GridLine):
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """E_X[T(a v X, med[a, b, X])] at every grid node (a_i, b_j), for a
-        table T on the triangle {b <= a}: a packed lower triangle (entry
-        (i, j <= i) at i(i + 1)/2 + j) or a mirrored G x G table
-        (T[i, j] == T[j, i]).
+        table T on the triangle {b <= a}: a stored triangle (entry (i, j <= i)
+        at ``row_starts[i] + j``) or a mirrored G x G table (T[i, j] == T[j, i]).
 
         Splitting the arrival X at b and a gives
 
@@ -279,19 +302,21 @@ class TriangleContext(GridLine):
         Both integrals come from running sums along the rows of the mirrored
         table, added cell by cell in sequence: for row i these cover its
         triangle part up to the diagonal, then column i below it.  A mirrored
-        T is read one block of rows at a time; a packed T one block of its
-        rows at a time, the column parts added down the triangle a row of
-        cells at a time.  Both give the same sums, bit for bit.
+        T is read one block of rows at a time; a stored T one block of
+        ``row_blocks`` at a time, in place, the column parts added down the
+        triangle a row of cells at a time.  Both give the same sums, bit for
+        bit.
         Atoms follow the library convention (the CDF is right-continuous): an
         atom x* <= b is already inside F(b) T(a, b) and adds nothing more.  An
         atom x* > b moves the state to (a v x*, a ^ x*), which does not depend
         on b, so each atom costs one bilinear evaluation along the a axis,
         added to every column with b < x*.
 
-        A packed T gives the packed result, or with ``cols == 1`` the column
-        b = 0 as a G-vector.  ``out`` may be T itself: the atom terms are
-        evaluated first, and each block of rows is written once it and the row
-        after it are read, which no later block reads again.
+        A stored T gives the stored result, its padding cells finite where
+        T's are, or with ``cols == 1`` the column b = 0 as a G-vector.
+        ``out`` may be T itself: the atom terms are evaluated first, and each
+        block is written once it and the row after it are read, which no
+        later block reads again.
 
         For a mirrored T, with ``cols`` given, only the first ``cols`` columns
         are computed and a G x cols table is returned, each entry bitwise
@@ -305,26 +330,27 @@ class TriangleContext(GridLine):
         rows is read before it is written, and the atom terms are evaluated
         before any row is.
         """
+        self._check_stored(T)
         G = self.grid.size
-        packed = T.ndim == 1
-        if packed and (rows is not None or cols not in (None, 1)):
-            raise SpecValidationError("a packed triangle takes no row subset, and cols None or 1")
+        stored = T.ndim == 1
+        if stored and (rows is not None or cols not in (None, 1)):
+            raise SpecValidationError("a stored triangle takes no row subset, and cols None or 1")
         m = G if cols is None else cols
         index = np.arange(G) if rows is None else np.asarray(rows)
         if self.atoms and len(index) != G:
             raise SpecValidationError("a row subset of the grid expectation needs an atomless law")
         if out is None:
-            out = np.empty(len(T) if cols is None else G) if packed else np.empty((len(index), m))
+            out = np.empty(len(T) if cols is None else G) if stored else np.empty((len(index), m))
         g = self.g
         atom_terms = [
             (mass * self.bilinear(T, np.maximum(g, x_star), np.minimum(g, x_star)), np.searchsorted(g, x_star))
             for x_star, mass in self.atoms
         ]
-        if packed and cols is None:
+        if stored and cols is None:
             diag, total = self._packed_sums(T, out)
             self._packed_add(out, total - diag, atom_terms)
             return out
-        if packed:
+        if stored:
             diag, total = self._packed_sums(T)
             np.multiply(self.F[0], T[self.row_starts], out=out)
             out += diag
@@ -338,93 +364,81 @@ class TriangleContext(GridLine):
             out[:, : min(m, stop)] += u[:, None]
         return out
 
+    def _running_sums(self, Tb: np.ndarray, crow: np.ndarray, cells: np.ndarray) -> None:
+        """crow[i, j] = int_0^(g_j) Tb(a_i, x) dF(x), the running sum of the
+        cells of row i of the rows Tb of r columns, up to node j; crow and
+        ``cells``, scratch, are contiguous tables of Tb's shape.  Entry j
+        reads Tb's row up to column j alone."""
+        r = Tb.shape[1]
+        np.multiply(Tb, self._rho_at[:r], out=crow)
+        np.multiply(Tb, self._phi_at[:r], out=cells)
+        # cells[i, j] = cell j - 1 of row i, rho_(j-1) T[i, j - 1] + phi_(j-1) T[i, j]:
+        # one shifted add over the rows laid end to end
+        flat = cells.reshape(-1)
+        np.add(crow.reshape(-1)[:-1], flat[1:], out=flat[1:])
+        crow[:, 0] = 0.0
+        np.cumsum(cells[:, 1:], axis=1, out=crow[:, 1:])
+
     def _packed_sums(self, T: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Each row's running sum of the mirrored table's cells up to its
-        diagonal (``diag``) and over the whole row (``total``), for a packed
+        diagonal (``diag``) and over the whole row (``total``), for a stored
         T; with ``out``, F(b) T plus the row part int_(b, a] T(a, x) dF(x) is
         written there too, the column part still to come.
 
-        Blocks of rows go first to last.  Each is unpacked with the row after
-        it.  Its row pass gives the running sums up to the diagonal, and its
-        rows of cells rho_l T[l, :l + 1] + phi_l T[l + 1, :l + 1], added in
-        sequence, carry every earlier row's sum on down its column.  The block
-        is written from its unpacked copy, before its column cells are added:
-        no later block reads its rows."""
+        Blocks go first to last, each read in place.  Its row pass gives the
+        running sums up to the diagonal, and its rows of cells
+        rho_l T[l, :l + 1] + phi_l T[l + 1, :l + 1], the last one reading the
+        row after the block, added in sequence, carry every earlier row's sum
+        on down its column.  Then the block is written: no later block reads
+        its rows."""
         G = self.grid.size
-        rho, phi = self.rho, self.phi
-        # the weight of node j as cell j's left node and as cell j - 1's right
-        rho_at, phi_at = np.append(rho, 0.0), np.insert(phi, 0, 0.0)
+        rho, phi, s = self.rho, self.phi, self.row_starts
         diag, total = np.empty(G), np.empty(G)
-        size = (self.row_blocks[0].stop + 1) * G
-        unpacked, crow_buf, cell_buf = np.zeros(size), np.empty(size), np.empty(size)
-        for rows, r1, on_tri in reversed(list(self.triangle_blocks())):
-            r0, nb = rows.start, r1 - rows.start
-            # contiguous tables of r1 columns (numpy's fast path): the block's
-            # rows and the row after them, unpacked
-            U = unpacked[: (nb + 1) * r1].reshape(nb + 1, r1)
-            Tb = U[:-1]
-            Tb[on_tri] = T[self.span(rows)]
-            if r1 < G:
-                U[-1] = T[self.span(slice(r1, r1 + 1))][:r1]
+        size = self.row_blocks[0].stop * G
+        crow_buf, cell_buf, right_buf = np.empty(size), np.empty(size), np.empty(size)
+        for rows in self.row_blocks:
+            r0, r1 = rows.start, rows.stop
+            nb = r1 - r0
+            Tb = self.block(T, rows)
             crow, cells = crow_buf[: nb * r1].reshape(nb, r1), cell_buf[: nb * r1].reshape(nb, r1)
-            np.multiply(Tb, rho_at[:r1], out=crow)
-            np.multiply(Tb, phi_at[:r1], out=cells)
-            # cells[i, j] = cell j - 1 of row i, rho_(j-1) T[i, j - 1] + phi_(j-1) T[i, j]:
-            # one shifted add over the rows laid end to end
-            flat = cells.reshape(-1)
-            np.add(crow.reshape(-1)[:-1], flat[1:], out=flat[1:])
-            # crow[i, j] = int_0^(g_j) T(a_i, x) dF(x), the running sum of row i's cells
-            crow[:, 0] = 0.0
-            np.cumsum(cells[:, 1:], axis=1, out=crow[:, 1:])
+            self._running_sums(Tb, crow, cells)
             diag[rows] = total[rows] = crow[np.arange(nb), np.arange(r0, r1)]
+            # the column parts: cell l of row i <= l is rho_l T[l, i] + phi_l T[l + 1, i]
+            steps = min(r1, G - 1) - r0
+            col, right = cells[:steps], right_buf[: steps * r1].reshape(steps, r1)
+            np.multiply(Tb[:steps], rho[r0 : r0 + steps, None], out=col)
+            np.multiply(Tb[1:], phi[r0 : r1 - 1, None], out=right[: nb - 1])
+            if r1 < G:
+                np.multiply(T[s[r1] : s[r1] + r1], phi[r1 - 1], out=right[-1])
+            col += right
+            for l, cell in enumerate(col, start=r0):
+                total[: l + 1] += cell[: l + 1]
             if out is not None:
                 np.subtract(diag[rows, None], crow, out=crow)  # int_(b, a] T(a, x) dF(x)
                 np.multiply(self.F[:r1], Tb, out=cells)
-                cells += crow
-                out[self.span(rows)] = cells[on_tri]
-            # the column parts: cell l of row i <= l is rho_l T[l, i] + phi_l T[l + 1, i]
-            steps = min(r1, G - 1) - r0
-            cells, right = cells[:steps], crow[:steps]
-            np.multiply(U[:steps], rho[r0 : r0 + steps, None], out=cells)
-            np.multiply(U[1 : steps + 1], phi[r0 : r0 + steps, None], out=right)
-            cells += right
-            for l, cell in enumerate(cells, start=r0):
-                total[: l + 1] += cell[: l + 1]
+                np.add(cells, crow, out=self.block(out, rows))
         return diag, total
 
     def _packed_add(self, out: np.ndarray, col_suffix: np.ndarray, atom_terms: list) -> None:
-        """The rest of the packed :meth:`expect_over_arrival`, in place: the
+        """The rest of the stored :meth:`expect_over_arrival`, in place: the
         column part int_(a, 1] T(x, a) dF(x) on each row, then each atom's
-        term on its columns, one block of rows at a time."""
-        ob_buf = np.empty((self.row_blocks[0].stop, self.grid.size)) if atom_terms else None
-        for rows, stop, on_tri in self.triangle_blocks():
-            cells = out[self.span(rows)]
-            if not atom_terms:
-                cells += np.repeat(col_suffix[rows], np.arange(rows.start + 1, stop + 1))
-                continue
-            ob = ob_buf[: stop - rows.start, :stop]
-            ob[on_tri] = cells
+        term on its columns, one block at a time."""
+        for rows in self.row_blocks:
+            ob = self.block(out, rows)
             ob += col_suffix[rows, None]
             for u, x_stop in atom_terms:
                 ob[:, :x_stop] += u[rows, None]
-            cells[...] = ob[on_tri]
 
     def _row_pass(self, T: np.ndarray, index: np.ndarray, m: int, out: np.ndarray) -> None:
         """The atomless part of :meth:`expect_over_arrival` on the first ``m``
         columns, for the rows ``index`` of a mirrored table held in T."""
         block = self.row_blocks[0].stop
-        crow_buf = np.empty((block, self.grid.size))
-        cell_buf = np.empty((block, self.grid.size - 1))
+        crow_buf, cell_buf = np.empty((2, block, self.grid.size))
         for r0 in range(0, len(T), block):
             rows = slice(r0, r0 + block)
             Tb, ob = T[rows], out[rows]
-            # crow[i, j] = int_0^(g_j) T(a_i, x) dF(x), the running sum of row i's cells
-            crow, right = crow_buf[: len(Tb)], cell_buf[: len(Tb)]
-            crow[:, 0] = 0.0
-            np.multiply(Tb[:, :-1], self.rho, out=crow[:, 1:])
-            np.multiply(Tb[:, 1:], self.phi, out=right)
-            crow[:, 1:] += right
-            np.cumsum(crow[:, 1:], axis=1, out=crow[:, 1:])
+            crow, cells = crow_buf[: len(Tb)], cell_buf[: len(Tb)]
+            self._running_sums(Tb, crow, cells)
             diag = crow[np.arange(len(Tb)), index[rows]]
             # int_(a, 1] T(x, a) dF(x): the column pass, read off the transpose
             col_suffix = crow[:, -1] - diag
@@ -439,8 +453,10 @@ class TriangleContext(GridLine):
 class StageTables:
     """Grid tables with k arrivals to come.
 
-    Stored for k >= 1, each once as its packed lower triangle (G(G + 1)/2
-    values, entry (i, j <= i) at i(i + 1)/2 + j): the both-pass continuations
+    Stored for k >= 1, each once as a stored triangle of
+    :class:`TriangleContext` (entry (i, j <= i) at ``row_starts[i] + j``, each
+    block of ``row_blocks`` a rectangle whose cells b > a are padding): the
+    both-pass continuations
     ``dminus`` = E_X[low_{k-1}] and ``dplus`` = E_X[high_{k-1}], one array at
     k = 1, where both are the expectation of the even split.  c_k(b) is cached
     by ``ctx.lone_values``.  Nothing is stored at k = 0.
@@ -464,20 +480,18 @@ class StageTables:
         return self.ctx.mirrored(self._values(best=True))
 
     def _values(self, best: bool, out: np.ndarray | None = None) -> np.ndarray:
-        """The worst (best) values as a packed triangle, written into ``out``
-        (a new triangle by default) and returned: the stage rule on each block
-        of :meth:`TriangleContext.triangle_blocks`."""
+        """The worst (best) values as a stored triangle, written into ``out``
+        (a new triangle by default) and returned: the stage rule on each whole
+        block of :meth:`TriangleContext.triangle_blocks`."""
         ctx = self.ctx
         if self.k == 0:
             return ctx.even_split(out)
-        G = ctx.grid.size
         if out is None:
-            out = np.empty(G * (G + 1) // 2)
+            out = np.empty(ctx.stored_size)
         d = self.dplus if best else self.dminus
         c = ctx.lone_values(self.k)
-        for rows, stop, on_tri in ctx.triangle_blocks():
-            block = stage_value(ctx.g[rows, None], c[None, :stop], ctx.unpacked(d, rows, on_tri), best)
-            out[ctx.span(rows)] = block[on_tri]
+        for rows, stop, _ in ctx.triangle_blocks():
+            ctx.block(out, rows)[...] = stage_value(ctx.g[rows, None], c[None, :stop], ctx.block(d, rows), best)
         return out
 
 
@@ -488,7 +502,7 @@ def grid_tables(
     dist: ValueDistribution, n: int, grid: GridConfig
 ) -> tuple[TriangleContext, list[StageTables]]:
     """Value tables for k = 0..n, cached per (dist, grid).  Each stage is
-    built in one packed work triangle: the previous stage's values, then their
+    built in one stored work triangle: the previous stage's values, then their
     expectation over the arrival in place, checked and copied.  At k = 1 the
     worst and best values are both the even split, so d-_1 is d+_1 and is
     built once."""
@@ -497,7 +511,7 @@ def grid_tables(
         ctx = TriangleContext(dist, grid)
         _TABLE_CACHE[key] = (ctx, [StageTables(ctx, 0)])
     ctx, tables = _TABLE_CACHE[key]
-    work = np.empty(grid.size * (grid.size + 1) // 2) if len(tables) <= n else None
+    work = np.empty(ctx.stored_size) if len(tables) <= n else None
     while len(tables) <= n:
         k = len(tables)
         continuations = []
@@ -513,11 +527,11 @@ def grid_tables(
 def _check_pass_dominance(ctx: TriangleContext, k: int, d: np.ndarray) -> None:
     """Whenever the rival's lone value c is at least a, passing must be worth
     at least a too (the structural inequality behind the stage cases) on the
-    packed triangle d, block by block."""
+    stored triangle d, block by block, its padding masked off."""
     c = ctx.lone_values(k)
     for rows, stop, on_tri in ctx.triangle_blocks():
         a = ctx.g[rows, None]
-        block = ctx.unpacked(d, rows, on_tri)
+        block = ctx.block(d, rows)
         bad = (c[None, :stop] - a >= -BRANCH_TOL) & (block < a - PASS_DOMINANCE_SLACK)
         bad &= on_tri
         if np.any(bad):

@@ -204,7 +204,7 @@ def _oracle_no_recall(ats, n: int, budget: int):
             options: set[Pair] = set()
             for dd, ee in level:
                 game = StageGameNR(x, cs[k], dd, ee)
-                outcome = solve_nr_stage(game, tol=0)
+                outcome = solve_nr_stage(game)
                 verify_outcome(payoff_matrix_nr(game), outcome, slack=0)
                 continuum = continuum or outcome.has_continuum
                 options.update(outcome.payoffs)
@@ -239,7 +239,7 @@ def _oracle_full_recall(ats, n: int, budget: int):
         scale, conts = _expectations(ats, per_atom, budget)
         for d, _ in conts:
             game = StageGameFR(a, c, Fraction(d, scale))
-            outcome = solve_fr_stage(game, tol=0)
+            outcome = solve_fr_stage(game)
             verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
             continuum = continuum or outcome.has_continuum
             result.update(outcome.payoffs)

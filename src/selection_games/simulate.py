@@ -407,9 +407,10 @@ def best_response_gap(
 
     With recall, the states are the grid nodes (a, b) of the triangle
     b <= a, walked by :meth:`TriangleContext.triangle_blocks`, and every
-    stage but the first updates one packed lower triangle of G(G + 1)/2
-    values, the best reply's, with its expectation written over it and the
-    stage rule applied to each block in a block buffer.
+    stage but the first updates one stored triangle of the context, the best
+    reply's, with its expectation written over it and the stage rule applied
+    to each block in place, padding included; the padding cells b > a are
+    masked off where the two replies are compared.
     The first arrival always finds the state (X_1, 0), so the last backward
     stage (t = 1) computes only the column b = 0: E_X[v_2(a v X, med[a, 0, X])]
     as a G-vector, and the bid rules and the stage rule once on (a, 0).  Its
@@ -484,7 +485,7 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
     g = ctx.g
     A = g[:, None]
     B = g[None, :]
-    # v holds the best reply's values, packed.  The equilibrium reply's table
+    # v holds the best reply's values, stored.  The equilibrium reply's table
     # equals v except on the rows `diff`, which `eq` keeps whole, one mirrored
     # row each; both start at the even split at t = n, so `diff` starts empty
     v = ctx.even_split() if n > 1 else (g + g[0]) / 2.0
@@ -493,6 +494,9 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
     parted = []
     for t in range(n - 1, 0, -1):
         k = n - t
+        # the previous stage's parted rows, read into `eq`, go before the
+        # expectations allocate
+        parted = []
         # the first arrival finds b = 0, so stage t = 1 needs that column alone
         cols = 1 if t == 1 else None
         # continuation values E_X[v(a v X, med[a, b, X])], v's over v itself
@@ -505,21 +509,18 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
         ck = ctx.lone_values(k)[None, :]
         # the rows where the reply's values on the triangle part from v's,
         # with those values, and the rows where its mirrored table does
-        parted = []
         in_diff = np.zeros(grid_size, dtype=bool)
         for rows, stop, on_tri in ctx.triangle_blocks(cols):
             a, b = A[rows], B[:, :stop]
             shape = (len(a), stop)
             q = _bid_prob(opponent, t, k, a, b, shape)
             p = q if reply is opponent else _bid_prob(reply, t, k, a, b, shape)
-            # the block's cells of v: at t = 1 the column itself, else unpacked
-            w_br = v[:, None] if cols else ctx.unpacked(v, rows, on_tri)
+            # the block of v, a view: at t = 1 the column itself
+            w_br = v[:, None] if cols else ctx.block(v, rows)
             w_eq = w_br.copy()
             lo, hi = np.searchsorted(diff, (rows.start, rows.stop))
             w_eq[diff[lo:hi] - rows.start] = eq[lo:hi, :stop]
             _br_stage(a, ck[:, :stop], q, p, w_br, w_eq, p is q)
-            if not cols:
-                v[ctx.span(rows)] = w_br[on_tri]
             # compared bit for bit, on the triangle
             apart = w_eq.view(np.int64) != w_br.view(np.int64)
             apart &= on_tri
@@ -541,7 +542,7 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
 
 def _reply_rows(ctx, v, parted, in_diff):
     """The rows ``diff`` kept of the reply's mirrored table, and those rows,
-    built from the packed v and the reply's parted rows on the triangle.  On a
+    built from the stored v and the reply's parted rows on the triangle.  On a
     law with atoms every row is kept once any row parts."""
     diff = np.arange(ctx.grid.size) if ctx.atoms and in_diff.any() else np.flatnonzero(in_diff)
     eq = ctx.mirrored(v, diff)

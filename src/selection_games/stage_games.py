@@ -11,8 +11,8 @@ where c is the lone-player continuation value of the rival of a successful
 bidder and (d, e) are the continuation payoffs when both pass.  With recall
 the continuation payoffs are symmetric (d = e); without recall they need
 not be.  The solvers below enumerate every Nash equilibrium payoff of the
-matrix, classified case by case, and work unchanged over floats or exact
-``fractions.Fraction`` values (pass ``tol=0`` for exact arithmetic).
+matrix, classified case by case, comparing exactly, and work unchanged over
+floats or exact ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -24,20 +24,13 @@ import numpy as np
 
 from .errors import InconsistencyError
 
-DEFAULT_TOL = 1e-12
-
 #: bid probability pairs for the two pure profiles
 _BID_BID = (1, 1)
 _PASS_PASS = (0, 0)
 
 
-def _cmp(x, y, tol):
-    diff = x - y
-    if diff > tol:
-        return 1
-    if diff < -tol:
-        return -1
-    return 0
+def _cmp(x, y):
+    return int(x > y) - int(x < y)
 
 
 def _half(x):
@@ -75,13 +68,11 @@ class Equilibrium:
 class StageGameOutcome:
     """All Nash equilibrium payoffs of a stage game.
 
-    ``case_tag`` identifies which parameter-ordering case fired.  When a
-    case admits a continuum of equilibrium payoffs, only the continuum's
-    endpoint payoffs are listed and ``has_continuum`` is set (the interior
-    never feeds the recursions, which only consume extremes).
+    When a case admits a continuum of equilibrium payoffs, only the
+    continuum's endpoint payoffs are listed and ``has_continuum`` is set (the
+    interior never feeds the recursions, which only consume extremes).
     """
 
-    case_tag: str
     equilibria: tuple[Equilibrium, ...]
     has_continuum: bool = False
 
@@ -121,7 +112,7 @@ def stage_value(a, c, d, best: bool):
 # -- full recall -------------------------------------------------------------
 
 
-def solve_fr_stage(g: StageGameFR, tol=DEFAULT_TOL) -> StageGameOutcome:
+def solve_fr_stage(g: StageGameFR) -> StageGameOutcome:
     """Enumerate the NE payoffs of the symmetric-continuation stage game.
 
     Cases: (a) a > max(c, d): bid/bid forced; (b) d > a > c: two pure
@@ -130,40 +121,33 @@ def solve_fr_stage(g: StageGameFR, tol=DEFAULT_TOL) -> StageGameOutcome:
     (e) a = c = d: every profile, single payoff (d, d).
     """
     a, c, d = g.a, g.c, g.d
-    ac, ad = _cmp(a, c, tol), _cmp(a, d, tol)
+    ac, ad = _cmp(a, c), _cmp(a, d)
     half = _half(a + c)
     if ac <= 0 and ad > 0:
         raise InconsistencyError(
             f"stage game inconsistent with pass-dominance: c={c} >= a={a} but d={d} < a"
         )
     if ac < 0:
-        return StageGameOutcome("fr:c", (Equilibrium((d, d), _PASS_PASS),))
+        return StageGameOutcome((Equilibrium((d, d), _PASS_PASS),))
     if ac == 0:
         if ad == 0:
-            return StageGameOutcome("fr:e", (Equilibrium((d, d), _BID_BID),))
+            return StageGameOutcome((Equilibrium((d, d), _BID_BID),))
         # d > a = c
-        return StageGameOutcome(
-            "fr:d",
-            (Equilibrium((half, half), _BID_BID), Equilibrium((d, d), _PASS_PASS)),
-        )
+        return StageGameOutcome((Equilibrium((half, half), _BID_BID), Equilibrium((d, d), _PASS_PASS)))
     # a > c from here on
     if ad > 0:
-        return StageGameOutcome("fr:a", (Equilibrium((half, half), _BID_BID),))
+        return StageGameOutcome((Equilibrium((half, half), _BID_BID),))
     if ad == 0:
-        return StageGameOutcome(
-            "fr:d",
-            (Equilibrium((half, half), _BID_BID), Equilibrium((d, d), _PASS_PASS)),
-        )
+        return StageGameOutcome((Equilibrium((half, half), _BID_BID), Equilibrium((d, d), _PASS_PASS)))
     # d > a > c: symmetric mixed equilibrium alongside the two pure ones
     p = 2 * (d - a) / (2 * d - a - c)
     mixed = (d * c - 2 * a * c + a * d) / (2 * d - a - c)
     return StageGameOutcome(
-        "fr:b",
         (
             Equilibrium((half, half), _BID_BID),
             Equilibrium((d, d), _PASS_PASS),
             Equilibrium((mixed, mixed), (p, p)),
-        ),
+        )
     )
 
 
@@ -182,47 +166,45 @@ def _mix_prob(a, c, cont):
     return 2 * (a - cont) / (a + c - 2 * cont)
 
 
-def solve_nr_stage(g: StageGameNR, tol=DEFAULT_TOL) -> StageGameOutcome:
+def solve_nr_stage(g: StageGameNR) -> StageGameOutcome:
     """Enumerate NE payoffs of the asymmetric-continuation stage game.
 
     Eleven cases depending on the ordering of a against c and the
     continuation pair (d, e); continuum cases report endpoint payoffs only.
     """
     a, c, d, e = g.a, g.c, g.d, g.e
-    if _cmp(d, c, tol) > 0 or _cmp(e, c, tol) > 0:
+    if d > c or e > c:
         raise InconsistencyError(
             f"no-recall continuation exceeds lone-player value: d={d}, e={e}, c={c}"
         )
-    ac = _cmp(a, c, tol)
+    ac = _cmp(a, c)
     half = _half(a + c)
     if ac > 0:
-        return StageGameOutcome("nr:a", (Equilibrium((half, half), _BID_BID),))
+        return StageGameOutcome((Equilibrium((half, half), _BID_BID),))
     if ac == 0:
-        return StageGameOutcome("nr:b", (Equilibrium((c, c), _BID_BID),))
-    ad, ae = _cmp(a, d, tol), _cmp(a, e, tol)
+        return StageGameOutcome((Equilibrium((c, c), _BID_BID),))
+    ad, ae = _cmp(a, d), _cmp(a, e)
     if ad > 0 and ae > 0:
         # interior: two asymmetric pure equilibria and a mixed one
         g1, g2 = _gamma(a, c, d), _gamma(a, c, e)
         p1, p2 = _mix_prob(a, c, e), _mix_prob(a, c, d)
         return StageGameOutcome(
-            "nr:c",
             (
                 Equilibrium((a, c), (1, 0)),
                 Equilibrium((c, a), (0, 1)),
                 Equilibrium((g1, g2), (p1, p2)),
-            ),
+            )
         )
     if ad < 0 and ae < 0:
-        return StageGameOutcome("nr:g", (Equilibrium((d, e), _PASS_PASS),))
+        return StageGameOutcome((Equilibrium((d, e), _PASS_PASS),))
     if ad < 0 and ae > 0:
-        return StageGameOutcome("nr:h", (Equilibrium((c, a), (0, 1)),))
+        return StageGameOutcome((Equilibrium((c, a), (0, 1)),))
     if ad > 0 and ae < 0:
-        return StageGameOutcome("nr:i", (Equilibrium((a, c), (1, 0)),))
+        return StageGameOutcome((Equilibrium((a, c), (1, 0)),))
     if ad == 0 and ae > 0:
         # a = d > e: player 2 passes, player 1 mixes over [pi*, 1]
         g2 = _gamma(a, c, e)
         return StageGameOutcome(
-            "nr:d",
             (
                 Equilibrium((c, a), (0, 1)),
                 Equilibrium((a, g2), (_mix_prob(a, c, e), 0)),
@@ -233,7 +215,6 @@ def solve_nr_stage(g: StageGameNR, tol=DEFAULT_TOL) -> StageGameOutcome:
     if ae == 0 and ad > 0:
         g1 = _gamma(a, c, d)
         return StageGameOutcome(
-            "nr:e",
             (
                 Equilibrium((a, c), (1, 0)),
                 Equilibrium((g1, a), (0, _mix_prob(a, c, d))),
@@ -243,7 +224,6 @@ def solve_nr_stage(g: StageGameNR, tol=DEFAULT_TOL) -> StageGameOutcome:
         )
     if ad == 0 and ae == 0:
         return StageGameOutcome(
-            "nr:f",
             (
                 Equilibrium((a, a), _PASS_PASS),
                 Equilibrium((a, c), (1, 0)),
@@ -254,15 +234,11 @@ def solve_nr_stage(g: StageGameNR, tol=DEFAULT_TOL) -> StageGameOutcome:
     if ad < 0 and ae == 0:
         # d > a = e: both-pass plus a continuum (lambda, a), lambda in [d, c]
         return StageGameOutcome(
-            "nr:j",
-            (Equilibrium((d, e), _PASS_PASS), Equilibrium((c, a), (0, 1))),
-            has_continuum=True,
+            (Equilibrium((d, e), _PASS_PASS), Equilibrium((c, a), (0, 1))), has_continuum=True
         )
     # e > a = d
     return StageGameOutcome(
-        "nr:k",
-        (Equilibrium((d, e), _PASS_PASS), Equilibrium((a, c), (1, 0))),
-        has_continuum=True,
+        (Equilibrium((d, e), _PASS_PASS), Equilibrium((a, c), (1, 0))), has_continuum=True
     )
 
 

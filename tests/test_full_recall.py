@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import stored_triangle, triangle_cells
 from test_distributions import EPS, LAWS, _panti, _peval
 
 from selection_games import distributions as D
@@ -162,7 +163,7 @@ def test_lower_bound_via_lone_player_value():
             c_k = prophet_values(law, k)[k]
             cap = law.expect_order_max_with(k, 0.0)
             mask = g <= cap
-            dmin = tables[k].dminus[ctx.row_starts]  # the column b = 0 of the packed triangle
+            dmin = tables[k].dminus[ctx.row_starts]  # the column b = 0 of the stored triangle
             assert np.all(dmin[mask] >= (g[mask] + c_k) / 2 - 1e-9)
 
 
@@ -178,18 +179,20 @@ def test_stage_cache_keeps_only_continuations(law):
     ctx, tables = FR.grid_tables(law, n, FR.GridConfig(size=G))
     assert FR._TABLE_CACHE[key][1] is tables
     # what the cache entry holds: dminus and dplus per stage k >= 1, each a
-    # packed lower triangle, and no G x G table, in the stages or the context
+    # stored triangle, and no G x G table, in the stages or the context
     held = list(vars(ctx).values())
     for stage in tables:
         held += [getattr(stage, f.name) for f in dataclasses.fields(stage)]
     arrays = [v for v in held if isinstance(v, np.ndarray)]
-    tri = [v for v in arrays if v.shape == (G * (G + 1) // 2,) and v.dtype == np.float64]
+    tri = [v for v in arrays if v.shape == (ctx.stored_size,) and v.dtype == np.float64]
     assert len(tri) == 2 * n
     # at k = 1 both continuations are the even split's expectation: one array
     assert tables[1].dminus is tables[1].dplus
     distinct = {id(v): v for v in tri}
     assert len(distinct) == 2 * n - 1
-    assert sum(v.nbytes for v in distinct.values()) == (2 * n - 1) * 8 * G * (G + 1) // 2
+    assert sum(v.nbytes for v in distinct.values()) == (2 * n - 1) * 8 * ctx.stored_size
+    # each holds the G(G + 1)/2 cells b <= a, and padding
+    assert all(triangle_cells(ctx, v).shape == (G * (G + 1) // 2,) for v in tri)
     assert [st.dminus is None and st.dplus is None for st in tables] == [True] + [False] * n
     # every other float array is a grid line, and the one mask of the
     # triangle blocks is a block of rows: no (G, G) table is held
@@ -203,15 +206,14 @@ def test_stage_cache_keeps_only_continuations(law):
     even = np.add.outer(ctx.g, ctx.g) / 2.0  # mirrored as it stands: a + b rounds as b + a does
     assert np.array_equal(tables[0].low, even) and np.array_equal(tables[0].high, even)
     a_col = ctx.g[:, None]
-    lower = np.tril_indices(G)
     for k in range(1, n + 1):
         st = tables[k]
         cb = ctx.lone_values(k)[None, :]
         dminus, dplus = ctx.mirrored(st.dminus), ctx.mirrored(st.dplus)
-        low = ctx.mirrored(np.where(a_col >= cb, (a_col + cb) / 2.0, dminus)[lower])
+        low = ctx.mirrored(stored_triangle(ctx, np.where(a_col >= cb, (a_col + cb) / 2.0, dminus)))
         high = np.where((a_col > cb) & (a_col > dplus), (a_col + cb) / 2.0, dplus)
         assert np.array_equal(st.low, low)
-        assert np.array_equal(st.high, ctx.mirrored(high[lower]))
+        assert np.array_equal(st.high, ctx.mirrored(stored_triangle(ctx, high)))
         b = FR.band(law, k, FR.GridConfig(size=G))
         assert b.low == st.low[0, 0] and b.high == st.high[0, 0]
         assert FR.lh_values(law, k, 0.0, 0.0, FR.GridConfig(size=G)) == (b.low, b.high)
@@ -230,9 +232,9 @@ def test_bilinear_reads_packed_triangle_as_mirrored_table(law, rng):
     ys = np.concatenate([y, cell[:, 1], g, g[:-1], edge, np.zeros_like(edge)])
     assert np.all(xs >= ys)
     for st in tables[1:]:
-        for packed in (st.dminus, st.dplus):
-            want = ctx.bilinear(ctx.mirrored(packed), xs, ys)
-            assert np.array_equal(ctx.bilinear(packed, xs, ys), want)
+        for stored in (st.dminus, st.dplus):
+            want = ctx.bilinear(ctx.mirrored(stored), xs, ys)
+            assert np.array_equal(ctx.bilinear(stored, xs, ys), want)
 
 
 @pytest.mark.parametrize("G, spans", [(201, [(163, 201), (0, 163)]), (57, [(0, 57)])])
@@ -262,9 +264,9 @@ def test_pass_dominance_check_active():
 def test_pass_dominance_check_reads_the_triangle_only():
     ctx = FR.TriangleContext(D.uniform(), FR.GridConfig(size=201))
     assert [rows.stop for rows in ctx.row_blocks] == [163, 201]
-    # passing is worth 1 >= a everywhere on the packed triangle; the cells
-    # b > a of the diagonal tiles, zero in the check's block, are no states
-    d = np.ones(201 * 202 // 2)
+    # passing is worth 1 >= a everywhere on the triangle; its padding cells
+    # b > a of the diagonal tiles, zero here, are no states
+    d = stored_triangle(ctx, np.ones((201, 201)))
     FR._check_pass_dominance(ctx, 1, d)
     # a = 0.9 <= c_1(0.895) = 0.9005 on the second block's diagonal tile
     d[ctx.row_starts[180] + 179] = 0.5
@@ -314,7 +316,7 @@ def test_atom_path_matches_dense_reference(law, rng):
     ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
     assert 0.25 in ctx.g  # one atom sits exactly on a grid node
     for _ in range(3):
-        T = ctx.mirrored(rng.random((201, 201))[np.tril_indices(201)])
+        T = ctx.mirrored(stored_triangle(ctx, rng.random((201, 201))))
         np.testing.assert_allclose(
             ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T), rtol=0, atol=1e-12
         )
@@ -325,7 +327,7 @@ def test_atomless_expectation_unchanged(rng):
         # 201 rows make two row blocks of unequal height
         ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
         assert len(ctx.row_blocks) == 2
-        T = ctx.mirrored(rng.random((201, 201))[np.tril_indices(201)])
+        T = ctx.mirrored(stored_triangle(ctx, rng.random((201, 201))))
         assert np.array_equal(ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T))
 
 
@@ -338,7 +340,7 @@ def test_leading_columns_match_full_table(law, rng):
     # atoms at 0 (never added to a column), on a node, inside and at 1
     ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
     assert len(ctx.row_blocks) == 2  # of unequal height
-    T = ctx.mirrored(rng.random((201, 201))[np.tril_indices(201)])
+    T = ctx.mirrored(stored_triangle(ctx, rng.random((201, 201))))
     full = ctx.expect_over_arrival(T)
     # rows on both blocks and at both ends, every row, and no row
     subsets = [np.array([0, 1, 99, 100, 101, 150, 199, 200]), np.arange(201), np.arange(0)]
@@ -373,26 +375,73 @@ def test_packed_expectation_matches_mirrored_table(law, rng):
     assert len(ctx.row_blocks) == 2  # of unequal height
     lower = np.tril_indices(201)
     for _ in range(2):
-        packed = rng.random(201 * 202 // 2)
-        T = ctx.mirrored(packed)
-        assert np.array_equal(T, T.T) and np.array_equal(T[lower], packed)
+        cells = rng.random(201 * 202 // 2)
+        stored = stored_triangle(ctx, cells)
+        T = ctx.mirrored(stored)
+        assert np.array_equal(T, T.T) and np.array_equal(T[lower], cells)
         rows = np.array([0, 1, 99, 162, 163, 200])
-        assert np.array_equal(ctx.mirrored(packed, rows), T[rows])
+        assert np.array_equal(ctx.mirrored(stored, rows), T[rows])
         full = ctx.expect_over_arrival(T)
-        # the packed result is the mirrored one's lower triangle, bit for bit
-        got = ctx.expect_over_arrival(packed)
-        assert got.shape == packed.shape and np.array_equal(got, full[lower])
-        inplace = packed.copy()
+        # the stored result's cells are the mirrored one's lower triangle, bit for bit
+        got = ctx.expect_over_arrival(stored)
+        assert got.shape == stored.shape and np.array_equal(triangle_cells(ctx, got), full[lower])
+        inplace = stored.copy()
         assert ctx.expect_over_arrival(inplace, out=inplace) is inplace
-        assert np.array_equal(inplace, full[lower])
+        assert np.array_equal(triangle_cells(ctx, inplace), full[lower])
         # cols == 1: the column b = 0 as a G-vector
-        column = ctx.expect_over_arrival(packed, 1)
+        column = ctx.expect_over_arrival(stored, 1)
         assert column.shape == (201,) and np.array_equal(column, ctx.expect_over_arrival(T, 1)[:, 0])
         assert np.array_equal(column, full[:, 0])
         out = np.empty(201)
-        assert ctx.expect_over_arrival(packed, 1, out=out) is out and np.array_equal(out, column)
+        assert ctx.expect_over_arrival(stored, 1, out=out) is out and np.array_equal(out, column)
     with pytest.raises(SpecValidationError):
-        ctx.expect_over_arrival(packed, 2)
+        ctx.expect_over_arrival(stored, 2)
+    # a packed triangle of G(G + 1)/2 values is no stored triangle: refused
+    for read in (ctx.expect_over_arrival, ctx.mirrored, lambda P: ctx.bilinear(P, 0.5, 0.25)):
+        with pytest.raises(SpecValidationError, match="stored triangle"):
+            read(cells)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [D.uniform(), beta_distribution(2, 2), tightness_family(0.1, 0.05)],
+    ids=["uniform", "beta22", "tightness"],
+)
+def test_padding_is_inert(law):
+    # every reader of a stored triangle gives the same cells with NaN padding
+    # as with zero padding, bit for bit, and no NaN
+    ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
+    assert len(ctx.row_blocks) == 2  # of unequal height
+    rng = np.random.default_rng(21)
+    T = rng.random((201, 201))
+    zero, nan = stored_triangle(ctx, T), stored_triangle(ctx, T, pad=np.nan)
+
+    def same(read, cells=lambda v: v):
+        want, got = cells(read(zero.copy())), cells(read(nan.copy()))
+        assert np.array_equal(got, want) and not np.isnan(got).any()
+
+    same(lambda P: ctx.expect_over_arrival(P, out=P), lambda P: triangle_cells(ctx, P))
+    same(lambda P: ctx.expect_over_arrival(P, 1))
+    g, h = ctx.g, ctx.h
+    # inside every diagonal cell and on the diagonal, where the square form
+    # reads a padding corner
+    x, y = (g[:-1, None] + h * np.sort(rng.random((200, 2)), axis=1)[:, ::-1]).T
+    same(lambda P: ctx.bilinear(P, x, y))
+    same(lambda P: ctx.bilinear(P, x, x))
+    same(ctx.mirrored)
+    for best in (False, True):
+        same(lambda P: FR.StageTables(ctx, 2, P, P)._values(best), lambda P: triangle_cells(ctx, P))
+
+    def dominance(d):
+        try:
+            FR._check_pass_dominance(ctx, 1, d)
+        except InconsistencyError as exc:
+            return str(exc)
+        return None
+
+    ones = stored_triangle(ctx, np.ones((201, 201)), pad=np.nan)
+    assert dominance(ones) is None
+    assert dominance(nan) is not None and dominance(nan) == dominance(zero)
 
 
 def test_mirror_copies_lower_triangle(rng):
@@ -401,7 +450,7 @@ def test_mirror_copies_lower_triangle(rng):
     want = T.copy()
     iu = np.triu_indices(57, 1)
     want[iu] = want.T[iu]
-    assert np.array_equal(ctx.mirrored(T[np.tril_indices(57)]), want)
+    assert np.array_equal(ctx.mirrored(stored_triangle(ctx, T)), want)
 
 
 def test_unit_mass_on_two_point_grid():
@@ -502,14 +551,14 @@ def test_grid_memory_guard_refuses_huge_grid_without_allocating():
 
 @pytest.mark.parametrize(
     "law, measured",
-    [(D.uniform(), 0.8085), (tightness_family(0.1, 0.05), 0.8138)],
+    [(D.uniform(), 0.6722), (tightness_family(0.1, 0.05), 0.6780)],
     ids=["uniform", "tightness"],
 )
 def test_grid_stage_peak_is_one_work_table(law, measured):
-    # building stage 2 from stage 1 allocates, beyond the two packed triangles
-    # it keeps, one packed work triangle (half a G x G table) and the block
-    # buffers, 0.2 G x G tables each at G = 401: `measured` G x G tables, as
-    # measured (1.0622 and 1.0672 with a G x G work table)
+    # building stage 2 from stage 1 allocates, beyond the two stored
+    # triangles it keeps, one stored work triangle (0.6 G x G table at
+    # G = 401, its padding included) and the block temporaries: `measured`
+    # G x G tables, as measured (1.0622 and 1.0672 with a G x G work table)
     G = 401
     grid = FR.GridConfig(size=G)
     FR._TABLE_CACHE.pop((law.cache_key(), G), None)

@@ -153,7 +153,7 @@ def _reference_no_recall(ats, n):
             options = set()
             for dd, ee in level:
                 game = StageGameNR(x, cs[k], dd, ee)
-                outcome = solve_nr_stage(game, tol=0)
+                outcome = solve_nr_stage(game)
                 verify_outcome(payoff_matrix_nr(game), outcome, slack=0)
                 continuum = continuum or outcome.has_continuum
                 options.update(eq.payoff for eq in outcome.equilibria)
@@ -183,7 +183,7 @@ def _reference_full_recall(ats, n):
         result = set()
         for d in conts:
             game = StageGameFR(a, c, d)
-            outcome = solve_fr_stage(game, tol=0)
+            outcome = solve_fr_stage(game)
             verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
             continuum = continuum or outcome.has_continuum
             result.update(eq.payoff[0] for eq in outcome.equilibria)

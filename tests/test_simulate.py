@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import stored_triangle, triangle_cells
 
 from selection_games import distributions as D
 from selection_games import simulate as S
@@ -133,21 +134,22 @@ def test_full_recall_gap_memory_peak():
     # the profiles read grid tables at the default grid; build them first
     S.spe_strategy(D.uniform(), 4, "full_recall", "best")
     worst = S.spe_strategy(D.uniform(), 4, "full_recall", "worst").player1
-    # the best reply's packed triangle, the equilibrium reply's few differing
-    # rows and the block temporaries of the bid rule, 0.05 table each at
-    # G = 801 (1.03 tables measured; 1.47 with a mirrored G x G table)
+    # the best reply's stored triangle (0.53 table at G = 801), the
+    # equilibrium reply's few differing rows and the block temporaries of the
+    # bid rule, 0.05 table each (1.00 tables measured; 1.47 with a mirrored
+    # G x G table)
     assert _traced_peak(lambda: S.spe_gap(D.uniform(), 4, "full_recall", "best", grid_size=801)) <= 1.03 * table
     # a reply that parts from the best one on every row keeps them all
-    # (2.24 tables measured; 2.66 with a mirrored G x G table)
+    # (2.13 tables measured; 2.66 with a mirrored G x G table)
     never = lambda: S.best_response_gap(D.uniform(), 4, "full_recall", worst, S.never_bid(), 801)  # noqa: E731
     assert _traced_peak(never) <= 2.24 * table
 
 
 @pytest.mark.parametrize("law", [D.uniform(), beta_distribution(2, 2)], ids=["uniform", "beta22"])
 def test_full_recall_gap_allocates_no_square_table(law):
-    # on an atomless law, an equilibrium profile's DP holds the packed
+    # on an atomless law, an equilibrium profile's DP holds the stored
     # triangle and block temporaries: its traced peak stays under one (G, G)
-    # float64 table, which therefore was never allocated (0.56 to 0.68 of one
+    # float64 table, which therefore was never allocated (0.55 to 0.68 of one
     # measured at G = 2001)
     G = 2001
     for which in ("best", "worst"):
@@ -165,7 +167,6 @@ def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
     B = g[None, :]
     shape = (grid_size, grid_size)
     v_br = v_eq = np.add.outer(g, g) / 2.0
-    lower = np.tril_indices(grid_size)
     for t in range(n - 1, 0, -1):
         k = n - t
         q = S._bid_prob(opponent, t, k, A, B, shape)
@@ -176,7 +177,7 @@ def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
         ck = ctx.lone_values(k)[None, :]
         for rows in ctx.row_blocks:
             S._br_stage(A[rows], ck, q[rows], p[rows], v_br[rows], v_eq[rows], p is q)
-        v_br, v_eq = ctx.mirrored(v_br[lower]), ctx.mirrored(v_eq[lower])
+        v_br, v_eq = (ctx.mirrored(stored_triangle(ctx, v)) for v in (v_br, v_eq))
     return float(ctx.expect(v_br[:, 0]) - ctx.expect(v_eq[:, 0]))
 
 
@@ -221,7 +222,8 @@ def test_full_recall_dp_matches_dense_reference(case, n):
         assert got > 1e-3  # the gap depends on every stage's bid table
 
 
-#: sha256 of the packed d-_k and d+_k triangles for k = 1..5 at G = 201, in
+#: sha256 of the cells of the d-_k and d+_k triangles, row after row
+#: (:func:`conftest.triangle_cells`), for k = 1..5 at G = 201, in
 #: that order, and repr of the criterion-8 gaps of the DP cases at n = 4 and
 #: G = 201, recorded before the grid engine and the DP shared one block sweep
 TRIANGLE_DIGESTS = {
@@ -242,11 +244,11 @@ DP_GAP_REPRS = {
 def test_grid_triangles_and_dp_gaps_pinned():
     laws = {"uniform": D.uniform(), "beta22": beta_distribution(2, 2), "tightness": tightness_family(0.1, 0.05)}
     for name, law in laws.items():
-        _, tables = grid_tables(law, 5, GridConfig(size=201))
+        ctx, tables = grid_tables(law, 5, GridConfig(size=201))
         digest = hashlib.sha256()
         for st in tables[1:]:
-            digest.update(st.dminus.tobytes())
-            digest.update(st.dplus.tobytes())
+            digest.update(triangle_cells(ctx, st.dminus).tobytes())
+            digest.update(triangle_cells(ctx, st.dplus).tobytes())
         assert digest.hexdigest() == TRIANGLE_DIGESTS[name], name
     for case, (law, opponent, reply) in _dp_cases(4).items():
         assert repr(S.best_response_gap(law, 4, "full_recall", opponent, reply, 201)) == DP_GAP_REPRS[case], case

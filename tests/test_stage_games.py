@@ -58,12 +58,17 @@ def test_psi_monotone_in_continuation(a, c, d1, d2):
 exact_unit = st.fractions(0, 1, max_denominator=12)
 
 
+def _bids(out):
+    """The bid probability pair of each equilibrium, in the order reported."""
+    return [e.bid_probs for e in out.equilibria]
+
+
 @given(exact_unit, exact_unit, exact_unit)
 @example(Fr(1, 2), Fr(1, 2), Fr(3, 4))
 def test_stage_value_is_the_enumerated_extreme(a, c, d):
     # pass dominance: a lone value c >= a leaves the both-pass value >= a
     assume(not c >= a > d)
-    payoffs = [p for p, _ in solve_fr_stage(StageGameFR(a, c, d), tol=0).payoffs]
+    payoffs = [p for p, _ in solve_fr_stage(StageGameFR(a, c, d)).payoffs]
     for best, extreme in ((False, min(payoffs)), (True, max(payoffs))):
         assert stage_value(a, c, d, best=best) == extreme
         # the same rule elementwise on floats and on numpy arrays
@@ -86,28 +91,30 @@ def test_worst_profile_bids_at_the_tie():
 
 def test_fr_unique_bid_case():
     out = solve_fr_stage(StageGameFR(a=0.9, c=0.3, d=0.5))
-    assert out.case_tag == "fr:a"
+    assert _bids(out) == [(1, 1)]
     assert out.payoffs == ((0.6, 0.6),)
 
 
 def test_fr_two_point_state_example():
     # one high sample seen, one arrival to come
     out = solve_fr_stage(StageGameFR(a=2 / 3, c=7 / 12, d=5 / 8))
-    assert out.case_tag == "fr:a"
+    assert _bids(out) == [(1, 1)]
     assert out.payoffs[0][0] == pytest.approx(5 / 8, abs=1e-12)
 
 
 def test_fr_pass_case():
     out = solve_fr_stage(StageGameFR(a=0.2, c=0.5, d=0.6))
-    assert out.case_tag == "fr:c"
+    assert _bids(out) == [(0, 0)]
     assert out.payoffs == ((0.6, 0.6),)
 
 
 def test_fr_mixed_case_values():
     a, c, d = 0.5, 0.2, 0.8
     out = solve_fr_stage(StageGameFR(a, c, d))
-    assert out.case_tag == "fr:b"
-    mixed = [e for e in out.equilibria if 0 < e.bid_probs[0] < 1][0]
+    # both pure equilibria, then the symmetric mixed one
+    assert out.payoffs[:2] == (((a + c) / 2, (a + c) / 2), (d, d))
+    assert _bids(out)[:2] == [(1, 1), (0, 0)] and len(out.equilibria) == 3
+    mixed = out.equilibria[2]
     want = (d * c - 2 * a * c + a * d) / (2 * d - a - c)
     assert mixed.payoff[0] == pytest.approx(want, abs=1e-12)
     assert mixed.bid_probs[0] == pytest.approx(2 * (d - a) / (2 * d - a - c), abs=1e-12)
@@ -125,7 +132,7 @@ def test_fr_outcomes_verify_and_order(a, c, d):
     g = StageGameFR(a, c, d)
     out = solve_fr_stage(g)
     verify_outcome(payoff_matrix_fr(g), out, slack=1e-9)
-    if out.case_tag == "fr:b":
+    if len(out.equilibria) == 3:  # d > a > c: both pure and the mixed one
         lo, mid, hi = sorted(p[0] for p in out.payoffs)
         assert lo <= mid <= hi
         assert hi == pytest.approx(d)
@@ -134,7 +141,7 @@ def test_fr_outcomes_verify_and_order(a, c, d):
 
 def test_fr_exact_fractions():
     g = StageGameFR(Fr(1, 2), Fr(1, 5), Fr(4, 5))
-    out = solve_fr_stage(g, tol=0)
+    out = solve_fr_stage(g)
     verify_outcome(payoff_matrix_fr(g), out, slack=0)
     mixed = [e for e in out.equilibria if isinstance(e.bid_probs[0], Fr)][0]
     assert mixed.payoff == (Fr(2, 5), Fr(2, 5))
@@ -145,8 +152,8 @@ def test_fr_exact_fractions():
 
 def test_nr_interior_example():
     # pending value 1/3, lone value 1/2, symmetric continuation 1/4
-    out = solve_nr_stage(StageGameNR(a=Fr(1, 3), c=Fr(1, 2), d=Fr(1, 4), e=Fr(1, 4)), tol=0)
-    assert out.case_tag == "nr:c"
+    out = solve_nr_stage(StageGameNR(a=Fr(1, 3), c=Fr(1, 2), d=Fr(1, 4), e=Fr(1, 4)))
+    assert _bids(out) == [(1, 0), (0, 1), (Fr(1, 2), Fr(1, 2))]
     assert set(out.payoffs) == {
         (Fr(1, 3), Fr(1, 2)),
         (Fr(1, 2), Fr(1, 3)),
@@ -155,35 +162,40 @@ def test_nr_interior_example():
 
 
 def test_nr_forced_bid_example():
-    out = solve_nr_stage(StageGameNR(a=Fr(2, 3), c=Fr(1, 2), d=Fr(1, 4), e=Fr(1, 4)), tol=0)
-    assert out.case_tag == "nr:a"
+    out = solve_nr_stage(StageGameNR(a=Fr(2, 3), c=Fr(1, 2), d=Fr(1, 4), e=Fr(1, 4)))
+    assert _bids(out) == [(1, 1)]
     assert out.payoffs == ((Fr(7, 12), Fr(7, 12)),)
 
 
 def test_nr_forced_pass_case():
     out = solve_nr_stage(StageGameNR(a=0.1, c=0.5, d=0.3, e=0.4))
-    assert out.case_tag == "nr:g"
+    assert _bids(out) == [(0, 0)]
     assert out.payoffs == ((0.3, 0.4),)
 
 
 def test_nr_one_sided_cases():
     out = solve_nr_stage(StageGameNR(a=0.3, c=0.5, d=0.4, e=0.2))
-    assert out.case_tag == "nr:h"
+    assert _bids(out) == [(0, 1)]
     assert out.payoffs == ((0.5, 0.3),)
     out = solve_nr_stage(StageGameNR(a=0.3, c=0.5, d=0.2, e=0.4))
-    assert out.case_tag == "nr:i"
+    assert _bids(out) == [(1, 0)]
     assert out.payoffs == ((0.3, 0.5),)
 
 
 def test_nr_boundary_cases_report_endpoints():
+    # a = d > e: player 1 mixes over [pi*, 1] while player 2 passes
     out = solve_nr_stage(StageGameNR(a=0.3, c=0.5, d=0.3, e=0.1))
-    assert out.case_tag == "nr:d" and out.has_continuum
+    assert out.has_continuum
+    assert out.payoffs[::2] == ((0.5, 0.3), (0.3, 0.5)) and _bids(out)[::2] == [(0, 1), (1, 0)]
+    assert out.payoffs[1][0] == 0.3 and out.payoffs[1][1] == pytest.approx(0.11 / 0.3)
+    assert _bids(out)[1] == (pytest.approx(2 / 3), 0)
     out = solve_nr_stage(StageGameNR(a=0.3, c=0.5, d=0.3, e=0.3))
-    assert out.case_tag == "nr:f" and out.has_continuum
-    assert (0.3, 0.3) in out.payoffs
+    assert out.has_continuum
+    assert out.payoffs == ((0.3, 0.3), (0.3, 0.5), (0.5, 0.3))
+    assert _bids(out) == [(0, 0), (1, 0), (0, 1)]
     out = solve_nr_stage(StageGameNR(a=0.3, c=0.5, d=0.4, e=0.3))
-    assert out.case_tag == "nr:j"
-    assert set(out.payoffs) == {(0.4, 0.3), (0.5, 0.3)}
+    assert out.has_continuum
+    assert out.payoffs == ((0.4, 0.3), (0.5, 0.3)) and _bids(out) == [(0, 0), (0, 1)]
 
 
 def test_nr_invariant_violation_raises():
@@ -198,7 +210,7 @@ def test_nr_outcomes_verify(a, c, d, e):
     g = StageGameNR(a, c, d, e)
     out = solve_nr_stage(g)
     verify_outcome(payoff_matrix_nr(g), out, slack=1e-9)
-    if out.case_tag == "nr:c":
+    if len(out.equilibria) == 3 and not out.has_continuum:  # the interior case
         mixed = out.payoffs[-1]
         assert mixed[0] + mixed[1] <= a + c + 1e-9
 
@@ -214,7 +226,7 @@ def test_verify_outcome_checks_every_equilibrium():
     g = StageGameNR(a=Fr(1, 2), c=Fr(1, 3), d=Fr(1, 4), e=Fr(1, 4))
     half = (g.a + g.c) / 2
     for eq in (Equilibrium((g.d, g.e), (0, 0)), Equilibrium((g.a, g.a), (1, 1))):
-        outcome = StageGameOutcome("nr:a", (Equilibrium((half, half), (1, 1)), eq))
+        outcome = StageGameOutcome((Equilibrium((half, half), (1, 1)), eq))
         with pytest.raises(InconsistencyError):
             verify_outcome(payoff_matrix_nr(g), outcome, slack=0)
 
@@ -223,7 +235,7 @@ def test_payoff_extremes_feed_the_recursions():
     # interior case: min sum from the mixed point, max sum from the
     # asymmetric pure points, min single coordinate = the pending value
     a, c, d, e = Fr(1, 3), Fr(1, 2), Fr(1, 4), Fr(1, 4)
-    payoffs = solve_nr_stage(StageGameNR(a, c, d, e), tol=0).payoffs
+    payoffs = solve_nr_stage(StageGameNR(a, c, d, e)).payoffs
     sums = [p + q for p, q in payoffs]
     assert max(sums) == a + c
     assert min(min(p) for p in payoffs) == a
