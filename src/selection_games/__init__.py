@@ -25,7 +25,7 @@ from .errors import (
     SpecValidationError,
     UnsupportedDistributionError,
 )
-from .full_recall import FullRecallBand, GridConfig, band, lh_values, uniform_closed_forms
+from .full_recall import FullRecallBand, GridConfig, band, closed_forms, lh_values
 from .no_recall import (
     NoRecallSummary,
     no_recall_sequence,

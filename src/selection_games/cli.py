@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import efficiency as eff
 from . import oracle as orc
 from . import simulate as sim
-from .distributions import ValueDistribution, parse_spec
+from .distributions import ValueDistribution, parse_number, parse_spec
 from .errors import ResourceBudgetError, SelectionGamesError, SpecValidationError
 from .full_recall import GridConfig, band
 from .no_recall import no_recall_sequence
@@ -38,7 +38,7 @@ from .prophet import max_feasible_sum, prophet_values
 _VARIANTS = {"fullrecall": "full_recall", "norecall": "no_recall"}
 
 
-def _load_spec(arg: str) -> dict:
+def _load_spec(arg: str):
     if arg == "uniform":
         return {"type": "uniform"}
     text = arg
@@ -49,27 +49,11 @@ def _load_spec(arg: str) -> dict:
             )
         with open(arg, "r", encoding="utf-8") as fh:
             text = fh.read()
-    spec = json.loads(text)
-    if not isinstance(spec, dict):
-        raise SpecValidationError("distribution spec must be a JSON object")
-    return spec
-
-
-def _numeric_spec(spec: dict) -> dict:
-    """Fraction strings like "1/3" are allowed in atom fields; convert to
-    floats for the numeric engine (the oracle keeps them exact)."""
-    out = json.loads(json.dumps(spec))
-    for atom in out.get("atoms", []) or []:
-        for key in ("x", "p"):
-            if isinstance(atom.get(key), str):
-                atom[key] = float(Fraction(atom[key]))
-    if "discrete" in out:
-        out["discrete"] = _numeric_spec(out["discrete"])
-    return out
+    return json.loads(text)
 
 
 def _dist(args) -> ValueDistribution:
-    return parse_spec(_numeric_spec(_load_spec(args.dist)))
+    return parse_spec(_load_spec(args.dist))
 
 
 def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
@@ -132,9 +116,10 @@ def _frac_json(x: Fraction) -> dict:
 
 def _cmd_oracle(args) -> None:
     spec = _load_spec(args.dist)
-    if spec.get("type") != "discrete":
+    parse_spec(spec)  # refuses a malformed spec before its fields are snapped
+    if spec["type"] != "discrete":
         raise SpecValidationError("oracle needs a discrete distribution spec")
-    atoms = [(orc.snap(atom.get("x")), orc.snap(atom.get("p"))) for atom in spec.get("atoms", [])]
+    atoms = [(orc.snap(atom["x"]), orc.snap(atom["p"])) for atom in spec["atoms"]]
     variant = _VARIANTS[args.variant]
     spep = orc.oracle_spep(atoms, args.n, variant)
     best_sum, worst_sum, worst_single, best_single = orc.oracle_summaries(spep)
@@ -167,6 +152,14 @@ def _cmd_efficiency(args) -> None:
     _emit(args, ["n", "poa", "pos", "pr"], rows)
 
 
+def _thresholds(spec) -> dict[int, float]:
+    """The per-stage thresholds of a strategy file, {"thresholds": {"1": 0.5}}."""
+    thresholds = spec.get("thresholds", {}) if isinstance(spec, dict) else None
+    if not isinstance(thresholds, dict) or not all(t.strip().isdecimal() for t in thresholds):
+        raise SpecValidationError("a strategy file must be an object whose 'thresholds' maps stages to numbers")
+    return {int(t): parse_number(v, f"threshold of stage {t}") for t, v in thresholds.items()}
+
+
 def _cmd_simulate(args) -> None:
     d = _dist(args)
     variant = _VARIANTS[args.variant]
@@ -174,9 +167,7 @@ def _cmd_simulate(args) -> None:
         profile = sim.spe_strategy(d, args.n, variant, args.strategy, grid=_grid(args))
     else:
         with open(args.strategy, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        thresholds = {int(k): float(v) for k, v in spec.get("thresholds", {}).items()}
-        s = sim.threshold_strategy(thresholds, name=os.path.basename(args.strategy))
+            s = sim.threshold_strategy(_thresholds(json.load(fh)), name=os.path.basename(args.strategy))
         profile = sim.StrategyProfile(s, s)
     report = sim.play(
         d, args.n, variant, profile.player1, profile.player2, runs=args.runs, seed=args.seed

@@ -49,6 +49,7 @@ import decimal
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -642,6 +643,33 @@ def piecewise_poly(pieces: Iterable[tuple[float, float, Sequence[float]]]) -> Va
 # -- external spec representation --------------------------------------------------
 
 
+def parse_number(value: object, name: str) -> float:
+    """A numeric spec field: a JSON number, or a string holding a number or
+    a fraction like "1/3"."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(Fraction(value)) if isinstance(value, str) else float(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise SpecValidationError(f"field {name!r} must be a number or a fraction string, got {value!r}")
+
+
+def _spec_records(value: object, name: str, keys: tuple[str, ...]) -> list[list]:
+    """The fields ``keys`` of each object of the list field ``name``."""
+    if not isinstance(value, list) or not all(isinstance(e, dict) and set(keys) <= e.keys() for e in value):
+        raise SpecValidationError(f"field {name!r} must be a list of objects with fields {', '.join(keys)}")
+    return [[_spec_field(e[k], k) for k in keys] for e in value]
+
+
+def _spec_field(value: object, name: str):
+    """A number, or for "coeffs" a list of numbers."""
+    if name != "coeffs":
+        return parse_number(value, name)
+    if not isinstance(value, list):
+        raise SpecValidationError("field 'coeffs' must be a list")
+    return [parse_number(c, name) for c in value]
+
+
 def parse_spec(spec: dict | str) -> ValueDistribution:
     """Parse the JSON distribution spec.
 
@@ -652,6 +680,8 @@ def parse_spec(spec: dict | str) -> ValueDistribution:
         {"type": "mixture", "eta": 0.01, "discrete": {...}}
         {"type": "piecewise_poly", "pieces": [{"lo": 0, "hi": 1, "coeffs": [1.0]}]}
         {"type": "mixture_general", "atoms": [...], "pieces": [...]}
+
+    with every numeric field read by :func:`parse_number`.
     """
     if isinstance(spec, str):
         try:
@@ -664,35 +694,24 @@ def parse_spec(spec: dict | str) -> ValueDistribution:
     if kind == "uniform":
         return uniform()
     if kind == "discrete":
-        atoms = spec.get("atoms")
-        if not isinstance(atoms, list) or not atoms:
+        atoms = _spec_records(spec.get("atoms"), "atoms", ("x", "p"))
+        if not atoms:
             raise SpecValidationError("field 'atoms' must be a non-empty list")
-        try:
-            return discrete([(a["x"], a["p"]) for a in atoms])
-        except (KeyError, TypeError) as exc:
-            raise SpecValidationError("each atom needs fields 'x' and 'p'") from exc
+        return discrete(atoms)
     if kind == "mixture":
-        if "eta" not in spec or "discrete" not in spec:
-            raise SpecValidationError("mixture spec needs fields 'eta' and 'discrete'")
+        if "eta" not in spec or not isinstance(spec.get("discrete"), dict):
+            raise SpecValidationError("mixture spec needs fields 'eta' and 'discrete', an object")
         base = parse_spec(dict(spec["discrete"], type="discrete"))
-        return mixture_with_uniform(float(spec["eta"]), base)
+        return mixture_with_uniform(parse_number(spec["eta"], "eta"), base)
     if kind == "piecewise_poly":
-        pieces = spec.get("pieces")
-        if not isinstance(pieces, list) or not pieces:
+        pieces = _spec_records(spec.get("pieces"), "pieces", ("lo", "hi", "coeffs"))
+        if not pieces:
             raise SpecValidationError("field 'pieces' must be a non-empty list")
-        try:
-            return piecewise_poly([(p["lo"], p["hi"], p["coeffs"]) for p in pieces])
-        except (KeyError, TypeError) as exc:
-            raise SpecValidationError("each piece needs fields 'lo', 'hi', 'coeffs'") from exc
+        return piecewise_poly(pieces)
     if kind == "mixture_general":
         # free-form atoms + pieces, as testkit.spec_dict writes mixed laws
-        try:
-            atoms = tuple((float(a["x"]), float(a["p"])) for a in spec.get("atoms", []))
-            pieces = tuple(
-                DensityPiece(float(p["lo"]), float(p["hi"]), tuple(float(c) for c in p["coeffs"]))
-                for p in spec.get("pieces", [])
-            )
-        except (KeyError, TypeError) as exc:
-            raise SpecValidationError("malformed 'atoms'/'pieces' in mixture_general") from exc
-        return ValueDistribution(atoms=atoms, pieces=pieces)
+        atoms = _spec_records(spec.get("atoms", []), "atoms", ("x", "p"))
+        pieces = _spec_records(spec.get("pieces", []), "pieces", ("lo", "hi", "coeffs"))
+        pieces = tuple(DensityPiece(lo, hi, tuple(cs)) for lo, hi, cs in pieces)
+        return ValueDistribution(atoms=tuple(map(tuple, atoms)), pieces=pieces)
     raise SpecValidationError(f"unknown distribution type {kind!r}")

@@ -16,10 +16,10 @@ payoffs of the bid/pass stage game, :func:`stage_games.stage_value`: L pays
 
 Three evaluation paths:
 
+* n <= 3 on every law: closed forms in c_1, c_2, c_3 and the CDF
+  (:func:`closed_forms`, :func:`pass_value`), read by the best profile;
 * finite-support laws: exact recursion over the (small) reachable state
   space;
-* the uniform law for small horizons: closed forms
-  (:func:`uniform_closed_forms`);
 * general laws: value tables on a triangular grid over {0 <= b <= a <= 1}
   with bilinear interpolation, built bottom-up and memoized per
   (distribution, grid) pair.
@@ -48,9 +48,9 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import ValueDistribution, _chebyshev_point_integral
+from .distributions import ValueDistribution, uniform
 from .errors import InconsistencyError, ResourceBudgetError, SpecValidationError
-from .stage_games import stage_value
+from .stage_games import stage_bids, stage_value
 
 #: how far c may fall below a and still count as c >= a in the pass-dominance
 #: checks (the stage rule itself compares exactly)
@@ -572,6 +572,14 @@ def _lh_discrete(dist: ValueDistribution, n: int, a: float, b: float, memo: dict
 # -- public operations -----------------------------------------------------------------
 
 
+def _states(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """States a >= b as float arrays of their broadcast shape, checked."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not np.all((0.0 <= b) & (b <= a) & (a <= 1.0)):
+        raise SpecValidationError(f"need 0 <= b <= a <= 1, got a={a}, b={b}")
+    return a, b
+
+
 def lh_values(
     dist: ValueDistribution,
     n: int,
@@ -584,9 +592,7 @@ def lh_values(
     two arrays of their broadcast shape, or two floats for scalars.  The grid
     path reads each table once for all points, each value bitwise equal to
     the point's own call; the exact path shares one memo over the points."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if not np.all((0.0 <= b) & (b <= a) & (a <= 1.0)):
-        raise SpecValidationError(f"need 0 <= b <= a <= 1, got a={a}, b={b}")
+    a, b = _states(a, b)
     if n < 0:
         raise SpecValidationError("n must be >= 0")
     if n == 0:
@@ -617,105 +623,86 @@ def band(dist: ValueDistribution, n: int, grid: GridConfig | None = None) -> Ful
     return FullRecallBand(n=n, low=low, high=high, grid=(grid or GridConfig()) if dist.pieces else None)
 
 
-# -- closed forms for the uniform law --------------------------------------------------
+# -- closed forms for n <= 3 ----------------------------------------------------------
 
 
-def _root_pass_value_equals_a(second: float) -> float:
-    """Unique x in (0, 1] with x = (1 + x^2)/2 + (second^3 - x^3)/6."""
-    beta3 = second**3
-
-    def gap(x: float) -> float:
-        return (1.0 + x * x) / 2.0 + (beta3 - x**3) / 6.0 - x
-
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-def uniform_fr_best_threshold() -> float:
-    """First-arrival bid threshold of the best equilibrium with 2 arrivals
-    to come (the root of a = (1 + a^2)/2 - a^3/6)."""
-    return _root_pass_value_equals_a(0.0)
-
-
-def uniform_pass_value(k: int, a, b):
-    """Both-pass continuation d_k(a, b) of the uniform law for k in {1, 2}
-    arrivals to come, elementwise in a >= b: the expected value of the
-    (k - 1)-arrival game after one more arrival."""
+def pass_value(dist: ValueDistribution, k: int, a, c):
+    """Both-pass continuation d_k(a, b) for k in {1, 2}, elementwise, given
+    c = c_k(b).  On every law d_1 = (a + c_1(b))/2 and, as E(a v X) = c_1(a)
+    and E(med[a, b, X] v Y) = c_1(a) + c_2(b) - c_2(a),
+    d_2 = c_1(a) + (c_2(b) - c_2(a))/2, with c_1(a), c_2(a) on a's own shape."""
     if k == 1:
-        return a / 2.0 + (1.0 + b * b) / 4.0
+        return (a + c) / 2.0
     if k == 2:
-        return (1.0 + a * a) / 2.0 + (b**3 - a**3) / 6.0
-    raise SpecValidationError("uniform pass values are closed-form for k in {1, 2}")
+        return dist.order_max_with_vec(1, a) + (c - dist.order_max_with_vec(2, a)) / 2.0
+    raise SpecValidationError("pass values are closed-form for k in {1, 2}")
 
 
-def _uniform_lh2(a: float, b: float) -> tuple[float, float]:
-    c2 = (2.0 + b**3) / 3.0
-    d2 = uniform_pass_value(2, a, b)
-    return (stage_value(a, c2, d2, best=False), stage_value(a, c2, d2, best=True))
+def _cut(turns: Callable, lo, hi):
+    """Elementwise, the s in [lo, hi] with ``turns`` False on (lo, s] and
+    True on (s, hi] (s = hi where it never turns), by one vectorized
+    bisection: 64 halvings leave neighbouring floats about any cut above
+    2**-11, so an atom at the cut falls on its own branch."""
+    left, right = np.broadcast_arrays(lo, hi)
+    for _ in range(64):
+        mid = (left + right) / 2.0
+        on = turns(mid)
+        left, right = np.where(on, left, mid), np.where(on, mid, right)
+    return np.where(turns(hi), left, hi)
 
 
-def _integrate_pieces(lo: float, hi: float, cuts: list[float], f: Callable) -> float:
-    """Integrate f, a cubic between cuts, over [lo, hi] exactly, splitting at
-    the interior cuts."""
-    pts = [lo] + [c for c in sorted(cuts) if lo < c < hi] + [hi]
-    total = 0.0
-    for u, v in zip(pts[:-1], pts[1:]):
-        total += _chebyshev_point_integral(f, u, v, 3)
-    return total
+def closed_forms(dist: ValueDistribution, n: int, a, b):
+    """Exact (worst, best) values for n in {1, 2, 3} on every law, atoms
+    included, elementwise over a >= b as :func:`lh_values` takes them.
+
+    Every term is a lone value c_j at a point, and c_j' = F^j.  n = 1, 2 are
+    the stage rule at (a, c_n(b), :func:`pass_value`); at n = 3,
+    d_3 = F(b) value_2(a, b) + int_(b, a] value_2(a, x) dF + int_(a, 1] value_2(x, a) dF,
+    where value_2(a, x) bids below one cut and value_2(x, a) above one, each
+    placed by :func:`_cut`.  On each branch, int x dF = [x F - c_1] and
+    int c_j dF = [F c_j - c_(j+1)] over (u, v], both 0 at 1."""
+    if n not in (1, 2, 3):
+        raise SpecValidationError("closed forms are available for n in {1, 2, 3}")
+    a, b = _states(a, b)
+    lone, F = dist.order_max_with_vec, dist.cdf
+    if n == 1:
+        low = high = pass_value(dist, 1, a, lone(1, b))
+    elif n == 2:
+        c = lone(2, b)
+        low, high = (stage_value(a, c, pass_value(dist, 2, a, c), best) for best in (False, True))
+    else:
+        c1a, c2a = lone(1, a), lone(2, a)
+        Fa, Fb, c3b, value2 = F(a), F(b), lone(3, b), closed_forms(dist, 2, a, b)
+
+        def G(j, x):  # int c_j dF
+            return F(x) * lone(j, x) - lone(j + 1, x)
+
+        # (b, a]: a/2 + c_2(x)/2 where value_2(a, x) bids, else c_1(a) + (c_2(x) - c_2(a))/2
+        mid = (G(2, a) - G(2, b)) / 2.0
+        # (a, 1]: c_2(a)/2 plus c_1(x) - c_2(x)/2 where value_2(x, a) passes, else x/2
+        top = c2a / 2.0 * (1.0 - Fa) - (G(1, a) - G(2, a) / 2.0)
+
+        def value3(best):
+            def mid_passes(x):
+                c = lone(2, x)
+                return ~stage_bids(a, c, pass_value(dist, 2, a, c), best)
+
+            def top_bids(x):
+                return stage_bids(x, c2a, pass_value(dist, 2, x, c2a), best)
+
+            s, t = _cut(mid_passes, b, a), _cut(top_bids, a, 1.0)
+            Fs = F(s)
+            d = Fb * value2[best] + mid + a / 2.0 * (Fs - Fb) + (c1a - c2a / 2.0) * (Fa - Fs)
+            d += top + G(1, t) - G(2, t) / 2.0 - (t * F(t) - lone(1, t)) / 2.0
+            return stage_value(a, c3b, d, best)
+
+        low, high = value3(False), value3(True)
+    if a.ndim == 0:
+        return (float(low), float(high))
+    return (low, high)
 
 
 def uniform_closed_forms(n: int, a: float, b: float) -> tuple[float, float]:
-    """Exact (worst, best) values for the uniform law, n in {1, 2, 3}.
-
-    For n <= 2 these are literal piecewise polynomials; for n = 3 the inner
-    expectation integrates the n = 2 forms piecewise-exactly, splitting at
-    the branch boundaries (located by bisection where needed).
-    """
-    if n not in (1, 2, 3):
-        raise SpecValidationError("closed forms are available for n in {1, 2, 3}")
-    if not 0.0 <= b <= a <= 1.0:
-        raise SpecValidationError(f"need 0 <= b <= a <= 1, got a={a}, b={b}")
-    if n == 1:
-        # one arrival: bidding pays (a + c_1(b)) / 2, which equals d_1(a, b)
-        v = uniform_pass_value(1, a, b)
-        return (v, v)
-    if n == 2:
-        return _uniform_lh2(a, b)
-
-    # n == 3: split E_X[value_2(a v X, med[a, b, X])] at b and a
-    l_ab, h_ab = _uniform_lh2(a, b)
-
-    def low2(x: float, y: float) -> float:
-        return _uniform_lh2(x, y)[0]
-
-    def high2(x: float, y: float) -> float:
-        return _uniform_lh2(x, y)[1]
-
-    # x in [b, a]: value_2(a, x).  Branch flips where a = (2 + x^3)/3 for the
-    # worst value; the best value additionally stays on the pass branch while
-    # a <= d2(a, x), i.e. x^3 >= 6a - 3(1 + a^2) + a^3.
-    cut_l_mid = np.cbrt(3.0 * a - 2.0) if 3.0 * a - 2.0 > 0.0 else -1.0
-    qa = 6.0 * a - 3.0 * (1.0 + a * a) + a**3
-    cut_h_mid = np.cbrt(min(3.0 * a - 2.0, qa)) if min(3.0 * a - 2.0, qa) > 0.0 else -1.0
-    dm = b * l_ab + _integrate_pieces(
-        b, a, [cut_l_mid], np.vectorize(lambda x: low2(a, x))
-    )
-    dp = b * h_ab + _integrate_pieces(
-        b, a, [cut_h_mid], np.vectorize(lambda x: high2(a, x))
-    )
-
-    # x in [a, 1]: value_2(x, a).  Worst flips at x = (2 + a^3)/3; best flips
-    # at max of that and the root of x = d2(x, a).
-    cut_l_top = (2.0 + a**3) / 3.0
-    cut_h_top = max(cut_l_top, _root_pass_value_equals_a(a))
-    dm += _integrate_pieces(a, 1.0, [cut_l_top], np.vectorize(lambda x: low2(x, a)))
-    dp += _integrate_pieces(a, 1.0, [cut_h_top], np.vectorize(lambda x: high2(x, a)))
-
-    c3 = (3.0 + b**4) / 4.0
-    return (stage_value(a, c3, dm, best=False), stage_value(a, c3, dp, best=True))
+    """:func:`closed_forms` on the uniform law, kept because perfbench reads
+    it by this name."""
+    return closed_forms(uniform(), n, a, b)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .errors import SpecValidationError, UnsupportedDistributionError
-from .full_recall import GridConfig, GridLine, TriangleContext, grid_tables, uniform_pass_value
+from .full_recall import GridConfig, GridLine, TriangleContext, grid_tables, pass_value
 from .no_recall import no_recall_sequence
 from .prophet import prophet_values
 from .stage_games import stage_bids
@@ -222,18 +222,14 @@ def _play_block(d, n, variant, strat1, strat2, X, U1, U2, coin, c_by_k, pay1, pa
 def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> Strategy:
     """Bid exactly where the worst (best) stage equilibrium bids, by
     :func:`stage_bids` at (a, c_k(b), d+_k); d+_k is read only where the
-    worst rule bids, and never for the worst profile.  c_k of the last row
-    of floors is kept for each k, so the best-response DP, whose row blocks
-    read prefixes of one row, evaluates it once a stage."""
-    is_uniform = not d.atoms and len(d.pieces) == 1 and d.pieces[0].coeffs == (1.0,)
+    worst rule bids, never for the worst profile, and on every law from
+    :func:`pass_value` for k <= 2, from the grid for k >= 3 only: no grid is
+    built at n <= 3.  c_k of the last row of floors is kept for each k, so
+    the best-response DP, whose row blocks read prefixes of one row,
+    evaluates it once a stage."""
     ctx = tables = None
-    if best and (not is_uniform or n - 1 > 2):
+    if best and n > 3:
         ctx, tables = grid_tables(d, n - 1, grid)
-
-    def dplus(k, a, b):
-        if is_uniform and k <= 2:
-            return uniform_pass_value(k, a, b)
-        return ctx.bilinear(tables[k].dplus, a, b)
 
     # per k, the last row of floors evaluated and its c_k values
     last: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -263,7 +259,11 @@ def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> 
         bid = stage_bids(a, c, None, best=False)
         if best and np.any(bid):
             a_c, b_c, c_c = (np.broadcast_to(v, bid.shape)[bid] for v in (a, b, c))
-            bid[bid] = stage_bids(a_c, c_c, dplus(k, a_c, b_c), best=True)
+            if k <= 2:  # c_1(a), c_2(a) on a's own shape and c = c_k(b) as kept
+                dplus = np.broadcast_to(pass_value(d, k, a, c), bid.shape)[bid]
+            else:
+                dplus = ctx.bilinear(tables[k].dplus, a_c, b_c)
+            bid[bid] = stage_bids(a_c, c_c, dplus, best=True)
         return bid.astype(float)
 
     return Strategy("fr-best-threshold" if best else "fr-worst-threshold", prob)

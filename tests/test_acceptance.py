@@ -88,7 +88,7 @@ def test_criterion_2_no_recall_reference_rows():
 
 def test_criterion_3_band_reference_rows():
     with _Check("3 band reference rows") as chk:
-        assert FR.uniform_closed_forms(3, 0.0, 0.0)[0] == pytest.approx(
+        assert FR.closed_forms(UNIFORM, 3, 0.0, 0.0)[0] == pytest.approx(
             607 / 972, abs=1e-12
         )
         for n in range(1, 6):
@@ -98,7 +98,7 @@ def test_criterion_3_band_reference_rows():
             assert b.low == pytest.approx(lo_ref, abs=tol)
             assert b.high == pytest.approx(hi_ref, abs=tol)
             if n <= 3:
-                closed = FR.uniform_closed_forms(n, 0.0, 0.0)
+                closed = FR.closed_forms(UNIFORM, n, 0.0, 0.0)
                 assert closed[0] == pytest.approx(lo_ref, abs=TABLE_TOL)
                 assert closed[1] == pytest.approx(hi_ref, abs=TABLE_TOL)
         assert chk.elapsed < 120.0
@@ -185,7 +185,7 @@ def test_criterion_7_best_payoff_comparisons():
         nr = O.oracle_spep([("1/10", "1/2"), ("1/2", "1/2")], 2, "no_recall")
         assert O.oracle_summaries(nr)[3] == Fr(11, 40)
         assert Fr(3, 10) > Fr(11, 40)
-        hi2 = FR.uniform_closed_forms(2, 0.0, 0.0)[1]
+        hi2 = FR.closed_forms(UNIFORM, 2, 0.0, 0.0)[1]
         assert hi2 == pytest.approx(0.5, abs=1e-9)
         assert NR.best_single_two_arrivals(UNIFORM) == pytest.approx(0.5, abs=1e-9)
 
@@ -212,7 +212,7 @@ def test_criterion_8_equilibrium_verification():
 
         prof = S.spe_strategy(UNIFORM, 3, "full_recall", "best", grid=ACCEPT_GRID)
         rep = S.play(UNIFORM, 3, "full_recall", prof.player1, prof.player2, runs, seed=12)
-        h3 = FR.uniform_closed_forms(3, 0.0, 0.0)[1]
+        h3 = FR.closed_forms(UNIFORM, 3, 0.0, 0.0)[1]
         within(rep, (h3, h3))
 
         tp = D.two_point()

@@ -168,6 +168,51 @@ def test_validation_error_exit_code(capsys):
     assert "atoms" in err
 
 
+GOOD_ATOM = {"x": 0.5, "p": 1}
+MALFORMED_SPECS = {
+    "atom_x_word": {"type": "discrete", "atoms": [{"x": "abc", "p": 1}]},
+    "atom_p_zero_denominator": {"type": "discrete", "atoms": [{"x": 0.5, "p": "1/0"}]},
+    "atom_not_object": {"type": "discrete", "atoms": [1]},
+    "atoms_string": {"type": "discrete", "atoms": "xy"},
+    "discrete_not_object": {"type": "mixture", "eta": 0.5, "discrete": [1]},
+    "eta_word": {"type": "mixture", "eta": "a", "discrete": {"atoms": [GOOD_ATOM]}},
+    "general_atoms_number": {"type": "mixture_general", "atoms": 5, "pieces": []},
+    "coeffs_string": {"type": "piecewise_poly", "pieces": [{"lo": 0, "hi": 1, "coeffs": "1"}]},
+}
+MALFORMED_STRATEGIES = {
+    "list": [0.5, 0.5],
+    "threshold_word": {"thresholds": {"1": "high"}},
+    "stage_word": {"thresholds": {"one": 0.5}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS) + sorted(MALFORMED_STRATEGIES))
+def test_malformed_input_exits_2(case, tmp_path, capsys):
+    if case in MALFORMED_SPECS:
+        argv = ["prophet", "--n", "2", "--dist", json.dumps(MALFORMED_SPECS[case])]
+    else:
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(MALFORMED_STRATEGIES[case]))
+        argv = ["simulate", "--variant", "fullrecall", "--n", "2", "--runs", "10", "--strategy", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_fraction_strings_give_the_floats_of_numbers(tmp_path, capsys):
+    # "1/3" reads as the float 1/3 wherever a spec or a strategy file takes a number
+    piece = {"lo": "0", "hi": "1/2", "coeffs": ["1"]}
+    spec = {"type": "mixture_general", "atoms": [{"x": "3/4", "p": "1/2"}], "pieces": [piece]}
+    floats = {"type": "mixture_general", "atoms": [{"x": 0.75, "p": 0.5}],
+              "pieces": [{"lo": 0, "hi": 0.5, "coeffs": [1.0]}]}
+    outs = [_capture(capsys, ["prophet", "--n", "3", "--dist", json.dumps(law)]) for law in (spec, floats)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"thresholds": {"1": "1/2"}}))
+    code, out = _capture(capsys, ["simulate", "--variant", "norecall", "--n", "2", "--runs", "100", "--strategy", str(path)])
+    assert code == 0 and json.loads(out)["strategy"] == ["strategy.json", "strategy.json"]
+
+
 def test_unsupported_distribution_exit_code(capsys):
     inline = json.dumps(
         {"type": "discrete", "atoms": [{"x": 0.3, "p": 0.5}, {"x": 0.6, "p": 0.5}]}

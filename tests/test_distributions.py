@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from selection_games import distributions as D
 from selection_games.efficiency import tightness_family
 from selection_games.errors import SpecValidationError
-from selection_games.testkit import beta_distribution, continuous_test_laws, spec_dict, two_point_top_two
+from selection_games.testkit import TWO_POINT_SPEC, beta_distribution, continuous_test_laws, spec_dict, two_point_top_two
 
 EPS = np.finfo(float).eps
 
@@ -698,6 +698,15 @@ def test_parse_discrete_and_mixture():
     )
     assert law.atoms[0] == (0.09, pytest.approx(0.891))
     assert law.pieces[0].coeffs == (pytest.approx(0.01),)
+
+
+def test_parse_reads_fraction_strings():
+    assert D.parse_spec(TWO_POINT_SPEC) == D.two_point()
+    # a string of coefficients is refused, not read one character at a time
+    with pytest.raises(SpecValidationError, match="coeffs"):
+        D.parse_spec({"type": "piecewise_poly", "pieces": [{"lo": 0, "hi": 1, "coeffs": "1"}]})
+    with pytest.raises(SpecValidationError, match="'p'"):
+        D.parse_spec({"type": "discrete", "atoms": [{"x": 1, "p": True}]})
 
 
 def test_parse_errors_name_field():

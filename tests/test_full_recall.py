@@ -9,6 +9,7 @@ from test_distributions import EPS, LAWS, _panti, _peval
 
 from selection_games import distributions as D
 from selection_games import full_recall as FR
+from selection_games import simulate as S
 from selection_games.cli import run
 from selection_games.efficiency import ratios, tightness_family
 from selection_games.errors import InconsistencyError, SpecValidationError
@@ -35,7 +36,7 @@ def test_argument_order_enforced():
 
 def test_uniform_one_arrival_closed_form():
     for a, b in [(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (0.7, 0.7)]:
-        lo, hi = FR.uniform_closed_forms(1, a, b)
+        lo, hi = FR.closed_forms(D.uniform(), 1, a, b)
         want = a / 2 + (1 + b * b) / 4
         assert lo == pytest.approx(want, abs=1e-12)
         assert hi == pytest.approx(want, abs=1e-12)
@@ -45,42 +46,94 @@ def test_uniform_one_arrival_closed_form():
 
 
 def test_uniform_two_arrival_branches():
-    lo, hi = FR.uniform_closed_forms(2, 0.0, 0.0)
+    lo, hi = FR.closed_forms(D.uniform(), 2, 0.0, 0.0)
     assert (lo, hi) == (pytest.approx(0.5), pytest.approx(0.5))
-    lo, _ = FR.uniform_closed_forms(2, 0.9, 0.0)
+    lo, _ = FR.closed_forms(D.uniform(), 2, 0.9, 0.0)
     assert lo == pytest.approx(0.9 / 2 + 1 / 3, abs=1e-12)
 
 
 def test_uniform_three_arrival_exact_values():
-    lo, hi = FR.uniform_closed_forms(3, 0.0, 0.0)
+    lo, hi = FR.closed_forms(D.uniform(), 3, 0.0, 0.0)
     assert lo == pytest.approx(607 / 972, abs=1e-12)
     # frozen bisection + polynomial-integral oracle value
     assert hi == pytest.approx(0.6245510355658551, abs=1e-12)
 
 
 def test_best_threshold_root():
-    astar = FR.uniform_fr_best_threshold()
-    assert astar == pytest.approx(0.6778146453739142, abs=1e-12)
+    # the first arrival of the uniform best profile with 2 arrivals to come
+    # bids above the root of a = d_2(a, 0) = (1 + a^2)/2 - a^3/6
+    law, astar = D.uniform(), 0.6778146453739142
+    assert FR.pass_value(law, 2, astar, law.expect_order_max_with(2, 0.0)) == pytest.approx(astar, abs=1e-12)
     assert (1 + astar**2) / 2 - astar**3 / 6 == pytest.approx(astar, abs=1e-12)
+    rule = S.spe_strategy(law, 3, "full_recall", "best").player1
+    a = np.array([astar - 1e-9, astar + 1e-9])
+    assert np.array_equal(rule.bid_prob(1, 2, a, np.zeros(2)), [0.0, 1.0])
 
 
 def test_closed_forms_reject_other_horizons():
+    for n in (0, 4):
+        with pytest.raises(SpecValidationError):
+            FR.closed_forms(D.uniform(), n, 0.0, 0.0)
     with pytest.raises(SpecValidationError):
-        FR.uniform_closed_forms(4, 0.0, 0.0)
+        FR.pass_value(D.uniform(), 3, 0.5, 0.75)
+    with pytest.raises(SpecValidationError):
+        FR.closed_forms(D.uniform(), 3, 0.2, 0.6)
 
 
 def test_grid_matches_closed_forms_on_triangle():
-    # agreement at a tighter grid on a coarse triangle sample
+    # agreement at a tighter grid on a coarse triangle sample, each side in
+    # one call over the 1275 points
     grid = FR.GridConfig(size=2001)
     pts = [(a, b) for a in np.linspace(0, 1, 50) for b in np.linspace(0, 1, 50) if b <= a]
     a, b = np.array(pts).T
     for n in (1, 2, 3):
         got = FR.lh_values(D.uniform(), n, a, b, grid)
-        want = np.array([FR.uniform_closed_forms(n, x, y) for x, y in pts]).T
+        want = FR.closed_forms(D.uniform(), n, a, b)
         worst_err = np.max(np.abs(got[0] - want[0]))
         best_err = np.max(np.abs(got[1] - want[1]))
         assert worst_err < 1e-4
         assert best_err < 1e-4
+
+
+EDGE_ATOMS = D.discrete([(0.0, 0.2), (0.25, 0.3), (0.6, 0.1), (1.0, 0.4)])
+
+
+@pytest.mark.parametrize(
+    "law",
+    [D.two_point(), D.discrete([(0.15, 0.1), (0.35, 0.4), (0.7, 0.3), (0.85, 0.2)]), EDGE_ATOMS],
+    ids=["two_point", "four_atoms", "edge_atoms"],
+)
+def test_closed_forms_match_exact_recursion_at_atom_states(law):
+    # every state reachable from (0, 0): a >= b among the atoms and 0
+    # (measured: at most 3.3e-16 apart)
+    xs = sorted({0.0} | {x for x, _ in law.atoms})
+    pts = [(a, b) for a in xs for b in xs if b <= a]
+    a, b = np.array(pts).T
+    for n in (1, 2, 3):
+        memo: dict = {}
+        want = np.array([FR._lh_discrete(law, n, x, y, memo) for x, y in pts]).T
+        got = FR.closed_forms(law, n, a, b)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+#: |band(law, 3, G = 1001) - closed_forms(law, 3, 0, 0)|, the larger of its
+#: worst and best ends, as measured, and the bound each is held to
+GRID_ERRORS_AT_THREE = {
+    "uniform": (D.uniform(), 1.70e-6, 2.0e-6),
+    "beta22": (beta_distribution(2, 2), 2.05e-6, 2.5e-6),
+    "beta35": (beta_distribution(3, 5), 1.25e-6, 1.5e-6),
+    "tightness": (tightness_family(0.1, 0.05), 1.05e-8, 1.3e-8),
+    "atom_at_0.6": (D.mixture_with_uniform(0.5, D.discrete([(0.6, 1.0)])), 3.48e-7, 4.2e-7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ERRORS_AT_THREE))
+def test_grid_band_within_measured_error_of_closed_forms(name):
+    law, measured, bound = GRID_ERRORS_AT_THREE[name]
+    assert bound <= 1.5 * measured
+    b = FR.band(law, 3, FR.GridConfig(size=1001))
+    low, high = FR.closed_forms(law, 3, 0.0, 0.0)
+    assert max(abs(b.low - low), abs(b.high - high)) <= bound
 
 
 @pytest.mark.parametrize(
@@ -302,9 +355,6 @@ def _dense_expect_over_arrival(ctx, T):
         vals = ctx.bilinear(T, np.broadcast_to(alo, (G, G)), mid)
         out = out + mass * np.where(g[None, :] < x_star, vals, 0.0)
     return out
-
-
-EDGE_ATOMS = D.discrete([(0.0, 0.2), (0.25, 0.3), (0.6, 0.1), (1.0, 0.4)])
 
 
 @pytest.mark.parametrize(

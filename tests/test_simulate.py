@@ -9,7 +9,8 @@ from selection_games import distributions as D
 from selection_games import simulate as S
 from selection_games.efficiency import tightness_family
 from selection_games.errors import ResourceBudgetError, SpecValidationError, UnsupportedDistributionError
-from selection_games.full_recall import GridConfig, TriangleContext, grid_tables, uniform_pass_value
+from selection_games import full_recall as FR
+from selection_games.full_recall import GridConfig, TriangleContext, grid_tables, pass_value
 from selection_games.prophet import prophet_values
 from selection_games.testkit import beta_distribution
 
@@ -270,10 +271,15 @@ def test_full_recall_dp_evaluates_lone_values_once_per_stage(monkeypatch):
     assert sorted(floors) == [1] + [801] * 5
 
 
-@pytest.mark.parametrize("law, n", [(D.uniform(), 4), (D.two_point(), 5)], ids=["uniform", "two_point"])
+@pytest.mark.parametrize(
+    "law, n",
+    [(D.uniform(), 4), (beta_distribution(2, 2), 4), (D.two_point(), 5)],
+    ids=["uniform", "beta22", "two_point"],
+)
 def test_best_strategy_reads_pass_value_only_where_it_decides(law, n, rng):
     # the rule is a > max(c_k(b), dplus_k(a, b)); dplus is now read only
-    # where a > c_k(b), which must not change a single decision
+    # where a > c_k(b), which must not change a single decision.  dplus_k is
+    # the closed form for k <= 2 on every law, the grid's for k >= 3
     ctx, tables = grid_tables(law, n - 1, GRID)
     prob = S.spe_strategy(law, n, "full_recall", "best", grid=GRID).player1.bid_prob
     u = rng.random((2, 5000))
@@ -283,12 +289,26 @@ def test_best_strategy_reads_pass_value_only_where_it_decides(law, n, rng):
     for k in range(1, n):
         for x, y in ((a, b), (ctx.g[i], ctx.g[j])):
             c = law.order_max_with_vec(k, y)
-            if law.pieces and k <= 2:
-                dplus = uniform_pass_value(k, x, y)
+            if k <= 2:
+                dplus = pass_value(law, k, x, c)
             else:
                 dplus = ctx.bilinear(tables[k].dplus, x, y)
             want = np.where(x > np.maximum(c, dplus), 1.0, 0.0)
             assert np.array_equal(prob(n - k, k, x, y), want)
+
+
+@pytest.mark.parametrize(
+    "law", [beta_distribution(2, 2), D.two_point(), tightness_family(0.1, 0.05)], ids=["beta22", "two_point", "tightness"]
+)
+def test_best_profile_builds_no_grid_up_to_three_arrivals(law):
+    # d+_1 and d+_2 are closed forms on every law: the best profile, and the
+    # plays and the DP that read it, need no grid table at n <= 3
+    stale = [key for key in FR._TABLE_CACHE if key[0] == law.cache_key()]
+    for key in stale:
+        del FR._TABLE_CACHE[key]
+    rule = S.spe_strategy(law, 3, "full_recall", "best").player1
+    S.play(law, 3, "full_recall", rule, rule, 2000, seed=3)
+    assert not [key for key in FR._TABLE_CACHE if key[0] == law.cache_key()]
 
 
 def test_small_grid_gaps_stay_small():
