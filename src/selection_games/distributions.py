@@ -654,10 +654,21 @@ def parse_number(value: object, name: str) -> float:
     raise SpecValidationError(f"field {name!r} must be a number or a fraction string, got {value!r}")
 
 
+def _only_fields(record: dict, keys: tuple[str, ...], where: str) -> None:
+    """Refuse a field of ``record`` that is not one of ``keys``: nothing
+    reads it, so a misspelt or misplaced field would be dropped silently."""
+    unread = sorted(map(str, record.keys() - set(keys)))
+    if unread:
+        raise SpecValidationError(f"{where} has fields its type does not read: {', '.join(unread)}")
+
+
 def _spec_records(value: object, name: str, keys: tuple[str, ...]) -> list[list]:
-    """The fields ``keys`` of each object of the list field ``name``."""
+    """The fields ``keys`` of each object of the list field ``name``, which
+    has no other field."""
     if not isinstance(value, list) or not all(isinstance(e, dict) and set(keys) <= e.keys() for e in value):
         raise SpecValidationError(f"field {name!r} must be a list of objects with fields {', '.join(keys)}")
+    for e in value:
+        _only_fields(e, keys, f"a record of field {name!r}")
     return [[_spec_field(e[k], k) for k in keys] for e in value]
 
 
@@ -681,7 +692,8 @@ def parse_spec(spec: dict | str) -> ValueDistribution:
         {"type": "piecewise_poly", "pieces": [{"lo": 0, "hi": 1, "coeffs": [1.0]}]}
         {"type": "mixture_general", "atoms": [...], "pieces": [...]}
 
-    with every numeric field read by :func:`parse_number`.
+    with every numeric field read by :func:`parse_number`.  A field the
+    spec's type does not read, at the top level or in a record, is refused.
     """
     if isinstance(spec, str):
         try:
@@ -691,6 +703,16 @@ def parse_spec(spec: dict | str) -> ValueDistribution:
     if not isinstance(spec, dict):
         raise SpecValidationError("distribution spec must be a JSON object")
     kind = spec.get("type")
+    fields = {
+        "uniform": (),
+        "discrete": ("atoms",),
+        "mixture": ("eta", "discrete"),
+        "piecewise_poly": ("pieces",),
+        "mixture_general": ("atoms", "pieces"),
+    }
+    if not isinstance(kind, str) or kind not in fields:
+        raise SpecValidationError(f"unknown distribution type {kind!r}")
+    _only_fields(spec, ("type",) + fields[kind], f"a {kind} spec")
     if kind == "uniform":
         return uniform()
     if kind == "discrete":
@@ -708,10 +730,8 @@ def parse_spec(spec: dict | str) -> ValueDistribution:
         if not pieces:
             raise SpecValidationError("field 'pieces' must be a non-empty list")
         return piecewise_poly(pieces)
-    if kind == "mixture_general":
-        # free-form atoms + pieces, as testkit.spec_dict writes mixed laws
-        atoms = _spec_records(spec.get("atoms", []), "atoms", ("x", "p"))
-        pieces = _spec_records(spec.get("pieces", []), "pieces", ("lo", "hi", "coeffs"))
-        pieces = tuple(DensityPiece(lo, hi, tuple(cs)) for lo, hi, cs in pieces)
-        return ValueDistribution(atoms=tuple(map(tuple, atoms)), pieces=pieces)
-    raise SpecValidationError(f"unknown distribution type {kind!r}")
+    # mixture_general: free-form atoms + pieces, as testkit.spec_dict writes mixed laws
+    atoms = _spec_records(spec.get("atoms", []), "atoms", ("x", "p"))
+    pieces = _spec_records(spec.get("pieces", []), "pieces", ("lo", "hi", "coeffs"))
+    pieces = tuple(DensityPiece(lo, hi, tuple(cs)) for lo, hi, cs in pieces)
+    return ValueDistribution(atoms=tuple(map(tuple, atoms)), pieces=pieces)

@@ -110,8 +110,7 @@ def _prophet_exact(atoms: Sequence[tuple[Fraction, Fraction]], n: int) -> list[F
     """c_0..c_n with c_k = E(X v c_{k-1}), c_0 = 0."""
     cs = [Fraction(0)]
     for _ in range(n):
-        prev = cs[-1]
-        cs.append(sum(m * max(x, prev) for x, m in atoms))
+        cs.append(_order_max_exact(atoms, 1, cs[-1]))
     return cs
 
 

@@ -10,23 +10,22 @@ Both game variants reduce, at each stage, to a 2x2 matrix game between
 where c is the lone-player continuation value of the rival of a successful
 bidder and (d, e) are the continuation payoffs when both pass.  With recall
 the continuation payoffs are symmetric (d = e); without recall they need
-not be.  The solvers below enumerate every Nash equilibrium payoff of the
-matrix, classified case by case, comparing exactly, and work unchanged over
-floats or exact ``fractions.Fraction`` values.
+not be.  One enumeration solves both: it lists the vertices of the Nash
+equilibrium set, each player at bid, pass or the point mixing the rival
+indifferent, with their payoffs, and flags an edge of the set along which
+the payoff moves.  It compares exactly and works unchanged over floats or
+exact ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InconsistencyError
-
-#: bid probability pairs for the two pure profiles
-_BID_BID = (1, 1)
-_PASS_PASS = (0, 0)
 
 
 def _cmp(x, y):
@@ -66,11 +65,13 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class StageGameOutcome:
-    """All Nash equilibrium payoffs of a stage game.
+    """The vertices of a stage game's Nash equilibrium set, each with its
+    payoff and bid probabilities.
 
-    When a case admits a continuum of equilibrium payoffs, only the
-    continuum's endpoint payoffs are listed and ``has_continuum`` is set (the
-    interior never feeds the recursions, which only consume extremes).
+    When the set pays a continuum of payoffs (an edge along which one player
+    is indifferent and the rival's payoff moves), only the vertex payoffs
+    are listed and ``has_continuum`` is set (the interior never feeds the
+    recursions, which only consume extremes).
     """
 
     equilibria: tuple[Equilibrium, ...]
@@ -109,54 +110,12 @@ def stage_value(a, c, d, best: bool):
     return _half(a + c) if bids else d
 
 
-# -- full recall -------------------------------------------------------------
-
-
-def solve_fr_stage(g: StageGameFR) -> StageGameOutcome:
-    """Enumerate the NE payoffs of the symmetric-continuation stage game.
-
-    Cases: (a) a > max(c, d): bid/bid forced; (b) d > a > c: two pure
-    equilibria plus a symmetric mixed one; (c) a < c: pass/pass forced;
-    (d) boundary a = d > c or d > a = c: the two pure equilibria;
-    (e) a = c = d: every profile, single payoff (d, d).
-    """
-    a, c, d = g.a, g.c, g.d
-    ac, ad = _cmp(a, c), _cmp(a, d)
-    half = _half(a + c)
-    if ac <= 0 and ad > 0:
-        raise InconsistencyError(
-            f"stage game inconsistent with pass-dominance: c={c} >= a={a} but d={d} < a"
-        )
-    if ac < 0:
-        return StageGameOutcome((Equilibrium((d, d), _PASS_PASS),))
-    if ac == 0:
-        if ad == 0:
-            return StageGameOutcome((Equilibrium((d, d), _BID_BID),))
-        # d > a = c
-        return StageGameOutcome((Equilibrium((half, half), _BID_BID), Equilibrium((d, d), _PASS_PASS)))
-    # a > c from here on
-    if ad > 0:
-        return StageGameOutcome((Equilibrium((half, half), _BID_BID),))
-    if ad == 0:
-        return StageGameOutcome((Equilibrium((half, half), _BID_BID), Equilibrium((d, d), _PASS_PASS)))
-    # d > a > c: symmetric mixed equilibrium alongside the two pure ones
-    p = 2 * (d - a) / (2 * d - a - c)
-    mixed = (d * c - 2 * a * c + a * d) / (2 * d - a - c)
-    return StageGameOutcome(
-        (
-            Equilibrium((half, half), _BID_BID),
-            Equilibrium((d, d), _PASS_PASS),
-            Equilibrium((mixed, mixed), (p, p)),
-        )
-    )
-
-
-# -- no recall ----------------------------------------------------------------
+# -- the equilibrium set of the 2x2 game ---------------------------------------
 
 
 def _gamma(a, c, cont):
-    """Mixed-equilibrium payoff of the player whose both-pass continuation
-    is ``cont``; the opponent's mixing makes them indifferent."""
+    """Payoff of the player whose both-pass continuation is ``cont`` while
+    the rival mixes at :func:`_mix_prob`, which leaves them indifferent."""
     return (2 * a * c - cont * (c + a)) / (c + a - 2 * cont)
 
 
@@ -166,80 +125,75 @@ def _mix_prob(a, c, cont):
     return 2 * (a - cont) / (a + c - 2 * cont)
 
 
-def solve_nr_stage(g: StageGameNR) -> StageGameOutcome:
-    """Enumerate NE payoffs of the asymmetric-continuation stage game.
+def _solve(a, c, d, e) -> StageGameOutcome:
+    """The vertices of the Nash equilibrium set of the game (a, c, d, e).
 
-    Eleven cases depending on the ordering of a against c and the
-    continuation pair (d, e); continuum cases report endpoint payoffs only.
+    A player's gain from bidding is linear in the rival's bid probability,
+    of sign cmp(a, c) against a bidder and cmp(a, cont) against a passer,
+    so each vertex places each player at bid (1), pass (0) or mix (None),
+    the rival's indifference point, which exists only where those two
+    signs are strictly opposite.  Points are keyed by that position, not by
+    their probability, which may round to 0 or 1 over floats.
     """
+    half = _half(a + c)
+    conts = (d, e)
+    bid = _cmp(a, c)
+    # gains[i][rival's position]: the sign of player i's gain from bidding
+    gains = [{1: bid, 0: _cmp(a, cont), None: 0} for cont in conts]
+    # mixes[i]: the rival's bid probability leaving player i indifferent
+    mixes = [_mix_prob(a, c, cont) if bid * g[0] < 0 else None for cont, g in zip(conts, gains)]
+
+    def responds(i, own, rival):
+        g = gains[i][rival]
+        return g == 0 if own is None else (g >= 0 if own else g <= 0)
+
+    def payoff(i, own, rival):
+        if rival is None:
+            return _gamma(a, c, conts[i])
+        # a mixing player is indifferent, so earns the bid payoff
+        return ((conts[i], c), (a, half))[1 if own is None else own][rival]
+
+    def positions(i):
+        return (1, 0) if mixes[1 - i] is None else (1, 0, None)
+
+    vertices = [(x, y) for x in positions(0) for y in positions(1) if responds(0, x, y) and responds(1, y, x)]
+    equilibria = tuple(
+        Equilibrium(
+            (payoff(0, x, y), payoff(1, y, x)),
+            (mixes[1] if x is None else x, mixes[0] if y is None else y),
+        )
+        for x, y in vertices
+    )
+    # an edge of the set along which the moving player is indifferent and
+    # the rival's payoff moves: a continuum of payoffs
+    has_continuum = any(
+        u.payoff != v.payoff and ((y == y2 and gains[0][y] == 0) or (x == x2 and gains[1][x] == 0))
+        for ((x, y), u), ((x2, y2), v) in itertools.combinations(zip(vertices, equilibria), 2)
+    )
+    return StageGameOutcome(equilibria, has_continuum)
+
+
+def solve_fr_stage(g: StageGameFR) -> StageGameOutcome:
+    """The equilibrium vertices of the full-recall stage game, the game
+    (a, c, d, d); raises InconsistencyError on c >= a > d, which pass
+    dominance rules out."""
+    a, c, d = g.a, g.c, g.d
+    if c >= a > d:
+        raise InconsistencyError(
+            f"stage game inconsistent with pass-dominance: c={c} >= a={a} but d={d} < a"
+        )
+    return _solve(a, c, d, d)
+
+
+def solve_nr_stage(g: StageGameNR) -> StageGameOutcome:
+    """The equilibrium vertices of the no-recall stage game (a, c, d, e);
+    raises InconsistencyError if d or e exceeds the lone value c."""
     a, c, d, e = g.a, g.c, g.d, g.e
     if d > c or e > c:
         raise InconsistencyError(
             f"no-recall continuation exceeds lone-player value: d={d}, e={e}, c={c}"
         )
-    ac = _cmp(a, c)
-    half = _half(a + c)
-    if ac > 0:
-        return StageGameOutcome((Equilibrium((half, half), _BID_BID),))
-    if ac == 0:
-        return StageGameOutcome((Equilibrium((c, c), _BID_BID),))
-    ad, ae = _cmp(a, d), _cmp(a, e)
-    if ad > 0 and ae > 0:
-        # interior: two asymmetric pure equilibria and a mixed one
-        g1, g2 = _gamma(a, c, d), _gamma(a, c, e)
-        p1, p2 = _mix_prob(a, c, e), _mix_prob(a, c, d)
-        return StageGameOutcome(
-            (
-                Equilibrium((a, c), (1, 0)),
-                Equilibrium((c, a), (0, 1)),
-                Equilibrium((g1, g2), (p1, p2)),
-            )
-        )
-    if ad < 0 and ae < 0:
-        return StageGameOutcome((Equilibrium((d, e), _PASS_PASS),))
-    if ad < 0 and ae > 0:
-        return StageGameOutcome((Equilibrium((c, a), (0, 1)),))
-    if ad > 0 and ae < 0:
-        return StageGameOutcome((Equilibrium((a, c), (1, 0)),))
-    if ad == 0 and ae > 0:
-        # a = d > e: player 2 passes, player 1 mixes over [pi*, 1]
-        g2 = _gamma(a, c, e)
-        return StageGameOutcome(
-            (
-                Equilibrium((c, a), (0, 1)),
-                Equilibrium((a, g2), (_mix_prob(a, c, e), 0)),
-                Equilibrium((a, c), (1, 0)),
-            ),
-            has_continuum=True,
-        )
-    if ae == 0 and ad > 0:
-        g1 = _gamma(a, c, d)
-        return StageGameOutcome(
-            (
-                Equilibrium((a, c), (1, 0)),
-                Equilibrium((g1, a), (0, _mix_prob(a, c, d))),
-                Equilibrium((c, a), (0, 1)),
-            ),
-            has_continuum=True,
-        )
-    if ad == 0 and ae == 0:
-        return StageGameOutcome(
-            (
-                Equilibrium((a, a), _PASS_PASS),
-                Equilibrium((a, c), (1, 0)),
-                Equilibrium((c, a), (0, 1)),
-            ),
-            has_continuum=True,
-        )
-    if ad < 0 and ae == 0:
-        # d > a = e: both-pass plus a continuum (lambda, a), lambda in [d, c]
-        return StageGameOutcome(
-            (Equilibrium((d, e), _PASS_PASS), Equilibrium((c, a), (0, 1))), has_continuum=True
-        )
-    # e > a = d
-    return StageGameOutcome(
-        (Equilibrium((d, e), _PASS_PASS), Equilibrium((a, c), (1, 0))), has_continuum=True
-    )
+    return _solve(a, c, d, e)
 
 
 # -- independent best-response verification -------------------------------------

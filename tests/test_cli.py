@@ -178,6 +178,10 @@ MALFORMED_SPECS = {
     "eta_word": {"type": "mixture", "eta": "a", "discrete": {"atoms": [GOOD_ATOM]}},
     "general_atoms_number": {"type": "mixture_general", "atoms": 5, "pieces": []},
     "coeffs_string": {"type": "piecewise_poly", "pieces": [{"lo": 0, "hi": 1, "coeffs": "1"}]},
+    # fields the spec's type does not read, once silently dropped
+    "uniform_with_atoms": {"type": "uniform", "atoms": 5},
+    "discrete_with_pieces": {"type": "discrete", "atoms": [GOOD_ATOM], "pieces": [{"lo": 0, "hi": 1, "coeffs": [1]}]},
+    "type_not_string": {"type": ["uniform"]},
 }
 MALFORMED_STRATEGIES = {
     "list": [0.5, 0.5],

@@ -716,3 +716,19 @@ def test_parse_errors_name_field():
         D.parse_spec({"type": "cauchy"})
     with pytest.raises(SpecValidationError, match="eta"):
         D.parse_spec({"type": "mixture"})
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"type": "uniform", "atoms": 5}, "atoms"),
+        ({"type": "discrete", "atoms": [{"x": 0.5, "p": 1}], "pieces": []}, "pieces"),
+        ({"type": "discrete", "atoms": [{"x": 0.5, "p": 1, "q": 0}]}, "q"),
+        ({"type": "piecewise_poly", "pieces": [{"lo": 0, "hi": 1, "coeffs": [1], "deg": 0}]}, "deg"),
+        ({"type": "mixture", "eta": 0.5, "discrete": {"atoms": [{"x": 0.5, "p": 1}], "eta": 0.1}}, "eta"),
+        ({"type": "mixture_general", "atoms": [], "pieces": [], "discrete": {}}, "discrete"),
+    ],
+)
+def test_parse_refuses_unread_fields(spec, field):
+    with pytest.raises(SpecValidationError, match=f"does not read: {field}$"):
+        D.parse_spec(spec)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -68,7 +69,9 @@ def _bids(out):
 def test_stage_value_is_the_enumerated_extreme(a, c, d):
     # pass dominance: a lone value c >= a leaves the both-pass value >= a
     assume(not c >= a > d)
-    payoffs = [p for p, _ in solve_fr_stage(StageGameFR(a, c, d)).payoffs]
+    # stage_value is the extreme symmetric payoff; at a = d < c the set also
+    # holds the asymmetric (a, c) and (c, a)
+    payoffs = [p for p, q in solve_fr_stage(StageGameFR(a, c, d)).payoffs if p == q]
     for best, extreme in ((False, min(payoffs)), (True, max(payoffs))):
         assert stage_value(a, c, d, best=best) == extreme
         # the same rule elementwise on floats and on numpy arrays
@@ -126,13 +129,15 @@ def test_fr_inconsistency_raises():
 
 
 @given(unit, unit, unit)
+# the mixed bid probability rounds to 1.0, yet the mixed point stays a third one
+@example(a=5.682543545036407e-59, c=0.0, d=1.0)
 def test_fr_outcomes_verify_and_order(a, c, d):
     if c >= a and d < a:
         return
     g = StageGameFR(a, c, d)
     out = solve_fr_stage(g)
     verify_outcome(payoff_matrix_fr(g), out, slack=1e-9)
-    if len(out.equilibria) == 3:  # d > a > c: both pure and the mixed one
+    if d > a > c:  # both pure equilibria and the mixed one
         lo, mid, hi = sorted(p[0] for p in out.payoffs)
         assert lo <= mid <= hi
         assert hi == pytest.approx(d)
@@ -182,20 +187,27 @@ def test_nr_one_sided_cases():
     assert out.payoffs == ((0.3, 0.5),)
 
 
+def _vertices(out):
+    """The (payoff, bid_probs) pairs of an outcome as a set, each float
+    rounded to 12 digits."""
+    return {tuple(tuple(round(v, 12) for v in t) for t in (e.payoff, e.bid_probs)) for e in out.equilibria}
+
+
 def test_nr_boundary_cases_report_endpoints():
     # a = d > e: player 1 mixes over [pi*, 1] while player 2 passes
     out = solve_nr_stage(StageGameNR(a=0.3, c=0.5, d=0.3, e=0.1))
     assert out.has_continuum
-    assert out.payoffs[::2] == ((0.5, 0.3), (0.3, 0.5)) and _bids(out)[::2] == [(0, 1), (1, 0)]
-    assert out.payoffs[1][0] == 0.3 and out.payoffs[1][1] == pytest.approx(0.11 / 0.3)
-    assert _bids(out)[1] == (pytest.approx(2 / 3), 0)
+    assert _vertices(out) == {
+        ((0.5, 0.3), (0, 1)),
+        ((0.3, round(0.11 / 0.3, 12)), (round(2 / 3, 12), 0)),
+        ((0.3, 0.5), (1, 0)),
+    }
     out = solve_nr_stage(StageGameNR(a=0.3, c=0.5, d=0.3, e=0.3))
     assert out.has_continuum
-    assert out.payoffs == ((0.3, 0.3), (0.3, 0.5), (0.5, 0.3))
-    assert _bids(out) == [(0, 0), (1, 0), (0, 1)]
+    assert _vertices(out) == {((0.3, 0.3), (0, 0)), ((0.3, 0.5), (1, 0)), ((0.5, 0.3), (0, 1))}
     out = solve_nr_stage(StageGameNR(a=0.3, c=0.5, d=0.4, e=0.3))
     assert out.has_continuum
-    assert out.payoffs == ((0.4, 0.3), (0.5, 0.3)) and _bids(out) == [(0, 0), (0, 1)]
+    assert _vertices(out) == {((0.4, 0.3), (0, 0)), ((0.5, 0.3), (0, 1))}
 
 
 def test_nr_invariant_violation_raises():
@@ -241,3 +253,77 @@ def test_payoff_extremes_feed_the_recursions():
     assert min(min(p) for p in payoffs) == a
     assert min(sums) == Fr(3, 4)  # both coordinates 3/8 at the mixed point
     assert max(max(p) for p in payoffs) == c
+
+
+# -- the enumeration against a brute-force scan of mixed profiles -------------------
+
+
+def _lattice(den):
+    return [Fr(i, den) for i in range(den + 1)]
+
+
+def _stage_games(den):
+    """Every exact stage game on the lattice of multiples of 1/den that
+    its solver accepts, as (matrix, solver outcome)."""
+    grid = _lattice(den)
+    for a in grid:
+        for c in grid:
+            for d in grid:
+                if not c >= a > d:
+                    g = StageGameFR(a, c, d)
+                    yield payoff_matrix_fr(g), solve_fr_stage(g)
+                for e in grid:
+                    if d <= c and e <= c:
+                        g = StageGameNR(a, c, d, e)
+                        yield payoff_matrix_nr(g), solve_nr_stage(g)
+
+
+def _indifference(bb, bp, pb, pp):
+    """The rival's bid probabilities in (0, 1) leaving a player indifferent,
+    from that player's payoffs bidding against a bidder and a passer, and
+    passing against a bidder and a passer."""
+    slope = (bb - pb) - (bp - pp)
+    if slope == 0:
+        return []
+    t = (pp - bp) / slope
+    return [t] if 0 < t < 1 else []
+
+
+def _midpoints(points):
+    """The points and the midpoint of every pair of them."""
+    return {(s + t) / 2 for s in points for t in points}
+
+
+def _scan_payoffs(matrix):
+    """Distinct equilibrium payoffs among the profiles whose bid
+    probabilities are 0, 1, a mixing point or the midpoint of two of them,
+    each checked with best_response_slack at slack 0."""
+    bb, bp, pb, pp = matrix
+    # player 1's mixing points leave player 2 indifferent, and vice versa
+    ps = _midpoints([Fr(0), Fr(1)] + _indifference(bb[1], pb[1], bp[1], pp[1]))
+    qs = _midpoints([Fr(0), Fr(1)] + _indifference(bb[0], bp[0], pb[0], pp[0]))
+    found = set()
+    for p in ps:
+        for q in qs:
+            g1, g2, payoff = best_response_slack(matrix, p, q)
+            if g1 <= 0 and g2 <= 0:
+                found.add(payoff)
+    return found
+
+
+def test_vertices_match_a_scan_of_mixed_profiles():
+    for matrix, out in _stage_games(4):
+        scanned, reported = _scan_payoffs(matrix), set(out.payoffs)
+        assert reported <= scanned, (matrix, reported - scanned)
+        for key in (lambda u: u[0], lambda u: u[1], sum):
+            assert min(map(key, reported)) == min(map(key, scanned)), matrix
+            assert max(map(key, reported)) == max(map(key, scanned)), matrix
+        # midpoints of an edge whose payoff moves are payoffs of no vertex
+        assert out.has_continuum == (len(scanned) > len(reported)), matrix
+
+
+def test_full_recall_is_the_symmetric_no_recall_game():
+    for a, c, d in itertools.product(_lattice(6), repeat=3):
+        if not c >= a > d and d <= c:
+            fr, nr = solve_fr_stage(StageGameFR(a, c, d)), solve_nr_stage(StageGameNR(a, c, d, d))
+            assert (set(fr.payoffs), fr.has_continuum) == (set(nr.payoffs), nr.has_continuum), (a, c, d)
