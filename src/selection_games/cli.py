@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=5, help="horizon (number of arrivals)")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--grid", type=int, default=1001, help="triangle grid resolution")
+        p.add_argument(
+            "--grid", type=int, default=1001, help="triangle grid resolution (laws with no density do not read it)"
+        )
         if needs_seed:
             p.add_argument("--seed", type=int, default=0)
 

@@ -19,7 +19,12 @@ Three evaluation paths:
 * n <= 3 on every law: closed forms in c_1, c_2, c_3 and the CDF
   (:func:`closed_forms`, :func:`pass_value`), read by the best profile;
 * finite-support laws: exact recursion over the (small) reachable state
-  space;
+  space, each level's distinct states evaluated once in one array
+  (:func:`_lh_discrete`).  It serves :func:`band` and :func:`lh_values`,
+  and through :func:`exact_pass_value` the best profile's d+_k for k >= 3,
+  so neither builds a grid on such a law; criterion 8 there
+  (:func:`simulate.best_response_gap`) runs exact backward induction over
+  the same states;
 * general laws: value tables on a triangular grid over {0 <= b <= a <= 1}
   with bilinear interpolation, built bottom-up and memoized per
   (distribution, grid) pair.
@@ -545,28 +550,55 @@ def _check_pass_dominance(ctx: TriangleContext, k: int, d: np.ndarray) -> None:
 # -- exact path for finite-support laws ----------------------------------------------
 
 
-def _lh_discrete(dist: ValueDistribution, n: int, a: float, b: float, memo: dict) -> tuple:
-    key = (n, a, b)
-    if key in memo:
-        return memo[key]
-    if n == 0:
-        out = ((a + b) / 2.0, (a + b) / 2.0)
+def _distinct_states(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct states among the pairs (a, b) of two 1-D arrays, sorted,
+    and the index of each pair's state among them."""
+    key = np.empty(len(a), dtype=complex)
+    key.real, key.imag = a, b
+    states, inverse = np.unique(key, return_inverse=True)
+    return states.real.copy(), states.imag.copy(), inverse.reshape(-1)
+
+
+def _lh_discrete(dist: ValueDistribution, n: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(low, high, d-, d+) with n >= 1 arrivals to come at the states (a, b),
+    1-D arrays, on a law with no density: the recursion over the atoms, with
+    each level's distinct states evaluated once, in one array.  Each value is
+    the state's own: it does not depend on the other states of the call."""
+    xs = np.array([x for x, _ in dist.atoms])[:, None]
+    # the state each atom leads to, atom after atom
+    next_a, next_b = np.maximum(a, xs).ravel(), np.minimum(np.maximum(xs, b), a).ravel()
+    if n == 1:
+        low = high = (next_a + next_b) / 2.0
     else:
-        c = dist.expect_order_max_with(n, b)
-        dm = 0.0
-        dp = 0.0
-        for x, mass in dist.atoms:
-            sub = _lh_discrete(dist, n - 1, max(a, x), med(a, b, x), memo)
-            dm += mass * sub[0]
-            dp += mass * sub[1]
-        if c - a >= -BRANCH_TOL and min(dm, dp) < a - PASS_DOMINANCE_SLACK:
-            raise InconsistencyError(
-                f"pass-dominance violated at state (n={n}, a={a}, b={b}): "
-                f"c={c}, d=({dm}, {dp})"
-            )
-        out = (stage_value(a, c, dm, best=False), stage_value(a, c, dp, best=True))
-    memo[key] = out
-    return out
+        sa, sb, inverse = _distinct_states(next_a, next_b)
+        low, high = (v[inverse] for v in _lh_discrete(dist, n - 1, sa, sb)[:2])
+    dm = np.zeros(len(a))
+    dp = np.zeros(len(a))
+    for (_, mass), low_x, high_x in zip(dist.atoms, low.reshape(len(xs), -1), high.reshape(len(xs), -1)):
+        dm += mass * low_x
+        dp += mass * high_x
+    c = dist.order_max_with_vec(n, b)
+    bad = np.flatnonzero((c - a >= -BRANCH_TOL) & (np.minimum(dm, dp) < a - PASS_DOMINANCE_SLACK))
+    if bad.size:
+        i = bad[0]
+        raise InconsistencyError(
+            f"pass-dominance violated at state (n={n}, a={a[i]}, b={b[i]}): "
+            f"c={c[i]}, d=({dm[i]}, {dp[i]})"
+        )
+    return stage_value(a, c, dm, best=False), stage_value(a, c, dp, best=True), dm, dp
+
+
+def exact_pass_value(dist: ValueDistribution, k: int, a: np.ndarray, b: np.ndarray, memo: dict) -> np.ndarray:
+    """Both-pass continuation d+_k(a, b) of the best equilibrium, elementwise
+    over 1-D arrays of states, on a law with no density, by the recursion of
+    :func:`_lh_discrete`.  Each distinct state is read from ``memo``, keyed by
+    (k, a, b), or evaluated once and kept there."""
+    sa, sb, inverse = _distinct_states(a, b)
+    keys = [(k, x, y) for x, y in zip(sa.tolist(), sb.tolist())]
+    new = [i for i, key in enumerate(keys) if key not in memo]
+    if new:
+        memo.update(zip((keys[i] for i in new), _lh_discrete(dist, k, sa[new], sb[new])[3].tolist()))
+    return np.array([memo[key] for key in keys])[inverse]
 
 
 # -- public operations -----------------------------------------------------------------
@@ -589,18 +621,18 @@ def lh_values(
 ):
     """(worst, best) symmetric equilibrium payoff of the game with initial
     values a >= b and n arrivals to come, elementwise over arrays a and b:
-    two arrays of their broadcast shape, or two floats for scalars.  The grid
-    path reads each table once for all points, each value bitwise equal to
-    the point's own call; the exact path shares one memo over the points."""
+    two arrays of their broadcast shape, or two floats for scalars.  Each
+    value is bitwise the point's own call: the grid path reads each table
+    once for all points, and the exact path evaluates each distinct state of
+    each level once for all of them."""
     a, b = _states(a, b)
     if n < 0:
         raise SpecValidationError("n must be >= 0")
     if n == 0:
         low = high = (a + b) / 2.0
     elif not dist.pieces:
-        memo: dict = {}
-        pairs = [_lh_discrete(dist, n, float(x), float(y), memo) for x, y in zip(a.flat, b.flat)]
-        low, high = (np.reshape([float(v[side]) for v in pairs], a.shape) for side in (0, 1))
+        sa, sb, inverse = _distinct_states(a.ravel(), b.ravel())
+        low, high = (v[inverse].reshape(a.shape) for v in _lh_discrete(dist, n, sa, sb)[:2])
     else:
         ctx, tables = grid_tables(dist, n, grid or GridConfig())
         stage = tables[n]

@@ -16,26 +16,37 @@ Equilibrium profiles built by :func:`spe_strategy`:
 
 * with recall, both players bid exactly when the stage analysis forces or
   permits it: at or above the rival's lone value c_k(b) for the worst
-  profile, above max(c_k(b), both-pass continuation) for the best one;
+  profile, above max(c_k(b), both-pass continuation) for the best one.
+  The best profile reads that continuation in closed form with one or two
+  arrivals to come, from the exact recursion on a law with no density, and
+  from the grid otherwise;
 * without recall, the worst profile is the symmetric stationary one (pass
   below a self-consistent threshold, mix in the middle band, bid above
   c_k), and the best profile is an asymmetric pair in which a designated
   bidder takes every value above the worst-single-payoff threshold while
   the other player waits; the bidder's expected payoff is exactly the
   worst single equilibrium payoff, the pair sum the best equilibrium sum.
+
+:func:`best_response_gap` certifies a profile by backward induction: with
+recall on a law with no density, over the atom states reachable from (0, 0)
+in exact arithmetic, so that neither the best profile nor its certificate
+builds a grid on such a law; on a grid otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .distributions import ValueDistribution
 from .errors import SpecValidationError, UnsupportedDistributionError
-from .full_recall import GridConfig, GridLine, TriangleContext, grid_tables, pass_value
+from .full_recall import GridConfig, GridLine, TriangleContext, exact_pass_value, grid_tables, med, pass_value
 from .no_recall import no_recall_sequence
+from .oracle import _order_max_exact, atoms_from_distribution
 from .prophet import prophet_values
 from .stage_games import stage_bids
 
@@ -223,12 +234,15 @@ def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> 
     """Bid exactly where the worst (best) stage equilibrium bids, by
     :func:`stage_bids` at (a, c_k(b), d+_k); d+_k is read only where the
     worst rule bids, never for the worst profile, and on every law from
-    :func:`pass_value` for k <= 2, from the grid for k >= 3 only: no grid is
-    built at n <= 3.  c_k of the last row of floors is kept for each k, so
-    the best-response DP, whose row blocks read prefixes of one row,
-    evaluates it once a stage."""
+    :func:`pass_value` for k <= 2.  For k >= 3 a law with no density reads
+    the exact recursion (:func:`exact_pass_value`, each distinct state once,
+    kept in a memo the rule holds), and a law with a density the grid: no
+    grid is built at n <= 3, nor at any n on a law with no density.  c_k of
+    the last row of floors is kept for each k, so the best-response DP,
+    whose row blocks read prefixes of one row, evaluates it once a stage."""
     ctx = tables = None
-    if best and n > 3:
+    memo: dict = {}
+    if best and n > 3 and d.pieces:
         ctx, tables = grid_tables(d, n - 1, grid)
 
     # per k, the last row of floors evaluated and its c_k values
@@ -261,6 +275,8 @@ def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> 
             a_c, b_c, c_c = (np.broadcast_to(v, bid.shape)[bid] for v in (a, b, c))
             if k <= 2:  # c_1(a), c_2(a) on a's own shape and c = c_k(b) as kept
                 dplus = np.broadcast_to(pass_value(d, k, a, c), bid.shape)[bid]
+            elif ctx is None:
+                dplus = exact_pass_value(d, k, a_c, b_c, memo)
             else:
                 dplus = ctx.bilinear(tables[k].dplus, a_c, b_c)
             bid[bid] = stage_bids(a_c, c_c, dplus, best=True)
@@ -401,11 +417,21 @@ def best_response_gap(
     grid_size: int = 2001,
 ) -> float:
     """Value of the best response against ``opponent`` minus the value of
-    ``equilibrium_reply`` against it, via backward induction on a
-    discretized state space.  A result <= tolerance certifies that the
-    reply admits no profitable deviation (up to grid error).
+    ``equilibrium_reply`` against it, via backward induction over the
+    states.  A result <= tolerance certifies that the reply admits no
+    profitable deviation (up to grid error).
 
-    With recall, the states are the grid nodes (a, b) of the triangle
+    With recall on a law with no density, the states are those reachable
+    from (0, 0), pairs of atoms and 0, and the induction runs in exact
+    arithmetic on the snapped atoms (:func:`oracle.atoms_from_distribution`),
+    with each bid probability, a float of the rule at (float(a), float(b)),
+    taken exactly; ``grid_size`` is not read.  The gap is exact up to its
+    rounding to a float: an equilibrium profile's is 0.0, and a reply that
+    waits past an atom has a positive one.  It costs O(n m S) for m atoms and
+    S <= (m + 1)(m + 2)/2 states a stage.
+
+    Otherwise the states lie on a grid.  With recall, they are the nodes
+    (a, b) of the triangle
     b <= a, walked by :meth:`TriangleContext.triangle_blocks`, and every
     stage but the first updates one stored triangle of the context, the best
     reply's, with its expectation written over it and the stage rule applied
@@ -430,6 +456,8 @@ def best_response_gap(
     if variant == NO_RECALL:
         return _br_gap_no_recall(d, n, opponent, equilibrium_reply, grid_size)
     if variant == FULL_RECALL:
+        if not d.pieces:
+            return _br_gap_exact(d, n, opponent, equilibrium_reply)
         return _br_gap_full_recall(d, n, opponent, equilibrium_reply, grid_size)
     raise SpecValidationError(f"unknown variant {variant!r}")
 
@@ -454,6 +482,51 @@ def _br_gap_no_recall(d, n, opponent, reply, grid_size):
         r_br = ctx.expect(v_br)
         r_eq = ctx.expect(v_eq)
     return float(r_br - r_eq)
+
+
+def _br_gap_exact(d, n, opponent, reply):
+    """The full-recall gap on a law with no density, in exact arithmetic on
+    the snapped atoms (:func:`oracle.atoms_from_distribution`).  The states
+    after each arrival are those reachable from (0, 0), pairs of atoms and 0,
+    kept as indices into the sorted values; the bid probabilities are the
+    rules' floats at (float(a), float(b)), each taken exactly.  A stage's
+    values are summed over the arrival as integers: the masses and the
+    values each over one common denominator."""
+    atoms = atoms_from_distribution(d)
+    values = sorted({Fraction(0)} | {x for x, _ in atoms})
+    scale = math.lcm(*(m.denominator for _, m in atoms))
+    arrivals = [(values.index(x), int(m * scale)) for x, m in atoms]
+    stages = [sorted({(x, 0) for x, _ in arrivals})]
+    for _ in range(n - 1):
+        stages.append(sorted({(max(i, x), med(i, j, x)) for i, j in stages[-1] for x, _ in arrivals}))
+    # at the last arrival every player still present bids: the even split
+    v_br = {(i, j): (values[i] + values[j]) / 2 for i, j in stages[-1]}
+    v_eq = v_br
+    for t in range(n - 1, 0, -1):
+        k = n - t
+        states = stages[t - 1]
+        a = np.array([float(values[i]) for i, _ in states])
+        b = np.array([float(values[j]) for _, j in states])
+        q = _bid_prob(opponent, t, k, a, b)
+        p = q if reply is opponent else _bid_prob(reply, t, k, a, b)
+        lone = {j: _order_max_exact(atoms, k, values[j]) for j in {j for _, j in states}}
+        (den_br, num_br), (den_eq, num_eq) = _over_one_denominator(v_br), _over_one_denominator(v_eq)
+        v_br, v_eq = {}, {}
+        for (i, j), q_s, p_s in zip(states, map(Fraction, q.tolist()), map(Fraction, p.tolist())):
+            nxt = [(mass, (max(i, x), med(i, j, x))) for x, mass in arrivals]
+            w_br = Fraction(sum(mass * num_br[s] for mass, s in nxt), scale * den_br)
+            w_eq = Fraction(sum(mass * num_eq[s] for mass, s in nxt), scale * den_eq)
+            ai, c = values[i], lone[j]
+            bid = q_s * (ai + c) / 2 + (1 - q_s) * ai
+            v_br[i, j] = max(bid, q_s * c + (1 - q_s) * w_br)
+            v_eq[i, j] = p_s * bid + (1 - p_s) * (q_s * c + (1 - q_s) * w_eq)
+    return float(sum(m * (v_br[x, 0] - v_eq[x, 0]) for x, m in arrivals) / scale)
+
+
+def _over_one_denominator(vals: dict) -> tuple[int, dict]:
+    """Exact values as one common denominator and their numerators over it."""
+    den = math.lcm(*(v.denominator for v in vals.values()))
+    return den, {s: v.numerator * (den // v.denominator) for s, v in vals.items()}
 
 
 def _br_stage(a, c, q, p, w_br, w_eq, same) -> None:
@@ -562,7 +635,9 @@ def spe_gap(
     grid_size: int = 2001,
     grid: GridConfig | None = None,
 ) -> float:
-    """Worst best-response gap over both seats of the constructed profile."""
+    """Worst best-response gap over both seats of the constructed profile
+    (with recall on a law with no density, exact, and ``grid_size`` and
+    ``grid`` are not read)."""
     profile = spe_strategy(d, n, variant, which, grid=grid)
     g1 = best_response_gap(d, n, variant, profile.player2, profile.player1, grid_size)
     if profile.symmetric:

@@ -161,6 +161,22 @@ def test_simulate_json_pinned(capsys, dist, variant, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: sha256 of the simulate JSON below, recorded while the best profile read
+#: d+_k for k >= 3 from a grid: the exact d+_k flips no decision
+TWO_POINT_SIMULATE_DIGEST = "d05b1791377de4aaaa38a847fd8525fa5161e0127f92c72dca6ca0bed8fe9a73"
+
+
+def test_simulate_two_point_json_pinned(capsys):
+    spec = '{"type": "discrete", "atoms": [{"x": "1/3", "p": "1/2"}, {"x": "2/3", "p": "1/2"}]}'
+    argv = [
+        "simulate", "--dist", spec, "--variant", "fullrecall", "--n", "5", "--runs", "20000", "--seed", "5",
+        "--format", "json",
+    ]
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TWO_POINT_SIMULATE_DIGEST
+
+
 def test_validation_error_exit_code(capsys):
     code = run(["norecall", "--dist", '{"type":"discrete"}', "--n", "3"])
     err = capsys.readouterr().err

@@ -1,13 +1,17 @@
+import functools
 import hashlib
+import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import stored_triangle, triangle_cells
 
 from selection_games import distributions as D
+from selection_games import oracle as O
 from selection_games import simulate as S
-from selection_games.efficiency import tightness_family
+from selection_games.efficiency import ratios, tightness_family
 from selection_games.errors import ResourceBudgetError, SpecValidationError, UnsupportedDistributionError
 from selection_games import full_recall as FR
 from selection_games.full_recall import GridConfig, TriangleContext, grid_tables, pass_value
@@ -279,36 +283,167 @@ def test_full_recall_dp_evaluates_lone_values_once_per_stage(monkeypatch):
 def test_best_strategy_reads_pass_value_only_where_it_decides(law, n, rng):
     # the rule is a > max(c_k(b), dplus_k(a, b)); dplus is now read only
     # where a > c_k(b), which must not change a single decision.  dplus_k is
-    # the closed form for k <= 2 on every law, the grid's for k >= 3
-    ctx, tables = grid_tables(law, n - 1, GRID)
+    # the closed form for k <= 2 on every law; for k >= 3 the grid's on a law
+    # with a density, and on a law with none the exact one, the sum over the
+    # atoms x of high_(k-1) at (a v x, med[a, b, x])
     prob = S.spe_strategy(law, n, "full_recall", "best", grid=GRID).player1.bid_prob
     u = rng.random((2, 5000))
     a, b = np.maximum(u[0], u[1]), np.minimum(u[0], u[1])
     # the grid nodes with b <= a: bilinear reads the triangle only
-    i, j = np.tril_indices(len(ctx.g))
+    g = np.linspace(0.0, 1.0, GRID.size)
+    i, j = np.tril_indices(GRID.size)
+    if law.pieces:
+        ctx, tables = grid_tables(law, n - 1, GRID)
     for k in range(1, n):
-        for x, y in ((a, b), (ctx.g[i], ctx.g[j])):
+        for x, y in ((a, b), (g[i], g[j])):
             c = law.order_max_with_vec(k, y)
             if k <= 2:
                 dplus = pass_value(law, k, x, c)
-            else:
+            elif law.pieces:
                 dplus = ctx.bilinear(tables[k].dplus, x, y)
+            else:
+                dplus = 0.0
+                for atom, mass in law.atoms:
+                    high = FR.lh_values(law, k - 1, np.maximum(x, atom), np.minimum(np.maximum(atom, y), x))[1]
+                    dplus = dplus + mass * high
             want = np.where(x > np.maximum(c, dplus), 1.0, 0.0)
             assert np.array_equal(prob(n - k, k, x, y), want)
 
 
+#: the four-atom law {0.1, 0.4, 0.6, 0.9} with mass 1/4 each
+FOUR_ATOMS = D.discrete([(0.1, 0.25), (0.4, 0.25), (0.6, 0.25), (0.9, 0.25)])
+#: laws with no density, on which the recall DP is exact
+NO_DENSITY_LAWS = {
+    "two_point": D.two_point(),
+    "four_atoms": FOUR_ATOMS,
+    "edge_atoms": D.discrete([(0.0, 0.2), (0.25, 0.3), (0.6, 0.1), (1.0, 0.4)]),
+}
+
+
 @pytest.mark.parametrize(
-    "law", [beta_distribution(2, 2), D.two_point(), tightness_family(0.1, 0.05)], ids=["beta22", "two_point", "tightness"]
+    "law, n",
+    [
+        (beta_distribution(2, 2), 3),
+        (D.two_point(), 3),
+        (tightness_family(0.1, 0.05), 3),
+        (D.two_point(), 5),
+        (D.two_point(), 6),
+        (FOUR_ATOMS, 5),
+    ],
+    ids=["beta22", "two_point", "tightness", "two_point-n5", "two_point-n6", "four_atoms-n5"],
 )
-def test_best_profile_builds_no_grid_up_to_three_arrivals(law):
+def test_best_profile_builds_no_grid_up_to_three_arrivals(law, n):
     # d+_1 and d+_2 are closed forms on every law: the best profile, and the
-    # plays and the DP that read it, need no grid table at n <= 3
+    # plays and the DP that read it, need no grid table at n <= 3; on a law
+    # with no density d+_k is exact for every k, so they need none at any n
     stale = [key for key in FR._TABLE_CACHE if key[0] == law.cache_key()]
     for key in stale:
         del FR._TABLE_CACHE[key]
-    rule = S.spe_strategy(law, 3, "full_recall", "best").player1
-    S.play(law, 3, "full_recall", rule, rule, 2000, seed=3)
+    rule = S.spe_strategy(law, n, "full_recall", "best").player1
+    S.play(law, n, "full_recall", rule, rule, 2000, seed=3)
     assert not [key for key in FR._TABLE_CACHE if key[0] == law.cache_key()]
+
+
+@pytest.mark.parametrize("law, horizon", [(D.two_point(), 6), (FOUR_ATOMS, 5)], ids=["two_point", "four_atoms"])
+def test_exact_certificate_is_zero_on_equilibrium_profiles(law, horizon):
+    # with recall on a law with no density the DP runs in exact arithmetic
+    for n in range(1, horizon + 1):
+        for which in ("best", "worst"):
+            assert S.spe_gap(law, n, "full_recall", which) == 0.0, (n, which)
+
+
+def _one_atom_lower(rule, law):
+    """A reply that bids at (a, b) where ``rule`` bids at (a', b), a' the atom
+    below a (0 below the lowest): it waits one atom too long."""
+    xs = np.array([x for x, _ in law.atoms])
+    below = np.concatenate(([0.0], xs))
+    return S.Strategy("one-atom-lower", lambda t, k, a, b: rule.bid_prob(t, k, below[np.searchsorted(xs, a)], b))
+
+
+#: repr of the exact gap of the one-atom-late reply at n = 4, best profile
+DELAYED_GAP_REPRS = {"two_point": "0.03125", "four_atoms": "0.051953125"}
+
+
+@pytest.mark.parametrize("name", sorted(DELAYED_GAP_REPRS))
+def test_exact_certificate_prices_a_reply_one_atom_late(name):
+    law = NO_DENSITY_LAWS[name]
+    rule = S.spe_strategy(law, 4, "full_recall", "best").player1
+    gap = S.best_response_gap(law, 4, "full_recall", rule, _one_atom_lower(rule, law))
+    assert gap > 0.0
+    assert repr(gap) == DELAYED_GAP_REPRS[name]
+
+
+def _fraction_gap(law, n, opponent, reply):
+    """Reference for the exact full-recall gap: the same backward induction as
+    a plain recursion over the states (a, b), in Fraction throughout."""
+    atoms = O.atoms_from_distribution(law)
+    cdf = list(itertools.accumulate(m for _, m in atoms))
+
+    def lone(k, b):  # E(max(X_1..X_k) v b)
+        return sum(max(x, b) * (F**k - (F - m) ** k) for (x, m), F in zip(atoms, cdf))
+
+    def bid_prob(rule, t, k, a, b):
+        p = rule.bid_prob(t, k, np.array([float(a)]), np.array([float(b)]))
+        return Fraction(float(np.clip(np.broadcast_to(p, (1,))[0], 0.0, 1.0)))
+
+    @functools.cache
+    def values(t, a, b):  # (best reply, reply) after the t-th arrival
+        if t == n:
+            return ((a + b) / 2,) * 2
+        k = n - t
+        q, p, c = bid_prob(opponent, t, k, a, b), bid_prob(reply, t, k, a, b), lone(k, b)
+        w_br, w_eq = (sum(m * values(t + 1, max(a, x), min(max(x, b), a))[i] for x, m in atoms) for i in (0, 1))
+        bid = q * (a + c) / 2 + (1 - q) * a
+        return max(bid, q * c + (1 - q) * w_br), p * bid + (1 - p) * (q * c + (1 - q) * w_eq)
+
+    return float(sum(m * (values(1, x, Fraction(0))[0] - values(1, x, Fraction(0))[1]) for x, m in atoms))
+
+
+@pytest.mark.parametrize("name", sorted(NO_DENSITY_LAWS))
+def test_exact_certificate_matches_a_fraction_recursion(name):
+    law = NO_DENSITY_LAWS[name]
+    # fractional bid probabilities that depend on both a and b
+    mixed = S.Strategy("mixed", lambda t, k, a, b: np.clip(2.0 * a - b - 0.3 * k, 0.0, 1.0))
+    for n in (1, 2, 3, 4):
+        rule = S.spe_strategy(law, n, "full_recall", "best").player1
+        threshold = S.threshold_strategy({1: 0.6, 2: 0.55, 3: 0.5})
+        for opponent, reply in ((rule, rule), (rule, threshold), (mixed, mixed), (mixed, _one_atom_lower(rule, law))):
+            got = S.best_response_gap(law, n, "full_recall", opponent, reply)
+            assert got == _fraction_gap(law, n, opponent, reply), (n, opponent.name, reply.name)
+
+
+def test_laws_with_no_density_build_no_grid(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a law with no density built a triangle grid")
+
+    monkeypatch.setattr(TriangleContext, "__init__", refuse)
+    for law, n in ((D.two_point(), 6), (FOUR_ATOMS, 5)):
+        for which in ("best", "worst"):
+            prof = S.spe_strategy(law, n, "full_recall", which)
+            S.play(law, n, "full_recall", prof.player1, prof.player2, 2000, seed=1)
+            S.spe_gap(law, n, "full_recall", which)
+        FR.band(law, n)
+        ratios(law, n, "full_recall")
+
+
+#: sha256 of repr((mean, stderr, stderr_sum)) of the fixed-seed plays of the
+#: two-point law's profiles, recorded while the best profile read d+_k for
+#: k >= 3 from a G = 1001 grid: the exact d+_k flips no decision
+TWO_POINT_PLAY_DIGESTS = {
+    4: "c259f3a47d03dd59d7c716232fd528e8b38da06a2724521b1388c420d7b08680",
+    5: "f047efd3e5139ec916aa01ffc4711f72480b8a53e73ea2b892285675f7a163ec",
+    6: "d97140ca167ca77f611caeeb5045b33452ad39909ecfdc327a36c1baeedda4d7",
+}
+
+
+@pytest.mark.parametrize("which", ["best", "worst"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_two_point_plays_pinned(n, which):
+    # on this law the best and worst profiles make the same decisions
+    prof = S.spe_strategy(D.two_point(), n, "full_recall", which)
+    rep = S.play(D.two_point(), n, "full_recall", prof.player1, prof.player2, 20_000, seed=7)
+    key = repr((rep.mean, rep.stderr, rep.stderr_sum))
+    assert hashlib.sha256(key.encode()).hexdigest() == TWO_POINT_PLAY_DIGESTS[n]
 
 
 def test_small_grid_gaps_stay_small():
