@@ -18,13 +18,13 @@ Three evaluation paths:
 
 * n <= 3 on every law: closed forms in c_1, c_2, c_3 and the CDF
   (:func:`closed_forms`, :func:`pass_value`), read by the best profile;
-* finite-support laws: exact recursion over the (small) reachable state
-  space, each level's distinct states evaluated once in one array
-  (:func:`_lh_discrete`).  It serves :func:`band` and :func:`lh_values`,
-  and through :func:`exact_pass_value` the best profile's d+_k for k >= 3,
-  so neither builds a grid on such a law; criterion 8 there
-  (:func:`simulate.best_response_gap`) runs exact backward induction over
-  the same states;
+* finite-support laws: exact recursion over the reachable states, listed
+  by :func:`atom_lattice` level by level with their next-state tables.  One
+  backward pass over it (:func:`_lh_discrete`) serves :func:`band`,
+  :func:`lh_values` and, through :func:`exact_pass_value`, the best
+  profile's d+_k for k >= 3, so neither builds a grid on such a law; the
+  exact criterion 8 (:func:`simulate.best_response_gap`) and the oracle
+  walk the same lattice;
 * general laws: value tables on a triangular grid over {0 <= b <= a <= 1}
   with bilinear interpolation, built bottom-up and memoized per
   (distribution, grid) pair.
@@ -75,6 +75,9 @@ PASS_DOMINANCE_SLACK = 1e-9
 GRID_WORKING_TABLES = 12
 #: largest working set a triangle grid may claim, in bytes (2 GiB: G <= 4729)
 GRID_MEMORY_BUDGET = 2 * 1024**3
+#: bytes a (state, atom) entry of :func:`atom_lattice` costs while its level
+#: is built: key, ``np.unique``'s sort and inverse, and the table (49 measured)
+LATTICE_ENTRY_BYTES = 56
 #: G x G tables are worked through in blocks of rows of about this many
 #: bytes, so that a block's temporaries stay in cache
 ROW_BLOCK_BYTES = 256 * 1024
@@ -103,11 +106,6 @@ class FullRecallBand:
     def __post_init__(self) -> None:
         if self.low > self.high + 1e-9:
             raise InconsistencyError(f"band inverted: low={self.low} > high={self.high}")
-
-
-def med(a, b, x):
-    """Median of the triple {a, b, x} with a >= b."""
-    return min(max(x, b), a)
 
 
 # -- triangular grid engine ---------------------------------------------------------
@@ -550,54 +548,84 @@ def _check_pass_dominance(ctx: TriangleContext, k: int, d: np.ndarray) -> None:
 # -- exact path for finite-support laws ----------------------------------------------
 
 
-def _distinct_states(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct states among the pairs (a, b) of two 1-D arrays, sorted,
-    and the index of each pair's state among them."""
-    key = np.empty(len(a), dtype=complex)
-    key.real, key.imag = a, b
-    states, inverse = np.unique(key, return_inverse=True)
-    return states.real.copy(), states.imag.copy(), inverse.reshape(-1)
+def atom_lattice(atoms, a, b, levels: int) -> tuple[list, list, np.ndarray]:
+    """The states reachable from the states (a, b), a >= b, in up to
+    ``levels`` arrivals, as index pairs (i, j) into one sorted list of
+    values, ``atoms`` the atoms' indices in the law's order: max and median
+    keep order, so an arrival x moves (i, j) to (i v x, med[i, j, x]) on the
+    indices as on the values, float or exact.  Returns each level's distinct
+    states, two index arrays sorted by (i, j); each level's next-state table
+    but the last's, state x atom; and each query's index among level 0's
+    states.  A level whose working set (``LATTICE_ENTRY_BYTES`` an entry, 8
+    for the tables kept before it) would exceed ``GRID_MEMORY_BUDGET`` raises
+    :class:`ResourceBudgetError` before its table is allocated."""
+    atoms, a, b = (np.asarray(v, dtype=np.intp) for v in (atoms, a, b))
+    size = int(max(atoms.max(initial=0), a.max(initial=0))) + 1
+
+    def distinct(key):
+        key, inverse = np.unique(key, return_inverse=True)
+        return (key // size, key % size), inverse.reshape(-1)
+
+    first, inverse = distinct(a * size + b)
+    states, tables, kept = [first], [], 0
+    for _ in range(levels):
+        i, j = states[-1][0][:, None], states[-1][1][:, None]
+        working = 8 * kept + LATTICE_ENTRY_BYTES * i.size * atoms.size
+        if working > GRID_MEMORY_BUDGET:
+            raise ResourceBudgetError(
+                f"{i.size} states x {atoms.size} atoms in one level of the atom-state lattice need about "
+                f"{working / 2**30:.1f} GiB, over the budget of {GRID_MEMORY_BUDGET / 2**30:.1f} GiB"
+            )
+        kept += i.size * atoms.size
+        key = np.maximum(atoms, j)
+        np.minimum(key, i, out=key)
+        key += np.maximum(i, atoms) * size
+        nxt, table = distinct(key)
+        states.append(nxt)
+        tables.append(table.reshape(key.shape))
+    return states, tables, inverse
 
 
 def _lh_discrete(dist: ValueDistribution, n: int, a: np.ndarray, b: np.ndarray) -> tuple:
     """(low, high, d-, d+) with n >= 1 arrivals to come at the states (a, b),
-    1-D arrays, on a law with no density: the recursion over the atoms, with
-    each level's distinct states evaluated once, in one array.  Each value is
-    the state's own: it does not depend on the other states of the call."""
-    xs = np.array([x for x, _ in dist.atoms])[:, None]
-    # the state each atom leads to, atom after atom
-    next_a, next_b = np.maximum(a, xs).ravel(), np.minimum(np.maximum(xs, b), a).ravel()
-    if n == 1:
-        low = high = (next_a + next_b) / 2.0
-    else:
-        sa, sb, inverse = _distinct_states(next_a, next_b)
-        low, high = (v[inverse] for v in _lh_discrete(dist, n - 1, sa, sb)[:2])
-    dm = np.zeros(len(a))
-    dp = np.zeros(len(a))
-    for (_, mass), low_x, high_x in zip(dist.atoms, low.reshape(len(xs), -1), high.reshape(len(xs), -1)):
-        dm += mass * low_x
-        dp += mass * high_x
-    c = dist.order_max_with_vec(n, b)
-    bad = np.flatnonzero((c - a >= -BRANCH_TOL) & (np.minimum(dm, dp) < a - PASS_DOMINANCE_SLACK))
-    if bad.size:
-        i = bad[0]
-        raise InconsistencyError(
-            f"pass-dominance violated at state (n={n}, a={a[i]}, b={b[i]}): "
-            f"c={c[i]}, d=({dm[i]}, {dp[i]})"
-        )
-    return stage_value(a, c, dm, best=False), stage_value(a, c, dp, best=True), dm, dp
+    1-D arrays, on a law with no density: one backward pass over the levels
+    of :func:`atom_lattice`, c_k once per value a level, and each
+    continuation summed atom after atom.  Each value is the state's own."""
+    xs = np.array([x for x, _ in dist.atoms])
+    values = np.unique(np.concatenate((xs, a, b)))
+    states, tables, inverse = atom_lattice(*(np.searchsorted(values, v) for v in (xs, a, b)), n)
+    i, j = states[n]
+    low = high = (values[i] + values[j]) / 2.0
+    for k in range(1, n + 1):
+        (i, j), nxt = states[n - k], tables[n - k]
+        dm, dp = np.zeros((2, len(i)))
+        for (_, mass), col in zip(dist.atoms, nxt.T):
+            dm += mass * low[col]
+            dp += mass * high[col]
+        sa, sb, c = values[i], values[j], dist.order_max_with_vec(k, values)[j]
+        bad = np.flatnonzero((c - sa >= -BRANCH_TOL) & (np.minimum(dm, dp) < sa - PASS_DOMINANCE_SLACK))
+        if bad.size:
+            s = bad[0]
+            raise InconsistencyError(
+                f"pass-dominance violated at state (n={k}, a={sa[s]}, b={sb[s]}): "
+                f"c={c[s]}, d=({dm[s]}, {dp[s]})"
+            )
+        low, high = stage_value(sa, c, dm, best=False), stage_value(sa, c, dp, best=True)
+    return low[inverse], high[inverse], dm[inverse], dp[inverse]
 
 
 def exact_pass_value(dist: ValueDistribution, k: int, a: np.ndarray, b: np.ndarray, memo: dict) -> np.ndarray:
     """Both-pass continuation d+_k(a, b) of the best equilibrium, elementwise
     over 1-D arrays of states, on a law with no density, by the recursion of
-    :func:`_lh_discrete`.  Each distinct state is read from ``memo``, keyed by
-    (k, a, b), or evaluated once and kept there."""
-    sa, sb, inverse = _distinct_states(a, b)
+    :func:`_lh_discrete`.  Each distinct state (level 0 of the lattice) is
+    read from ``memo``, keyed by (k, a, b), or evaluated once and kept there."""
+    values = np.unique(np.concatenate((a, b)))
+    ((i, j),), _, inverse = atom_lattice([], *(np.searchsorted(values, v) for v in (a, b)), 0)
+    sa, sb = values[i], values[j]
     keys = [(k, x, y) for x, y in zip(sa.tolist(), sb.tolist())]
-    new = [i for i, key in enumerate(keys) if key not in memo]
+    new = [s for s, key in enumerate(keys) if key not in memo]
     if new:
-        memo.update(zip((keys[i] for i in new), _lh_discrete(dist, k, sa[new], sb[new])[3].tolist()))
+        memo.update(zip((keys[s] for s in new), _lh_discrete(dist, k, sa[new], sb[new])[3].tolist()))
     return np.array([memo[key] for key in keys])[inverse]
 
 
@@ -631,8 +659,7 @@ def lh_values(
     if n == 0:
         low = high = (a + b) / 2.0
     elif not dist.pieces:
-        sa, sb, inverse = _distinct_states(a.ravel(), b.ravel())
-        low, high = (v[inverse].reshape(a.shape) for v in _lh_discrete(dist, n, sa, sb)[:2])
+        low, high = (v.reshape(a.shape) for v in _lh_discrete(dist, n, a.ravel(), b.ravel())[:2])
     else:
         ctx, tables = grid_tables(dist, n, grid or GridConfig())
         stage = tables[n]

@@ -1,13 +1,14 @@
 """Exact brute-force equilibrium payoff sets for finite-support laws.
 
 Backward induction in exact rational arithmetic.  With k arrivals left,
-the payoff set of the continuation game is the set of expectations of all
-per-atom selections from the next level's sets; each continuation pair is
-then pushed through the one-stage solver, and every Nash payoff found
-enters the level-k set.  The expectations are summed one atom at a time,
-merging equal partial sums after each atom, on integers scaled by the lcm
-of the weighted options' denominators.  Small-support, small-horizon inputs
-only: every atom step is bounded by a size budget.
+the payoff set of the continuation game (with recall, of each state of
+:func:`full_recall.atom_lattice`, from the last level up) is the set of
+expectations of all per-atom selections from the next level's sets; each
+continuation pair is then pushed through the one-stage solver, and every
+Nash payoff found enters the level-k set.  The expectations are summed one
+atom at a time, merging equal partial sums after each atom, on integers
+scaled by the lcm of the weighted options' denominators.  Small-support,
+small-horizon inputs only: every atom step is bounded by a size budget.
 
 Payoffs are ``fractions.Fraction`` pairs at every stage solver and in the
 result; floats appear only at the reporting boundary.
@@ -15,6 +16,8 @@ result; floats appear only at the reporting boundary.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .distributions import ValueDistribution
 from .errors import InconsistencyError, ResourceBudgetError, SpecValidationError
-from .full_recall import med
+from .full_recall import atom_lattice
 from .stage_games import (
     StageGameFR,
     StageGameNR,
@@ -110,20 +113,20 @@ def _prophet_exact(atoms: Sequence[tuple[Fraction, Fraction]], n: int) -> list[F
     """c_0..c_n with c_k = E(X v c_{k-1}), c_0 = 0."""
     cs = [Fraction(0)]
     for _ in range(n):
-        cs.append(_order_max_exact(atoms, 1, cs[-1]))
+        cs.append(_order_max_exact(atoms, 1, [cs[-1]])[0])
     return cs
 
 
-def _order_max_exact(atoms: Sequence[tuple[Fraction, Fraction]], k: int, b: Fraction) -> Fraction:
-    """E(max of k samples v b), exact."""
-    total = Fraction(0)
-    F_prev = Fraction(0)
-    F = Fraction(0)
-    for x, m in atoms:
-        F += m
-        total += max(x, b) * (F**k - F_prev**k)
-        F_prev = F
-    return total
+def _order_max_exact(atoms: Sequence[tuple[Fraction, Fraction]], k: int, floors: Iterable[Fraction]) -> list:
+    """E(max of k samples v b), exact, at each floor b of ``floors``:
+    b F(b)^k plus x P(max = x) for each atom x > b, those terms summed once
+    from the top, so a call costs O(m) powers however many floors it takes."""
+    xs = [x for x, _ in atoms]
+    P = [F**k for F in itertools.accumulate((m for _, m in atoms), initial=Fraction(0))]
+    tail = [Fraction(0)]  # tail[r]: the top r atoms' terms
+    for t in reversed(range(len(xs))):
+        tail.append(tail[-1] + xs[t] * (P[t + 1] - P[t]))
+    return [b * P[(t := bisect.bisect_right(xs, b))] + tail[len(xs) - t] for b in floors]
 
 
 def _expectations(ats, per_atom: list[set[Pair]], budget: int) -> tuple[int, set[tuple[int, int]]]:
@@ -218,38 +221,40 @@ def _oracle_no_recall(ats, n: int, budget: int):
     return tuple((Fraction(p1, scale), Fraction(p2, scale)) for p1, p2 in sorted(sums)), continuum
 
 
+def _lattice_from_zero(ats, levels: int) -> tuple[list[Fraction], list, list]:
+    """The sorted values, 0 and the atoms, and the levels and next-state
+    tables of :func:`full_recall.atom_lattice` from (0, 0)."""
+    values = sorted({Fraction(0)} | {x for x, _ in ats})  # the atoms are the last len(ats)
+    states, tables, _ = atom_lattice(range(len(values) - len(ats), len(values)), [0], [0], levels)
+    return values, states, tables
+
+
 def _oracle_full_recall(ats, n: int, budget: int):
     """Sorted payoffs (u, u) of the full-recall game, and whether a stage
-    admitted a continuum."""
-    memo: dict[tuple, set[Pair]] = {}
+    admitted a continuum: each lattice state's set, from the last level up."""
+    values, states, tables = _lattice_from_zero(ats, n)
+    i, j = states[n]
+    sets = [{((values[a] + values[b]) / 2,) * 2} for a, b in zip(i.tolist(), j.tolist())]
     continuum = False
-
-    def solve_state(k: int, a: Fraction, b: Fraction) -> set[Pair]:
-        nonlocal continuum
-        key = (k, a, b)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            memo[key] = {((a + b) / 2,) * 2}
-            return memo[key]
-        per_atom = [solve_state(k - 1, max(a, x), med(a, b, x)) for x, _ in ats]
-        c = _order_max_exact(ats, k, b)
-        result: set[Pair] = set()
-        scale, conts = _expectations(ats, per_atom, budget)
-        for d, _ in conts:
-            game = StageGameFR(a, c, Fraction(d, scale))
-            outcome = solve_fr_stage(game)
-            verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
-            continuum = continuum or outcome.has_continuum
-            result.update(outcome.payoffs)
-        if any(u != v for u, v in result):
-            raise InconsistencyError("full-recall stage payoff left the diagonal")
-        if len(result) > budget:
-            raise ResourceBudgetError("payoff set exceeded the oracle budget")
-        memo[key] = result
-        return result
-
-    return tuple(sorted(solve_state(n, Fraction(0), Fraction(0)))), continuum
+    for k in range(1, n + 1):
+        (i, j), below = states[n - k], sets
+        lone = _order_max_exact(ats, k, values)
+        sets = []
+        for a, f, row in zip(i.tolist(), j.tolist(), tables[n - k].tolist()):
+            result: set[Pair] = set()
+            scale, conts = _expectations(ats, [below[s] for s in row], budget)
+            for d, _ in conts:
+                game = StageGameFR(values[a], lone[f], Fraction(d, scale))
+                outcome = solve_fr_stage(game)
+                verify_outcome(payoff_matrix_fr(game), outcome, slack=0)
+                continuum = continuum or outcome.has_continuum
+                result.update(outcome.payoffs)
+            if any(u != v for u, v in result):
+                raise InconsistencyError("full-recall stage payoff left the diagonal")
+            if len(result) > budget:
+                raise ResourceBudgetError("payoff set exceeded the oracle budget")
+            sets.append(result)
+    return tuple(sorted(sets[0])), continuum
 
 
 def oracle_summaries(spep: DiscreteSPEPSet) -> tuple[Fraction, Fraction, Fraction, Fraction]:

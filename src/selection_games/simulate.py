@@ -44,9 +44,9 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .errors import SpecValidationError, UnsupportedDistributionError
-from .full_recall import GridConfig, GridLine, TriangleContext, exact_pass_value, grid_tables, med, pass_value
+from .full_recall import GridConfig, GridLine, TriangleContext, exact_pass_value, grid_tables, pass_value
 from .no_recall import no_recall_sequence
-from .oracle import _order_max_exact, atoms_from_distribution
+from .oracle import _lattice_from_zero, _order_max_exact, atoms_from_distribution
 from .prophet import prophet_values
 from .stage_games import stage_bids
 
@@ -427,8 +427,10 @@ def best_response_gap(
     with each bid probability, a float of the rule at (float(a), float(b)),
     taken exactly; ``grid_size`` is not read.  The gap is exact up to its
     rounding to a float: an equilibrium profile's is 0.0, and a reply that
-    waits past an atom has a positive one.  It costs O(n m S) for m atoms and
-    S <= (m + 1)(m + 2)/2 states a stage.
+    waits past an atom has a positive one.  The states come from
+    :func:`full_recall.atom_lattice`, and a stage's continuations from one
+    gather of integer numerators through its next-state table: O(n m S)
+    integer products for m atoms and S <= (m + 1)(m + 2)/2 states a stage.
 
     Otherwise the states lie on a grid.  With recall, they are the nodes
     (a, b) of the triangle
@@ -486,47 +488,49 @@ def _br_gap_no_recall(d, n, opponent, reply, grid_size):
 
 def _br_gap_exact(d, n, opponent, reply):
     """The full-recall gap on a law with no density, in exact arithmetic on
-    the snapped atoms (:func:`oracle.atoms_from_distribution`).  The states
-    after each arrival are those reachable from (0, 0), pairs of atoms and 0,
-    kept as indices into the sorted values; the bid probabilities are the
-    rules' floats at (float(a), float(b)), each taken exactly.  A stage's
-    values are summed over the arrival as integers: the masses and the
-    values each over one common denominator."""
+    the snapped atoms (:func:`oracle.atoms_from_distribution`), over the
+    levels of :func:`full_recall.atom_lattice` from (0, 0); the bid
+    probabilities are the rules' floats at (float(a), float(b)), taken exactly."""
     atoms = atoms_from_distribution(d)
-    values = sorted({Fraction(0)} | {x for x, _ in atoms})
+    values, states, tables = _lattice_from_zero(atoms, n)
     scale = math.lcm(*(m.denominator for _, m in atoms))
-    arrivals = [(values.index(x), int(m * scale)) for x, m in atoms]
-    stages = [sorted({(x, 0) for x, _ in arrivals})]
-    for _ in range(n - 1):
-        stages.append(sorted({(max(i, x), med(i, j, x)) for i, j in stages[-1] for x, _ in arrivals}))
+    masses = np.array([int(m * scale) for _, m in atoms], dtype=object)
+    floats = np.array([float(v) for v in values])
+    i, j = states[n]
     # at the last arrival every player still present bids: the even split
-    v_br = {(i, j): (values[i] + values[j]) / 2 for i, j in stages[-1]}
-    v_eq = v_br
+    v_br = v_eq = [(values[a] + values[b]) / 2 for a, b in zip(i.tolist(), j.tolist())]
     for t in range(n - 1, 0, -1):
         k = n - t
-        states = stages[t - 1]
-        a = np.array([float(values[i]) for i, _ in states])
-        b = np.array([float(values[j]) for _, j in states])
-        q = _bid_prob(opponent, t, k, a, b)
-        p = q if reply is opponent else _bid_prob(reply, t, k, a, b)
-        lone = {j: _order_max_exact(atoms, k, values[j]) for j in {j for _, j in states}}
-        (den_br, num_br), (den_eq, num_eq) = _over_one_denominator(v_br), _over_one_denominator(v_eq)
-        v_br, v_eq = {}, {}
-        for (i, j), q_s, p_s in zip(states, map(Fraction, q.tolist()), map(Fraction, p.tolist())):
-            nxt = [(mass, (max(i, x), med(i, j, x))) for x, mass in arrivals]
-            w_br = Fraction(sum(mass * num_br[s] for mass, s in nxt), scale * den_br)
-            w_eq = Fraction(sum(mass * num_eq[s] for mass, s in nxt), scale * den_eq)
-            ai, c = values[i], lone[j]
-            bid = q_s * (ai + c) / 2 + (1 - q_s) * ai
-            v_br[i, j] = max(bid, q_s * c + (1 - q_s) * w_br)
-            v_eq[i, j] = p_s * bid + (1 - p_s) * (q_s * c + (1 - q_s) * w_eq)
-    return float(sum(m * (v_br[x, 0] - v_eq[x, 0]) for x, m in arrivals) / scale)
+        (i, j), nxt = states[t], tables[t]
+        q = _bid_prob(opponent, t, k, floats[i], floats[j])
+        p = q if reply is opponent else _bid_prob(reply, t, k, floats[i], floats[j])
+        lone = _order_max_exact(atoms, k, values)
+        w_br, w_eq = (_expect_exact(v, nxt, masses, scale) for v in (v_br, v_eq))
+        v_br, v_eq = [], []
+        for a, f, q_s, p_s, wb, we in zip(i.tolist(), j.tolist(), q.tolist(), p.tolist(), w_br, w_eq):
+            ai, c = values[a], lone[f]
+            bid = _mix(q_s, (ai + c) / 2, ai)
+            v_br.append(max(bid, _mix(q_s, c, wb)))
+            v_eq.append(_mix(p_s, bid, _mix(q_s, c, we)))
+    w_br, w_eq = (_expect_exact(v, tables[0], masses, scale)[0] for v in (v_br, v_eq))
+    return float(w_br - w_eq)
 
 
-def _over_one_denominator(vals: dict) -> tuple[int, dict]:
-    """Exact values as one common denominator and their numerators over it."""
-    den = math.lcm(*(v.denominator for v in vals.values()))
-    return den, {s: v.numerator * (den // v.denominator) for s, v in vals.items()}
+def _mix(prob: float, x: Fraction, y: Fraction) -> Fraction:
+    """prob x + (1 - prob) y, exact, with the float ``prob`` taken exactly."""
+    if prob in (0.0, 1.0):
+        return x if prob else y
+    prob = Fraction(prob)
+    return prob * x + (1 - prob) * y
+
+
+def _expect_exact(vals: list, nxt: np.ndarray, masses: np.ndarray, scale: int) -> list:
+    """E_X of exact values ``vals`` on the next level, at each state of table
+    ``nxt``: the values' numerators over one common denominator, gathered in
+    one object array, dotted with the masses over their lcm ``scale``."""
+    den = math.lcm(*(v.denominator for v in vals))
+    num = np.array([v.numerator * (den // v.denominator) for v in vals], dtype=object)
+    return [Fraction(w, scale * den) for w in (num[nxt] @ masses).tolist()]
 
 
 def _br_stage(a, c, q, p, w_br, w_eq, same) -> None:

@@ -256,6 +256,17 @@ def test_resource_guard_exit_code_on_atom_steps(capsys):
     assert code == 3
 
 
+def test_resource_guard_exit_code_on_atom_lattice(capsys):
+    # 1000 atoms: at n = 3 the next-state table of the states after two
+    # arrivals would hold 500500 states x 1000 atoms; it is refused before
+    # it is allocated
+    atoms = [{"x": f"{i + 1}/1001", "p": "1/1000"} for i in range(1000)]
+    inline = json.dumps({"type": "discrete", "atoms": atoms})
+    code = run(["fullrecall", "--dist", inline, "--n", "6"])
+    assert code == 3
+    assert "500500 states x 1000 atoms" in capsys.readouterr().err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code = run(["prophet", "--n", "2", "--out", str(target)])

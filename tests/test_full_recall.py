@@ -137,14 +137,21 @@ def test_grid_band_within_measured_error_of_closed_forms(name):
 
 @pytest.mark.parametrize(
     "law",
-    [D.uniform(), tightness_family(0.1, 0.05), D.two_point(), D.discrete([(0.2, 0.5), (0.7, 0.5)])],
-    ids=["uniform", "tightness", "two_point", "two_atoms"],
+    [
+        D.uniform(),
+        tightness_family(0.1, 0.05),
+        D.two_point(),
+        D.discrete([(0.2, 0.5), (0.7, 0.5)]),
+        D.discrete([(0.125, 0.25), (0.375, 0.25), (0.625, 0.25), (0.875, 0.25)]),
+    ],
+    ids=["uniform", "tightness", "two_point", "two_atoms", "eighths"],
 )
 def test_lh_values_on_arrays_match_scalar_calls(law):
     grid = FR.GridConfig(size=201)
     pts = [(a, b) for a in np.linspace(0, 1, 21) for b in np.linspace(0, 1, 21) if b <= a]
     a, b = np.array(pts).T
-    for n in (0, 1, 3):
+    # on a law with no density the array call's states share the lattice's levels
+    for n in (0, 1, 3) if law.pieces else (0, 1, 3, 6):
         low, high = FR.lh_values(law, n, a, b, grid)
         scalar = [FR.lh_values(law, n, x, y, grid) for x, y in pts]
         assert all(type(v) is float for pair in scalar for v in pair)
@@ -152,6 +159,44 @@ def test_lh_values_on_arrays_match_scalar_calls(law):
         assert np.array_equal(high, [pair[1] for pair in scalar])
     with pytest.raises(SpecValidationError):
         FR.lh_values(law, 2, a, a + 0.01, grid)
+
+
+def _brute_force_levels(atoms, n):
+    """The states reachable from (0, 0) in 1..n arrivals, listed with Python
+    sets, as index pairs into the sorted values."""
+    levels = [{(0, 0)}]
+    for _ in range(n):
+        levels.append({(max(i, x), min(max(x, j), i)) for i, j in levels[-1] for x in atoms})
+    return levels
+
+
+LATTICE_LAWS = {
+    "two_point": [1 / 3, 2 / 3],
+    "tenths": [0.1, 0.4, 0.6, 0.9],
+    "thirteen": [(i + 1) / 14 for i in range(13)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_LAWS))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_atom_lattice_matches_brute_force_listing(name, n):
+    xs = LATTICE_LAWS[name]
+    values = np.array([0.0] + xs)
+    atoms = np.arange(1, len(values))
+    states, tables, inverse = FR.atom_lattice(atoms, [0], [0], n)
+    assert len(states) == n + 1 and len(tables) == n and inverse.tolist() == [0]
+    m = len(xs)
+    for level, want, (i, j) in zip(range(n + 1), _brute_force_levels(atoms.tolist(), n), states):
+        keys = list(zip(i.tolist(), j.tolist()))
+        assert keys == sorted(set(keys)) == sorted(want)
+        assert len(keys) <= (m + 1) * (m + 2) // 2
+        if level < n:
+            ni, nj = states[level + 1]
+            a, b, x = values[i][:, None], values[j][:, None], values[atoms][None, :]
+            nxt = tables[level]
+            assert nxt.shape == (len(keys), m)
+            assert np.array_equal(values[ni[nxt]], np.maximum(a, x))
+            assert np.array_equal(values[nj[nxt]], np.minimum(np.maximum(x, b), a))
 
 
 def test_band_two_point_matches_closed_form():

@@ -134,6 +134,22 @@ def test_atom_validation():
         O.oracle_spep([("1/3", "1/2"), ("1/3", "1/2")], 2, "no_recall")
 
 
+@pytest.mark.parametrize("law", [TWO_POINT, THREE_ATOMS, TENTHS, [("0", "1/2"), ("1", "1/2")]],
+                         ids=["two_point", "three_atoms", "tenths", "edges"])
+def test_order_max_exact_matches_its_definition(law):
+    ats = O.exact_atoms(law)
+    floors = sorted({Fr(0), Fr(1), Fr(1, 2), Fr(1, 7)} | {x for x, _ in ats})
+    for k in range(1, 7):
+        want = []
+        for b in floors:  # sum_x max(x, b) (F(x)^k - F(x-)^k), atom after atom
+            F = total = Fr(0)
+            for x, m in ats:
+                total += max(x, b) * ((F + m) ** k - F**k)
+                F += m
+            want.append(total)
+        assert O._order_max_exact(ats, k, floors) == want
+
+
 def test_atoms_from_distribution_snaps_floats():
     law = discrete([(1 / 3, 0.5), (2 / 3, 0.5)])
     atoms = O.atoms_from_distribution(law)
@@ -178,7 +194,7 @@ def _reference_full_recall(ats, n):
             memo[key] = {(a + b) / 2}
             return memo[key]
         per_atom = [solve_state(k - 1, max(a, x), min(max(x, b), a)) for x, _ in ats]
-        c = O._order_max_exact(ats, k, b)
+        c = O._order_max_exact(ats, k, [b])[0]
         conts = {sum(m * v for (_, m), v in zip(ats, combo)) for combo in itertools.product(*per_atom)}
         result = set()
         for d in conts:
@@ -247,6 +263,16 @@ def test_four_atom_no_recall_sets_pinned(law, n, points, summaries, digest):
 def test_budget_bounds_each_atom_step():
     with pytest.raises(ResourceBudgetError):
         O.oracle_spep(TENTHS, 5, "no_recall")
+
+
+@pytest.mark.parametrize("law,value", [(TENTHS, "7987/10240"), (EIGHTHS, "3153/4096")], ids=["tenths", "eighths"])
+def test_full_recall_budget_refuses_and_completes(law, value):
+    # every state's set with recall is one point here, so a budget of one
+    # pairing per atom step completes, and a budget of none refuses
+    with pytest.raises(ResourceBudgetError):
+        O.oracle_spep(law, 6, "full_recall", budget=0)
+    s = O.oracle_spep(law, 6, "full_recall", budget=1)
+    assert s.payoffs == ((Fr(value), Fr(value)),) and not s.endpoints_only
 
 
 @pytest.mark.parametrize("law", [TENTHS, EIGHTHS], ids=["tenths", "eighths"])
