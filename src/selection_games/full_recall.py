@@ -31,18 +31,19 @@ Three evaluation paths:
 
 The grid memo keeps only what later stages read: per stage k >= 1 the
 both-pass continuations d-_k = E_X[low_{k-1}] and d+_k = E_X[high_{k-1}],
-each once, as a stored triangle (one array at k = 1, where both are the
-expectation of the even split); nothing at k = 0, where both values are the
-even split (a + b)/2.  A stored triangle holds the cells {b <= a} in the
-blocks of rows that every pass walks: the rows r0..r1 - 1 of a block as one
-contiguous (r1 - r0) x r1 rectangle, the blocks in order, so that each block
-is read and written in place as a view.  The cells b > a of a block are
-padding, filled with finite values and never read as states; they add 3 %
-to a stored triangle at G = 1001 and 5 % at G = 801 over the G(G + 1)/2
-cells.  Each stage is built in one stored work triangle, and no G x G table
-is allocated.  low_k and high_k are derived from d-_k, d+_k and c_k on
-demand (L and H are one ``np.where`` away) and are not kept; the band is
-:func:`lh_values` at the state (0, 0).
+each once, as a stored triangle (one array at k <= 2, as low_0 = high_0 =
+(a + b)/2 and low_1 = high_1 = (a + c_1(b))/2: max(a, X) + med[a, b, X]
+= a + max(b, X) makes d_1 the bid payoff); nothing at k = 0.  A stored
+triangle holds the cells {b <= a} in the blocks of rows that every pass
+walks: the rows r0..r1 - 1 of a block as one contiguous (r1 - r0) x r1
+rectangle, the blocks in order, so that each block is read and written in
+place as a view.  The cells b > a of a block are padding, filled with
+finite values and never read as states; they add 3 % to a stored triangle
+at G = 1001 and 5 % at G = 801 over the G(G + 1)/2 cells.  Each stage is
+built in one stored work triangle, and no G x G table is allocated.  low_k
+and high_k are derived from d-_k, d+_k and c_k on demand (L and H are one
+``np.where`` away) and are not kept; the band is :func:`lh_values` at the
+state (0, 0).
 """
 
 from __future__ import annotations
@@ -461,7 +462,8 @@ class StageTables:
     block of ``row_blocks`` a rectangle whose cells b > a are padding): the
     both-pass continuations
     ``dminus`` = E_X[low_{k-1}] and ``dplus`` = E_X[high_{k-1}], one array at
-    k = 1, where both are the expectation of the even split.  c_k(b) is cached
+    k <= 2, where low_{k-1} = high_{k-1}: the even split at k = 1, and
+    (a + c_1(b))/2 at k = 2, as d_1 equals the bid payoff.  c_k(b) is cached
     by ``ctx.lone_values``.  Nothing is stored at k = 0.
     Derived on demand and not kept: ``low`` and ``high``, the worst and best
     values as mirrored G x G tables (:meth:`TriangleContext.mirrored`): the
@@ -506,9 +508,10 @@ def grid_tables(
 ) -> tuple[TriangleContext, list[StageTables]]:
     """Value tables for k = 0..n, cached per (dist, grid).  Each stage is
     built in one stored work triangle: the previous stage's values, then their
-    expectation over the arrival in place, checked and copied.  At k = 1 the
-    worst and best values are both the even split, so d-_1 is d+_1 and is
-    built once."""
+    expectation over the arrival in place, checked and copied.  For k <= 2
+    the worst and best values of stage k - 1 are one function (the even split,
+    then (a + c_1(b))/2 = d_1), so d-_k is d+_k and is built once, from the
+    worst rule."""
     key = (dist.cache_key(), grid.size)
     if key not in _TABLE_CACHE:
         ctx = TriangleContext(dist, grid)
@@ -518,7 +521,7 @@ def grid_tables(
     while len(tables) <= n:
         k = len(tables)
         continuations = []
-        for best in (False,) if k == 1 else (False, True):
+        for best in (False,) if k <= 2 else (False, True):
             tables[k - 1]._values(best, out=work)
             ctx.expect_over_arrival(work, out=work)
             _check_pass_dominance(ctx, k, work)

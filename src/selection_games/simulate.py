@@ -144,6 +144,8 @@ def play(
     each block reading its rows of the four segments, so the result does not
     depend on the block size and the memory touched does not grow with runs.
     """
+    if n < 1:
+        raise SpecValidationError("n must be >= 1")
     if runs < 1:
         raise SpecValidationError("runs must be >= 1")
     if variant not in (FULL_RECALL, NO_RECALL):
@@ -316,8 +318,6 @@ def _nr_worst_strategy(d: ValueDistribution, n: int) -> tuple[Strategy, float]:
 
 
 def _nr_best_profile(d: ValueDistribution, n: int) -> StrategyProfile:
-    if not d.is_continuous():
-        raise UnsupportedDistributionError("no-recall equilibrium profiles need an atomless law")
     seq = no_recall_sequence(d, n)
     cs = prophet_values(d, n).values
     taus = np.array([s.alpha_prime for s in seq])
@@ -469,20 +469,16 @@ def _br_gap_no_recall(d, n, opponent, reply, grid_size):
     ctx = GridLine(d, GridConfig(size=grid_size))
     g = ctx.g
     cs = prophet_values(d, n).values
-    r_br = 0.0
-    r_eq = 0.0
+    r_br = r_eq = 0.0
     for t in range(n, 0, -1):
         k = n - t
         ck = 0.0 if k == 0 else cs[k - 1]
         q = _bid_prob(opponent, t, k, g, None)
         p = q if reply is opponent else _bid_prob(reply, t, k, g, None)
-        bid_val = q * (g + ck) / 2.0 + (1.0 - q) * g
-        pass_br = q * ck + (1.0 - q) * r_br
-        pass_eq = q * ck + (1.0 - q) * r_eq
-        v_br = np.maximum(bid_val, pass_br)
-        v_eq = p * bid_val + (1.0 - p) * pass_eq
-        r_br = ctx.expect(v_br)
-        r_eq = ctx.expect(v_eq)
+        # without recall the continuations do not depend on the value
+        v_br, v_eq = np.full(g.shape, r_br), np.full(g.shape, r_eq)
+        _br_stage(g, ck, q, p, v_br, v_eq, p is q)
+        r_br, r_eq = ctx.expect(v_br), ctx.expect(v_eq)
     return float(r_br - r_eq)
 
 
@@ -534,8 +530,9 @@ def _expect_exact(vals: list, nxt: np.ndarray, masses: np.ndarray, scale: int) -
 
 
 def _br_stage(a, c, q, p, w_br, w_eq, same) -> None:
-    """One stage of the full-recall DP on a block of rows, in place: the
-    continuation values w_br and w_eq become
+    """One stage of a grid best-response DP in place, with recall on a block
+    of rows, without on the grid line: the continuation values w_br and w_eq
+    become
 
         v_br = max(bid, q c + (1 - q) w_br)
         v_eq = p bid + (1 - p) (q c + (1 - q) w_eq),  bid = q (a + c) / 2 + (1 - q) a,

@@ -219,6 +219,16 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_simulate_strategy_file_refuses_a_horizon_below_one(n, tmp_path, capsys):
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"thresholds": {"1": 0.5}}))
+    argv = ["simulate", "--variant", "fullrecall", "--n", n, "--runs", "10", "--strategy", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_fraction_strings_give_the_floats_of_numbers(tmp_path, capsys):
     # "1/3" reads as the float 1/3 wherever a spec or a strategy file takes a number
     piece = {"lo": "0", "hi": "1/2", "coeffs": ["1"]}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import stored_triangle, triangle_cells
 from test_distributions import EPS, LAWS, _panti, _peval
+from test_simulate import NO_DENSITY_LAWS
 
 from selection_games import distributions as D
 from selection_games import full_recall as FR
@@ -269,12 +270,23 @@ def test_lower_bound_via_lone_player_value():
     [D.uniform(), beta_distribution(2, 2), tightness_family(0.1, 0.05)],
     ids=["uniform", "beta22", "tightness"],
 )
-def test_stage_cache_keeps_only_continuations(law):
+def test_stage_cache_keeps_only_continuations(law, monkeypatch):
     G, n = 201, 5
     key = (law.cache_key(), G)
     FR._TABLE_CACHE.pop(key, None)
+    passes = []
+    expect = FR.TriangleContext.expect_over_arrival
+
+    def counted(self, *args, **kwargs):
+        passes.append(1)
+        return expect(self, *args, **kwargs)
+
+    monkeypatch.setattr(FR.TriangleContext, "expect_over_arrival", counted)
     ctx, tables = FR.grid_tables(law, n, FR.GridConfig(size=G))
+    monkeypatch.undo()
     assert FR._TABLE_CACHE[key][1] is tables
+    # one expectation pass per stored triangle
+    assert len(passes) == 2 * n - 2
     # what the cache entry holds: dminus and dplus per stage k >= 1, each a
     # stored triangle, and no G x G table, in the stages or the context
     held = list(vars(ctx).values())
@@ -283,11 +295,12 @@ def test_stage_cache_keeps_only_continuations(law):
     arrays = [v for v in held if isinstance(v, np.ndarray)]
     tri = [v for v in arrays if v.shape == (ctx.stored_size,) and v.dtype == np.float64]
     assert len(tri) == 2 * n
-    # at k = 1 both continuations are the even split's expectation: one array
-    assert tables[1].dminus is tables[1].dplus
+    # at k <= 2 the worst and best values of stage k - 1 are one function (the
+    # even split, then (a + c_1(b))/2): one array; two at every later stage
+    assert [st.dminus is st.dplus for st in tables[1:]] == [True, True] + [False] * (n - 2)
     distinct = {id(v): v for v in tri}
-    assert len(distinct) == 2 * n - 1
-    assert sum(v.nbytes for v in distinct.values()) == (2 * n - 1) * 8 * ctx.stored_size
+    assert len(distinct) == 2 * n - 2
+    assert sum(v.nbytes for v in distinct.values()) == (2 * n - 2) * 8 * ctx.stored_size
     # each holds the G(G + 1)/2 cells b <= a, and padding
     assert all(triangle_cells(ctx, v).shape == (G * (G + 1) // 2,) for v in tri)
     assert [st.dminus is None and st.dplus is None for st in tables] == [True] + [False] * n
@@ -314,6 +327,31 @@ def test_stage_cache_keeps_only_continuations(law):
         b = FR.band(law, k, FR.GridConfig(size=G))
         assert b.low == st.low[0, 0] and b.high == st.high[0, 0]
         assert FR.lh_values(law, k, 0.0, 0.0, FR.GridConfig(size=G)) == (b.low, b.high)
+
+
+@pytest.mark.parametrize("name", sorted(NO_DENSITY_LAWS))
+def test_one_arrival_worst_and_best_agree_exactly(name):
+    # max(a, X) + med[a, b, X] = a + max(b, X), so d_1 = (a + c_1(b))/2, the
+    # bid payoff: low_1 = high_1, which lets d-_2 and d+_2 be one table
+    u = np.random.default_rng(2027).random((2, 2000))
+    low, high = FR.lh_values(NO_DENSITY_LAWS[name], 1, u.max(axis=0), u.min(axis=0))
+    assert np.array_equal(low.view(np.int64), high.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [D.uniform(), beta_distribution(2, 2), tightness_family(0.1, 0.05)],
+    ids=["uniform", "beta22", "tightness"],
+)
+def test_one_arrival_worst_and_best_agree_on_the_grid(law):
+    # on the grid the two rules read d_1 as a sum over the cells, so they part
+    # on a few cells where a and c_1(b) nearly tie; both stay within the
+    # measured 6.9e-15 (uniform) of (a + c_1(b))/2
+    ctx, tables = FR.grid_tables(law, 2, FR.GridConfig(size=1001))
+    i, j = np.tril_indices(1001)
+    exact = (ctx.g[i] + law.order_max_with_vec(1, ctx.g[j])) / 2.0
+    for best in (False, True):
+        assert np.max(np.abs(triangle_cells(ctx, tables[1]._values(best)) - exact)) <= 6.9e-15
 
 
 @pytest.mark.parametrize("law", [beta_distribution(2, 2), tightness_family(0.1, 0.05)], ids=["beta22", "tightness"])

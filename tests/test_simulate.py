@@ -74,6 +74,14 @@ def test_spe_strategy_validation():
         S.spe_strategy(D.two_point(), 3, "no_recall", "best")
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_play_refuses_a_horizon_below_one(n):
+    strat = S.threshold_strategy({1: 0.5})
+    for variant in ("full_recall", "no_recall"):
+        with pytest.raises(SpecValidationError):
+            S.play(D.uniform(), n, variant, strat, strat, 10)
+
+
 def test_meta_values_of_no_recall_best_profile():
     from selection_games.no_recall import uniform_no_recall_closed
 
@@ -230,9 +238,11 @@ def test_full_recall_dp_matches_dense_reference(case, n):
 #: sha256 of the cells of the d-_k and d+_k triangles, row after row
 #: (:func:`conftest.triangle_cells`), for k = 1..5 at G = 201, in
 #: that order, and repr of the criterion-8 gaps of the DP cases at n = 4 and
-#: G = 201, recorded before the grid engine and the DP shared one block sweep
+#: G = 201, recorded before the grid engine and the DP shared one block sweep;
+#: the uniform digest again once d+_2 became E_X[low_1], which moved 92 cells
+#: of d+_2..d+_5 by at most 5.6e-16
 TRIANGLE_DIGESTS = {
-    "uniform": "20ad0a7a42ba96c18894baf55edad99cc0522e908205904a95195b7630fc69cd",
+    "uniform": "eeb4bbd7557e3ea911ea86245cbb981d78441412f8aa25946b535910d8e7d4b3",
     "beta22": "f7722074b81237e086a1510d7cb56a062c5711b39555d722e8ad48b5dac10d53",
     "tightness": "61a88e812501554854a31b8be980180c932900db1a01a5ac6062b67c0448ff3f",
 }
