@@ -137,6 +137,7 @@ def test_simulate_json_deterministic(capsys):
     assert payload["runs"] == 2000 and payload["seed"] == 7
 
 
+TWO_POINT_SPEC = '{"type": "discrete", "atoms": [{"x": "1/3", "p": "1/2"}, {"x": "2/3", "p": "1/2"}]}'
 DIST_ARGS = {"uniform": "uniform", "beta22": '{"type":"piecewise_poly","pieces":[{"lo":0,"hi":1,"coeffs":[0,6,-6]}]}'}
 
 
@@ -154,7 +155,7 @@ DIST_ARGS = {"uniform": "uniform", "beta22": '{"type":"piecewise_poly","pieces":
 def test_simulate_json_pinned(capsys, dist, variant, digest):
     argv = [
         "simulate", "--dist", DIST_ARGS[dist], "--variant", variant, "--n", "3", "--runs", "20000",
-        "--seed", "5", "--grid", "201", "--format", "json",
+        "--seed", "5", "--grid", "201",
     ]
     code, out = _capture(capsys, argv)
     assert code == 0
@@ -167,10 +168,8 @@ TWO_POINT_SIMULATE_DIGEST = "d05b1791377de4aaaa38a847fd8525fa5161e0127f92c72dca6
 
 
 def test_simulate_two_point_json_pinned(capsys):
-    spec = '{"type": "discrete", "atoms": [{"x": "1/3", "p": "1/2"}, {"x": "2/3", "p": "1/2"}]}'
     argv = [
-        "simulate", "--dist", spec, "--variant", "fullrecall", "--n", "5", "--runs", "20000", "--seed", "5",
-        "--format", "json",
+        "simulate", "--dist", TWO_POINT_SPEC, "--variant", "fullrecall", "--n", "5", "--runs", "20000", "--seed", "5",
     ]
     code, out = _capture(capsys, argv)
     assert code == 0
@@ -227,6 +226,86 @@ def test_simulate_strategy_file_refuses_a_horizon_below_one(n, tmp_path, capsys)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_simulate_strategy_file_refuses_stages_outside_the_horizon(tmp_path, capsys):
+    # threshold_strategy never reads stage 0 or 9 of a 3-arrival game, so
+    # the profile would bid at every stage
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"thresholds": {"0": 0.9, "9": 0.5}}))
+    argv = ["simulate", "--variant", "fullrecall", "--n", "3", "--runs", "10", "--strategy", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: strategy file names stages outside 1..3: 0, 9\n"
+
+
+SUBCOMMANDS = {
+    "prophet": ["prophet"],
+    "fullrecall": ["fullrecall"],
+    "norecall": ["norecall"],
+    "oracle": ["oracle", "--variant", "norecall", "--dist", TWO_POINT_SPEC],
+    "efficiency.norecall": ["efficiency", "--variant", "norecall"],
+    "efficiency.fullrecall": ["efficiency", "--variant", "fullrecall"],
+    "simulate": ["simulate", "--variant", "norecall", "--runs", "10"],
+    "tables.table5": ["tables", "--which", "table5"],
+    "tables.fig3a": ["tables", "--which", "fig3a"],
+}
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("case", sorted(SUBCOMMANDS))
+def test_every_subcommand_refuses_a_horizon_below_one(case, n, capsys):
+    assert run(SUBCOMMANDS[case] + ["--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prophet", "--grid", "101"],
+        ["norecall", "--grid", "101"],
+        ["oracle", "--variant", "norecall", "--dist", TWO_POINT_SPEC, "--grid", "101"],
+        ["oracle", "--variant", "norecall", "--dist", TWO_POINT_SPEC, "--format", "json"],
+        ["simulate", "--variant", "norecall", "--runs", "10", "--format", "json"],
+    ],
+    ids=["prophet-grid", "norecall-grid", "oracle-grid", "oracle-format", "simulate-format"],
+)
+def test_flags_a_subcommand_never_reads_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+#: sha256 of the full stdout of each invocation, recorded before the CLI
+#: shared its band and ratio rows between subcommands
+CLI_DIGESTS = {
+    "prophet": (["prophet"], "d05ea54560666a78b0e0c058b93295ec00ee80f3584933209917d7583ff0d4d9"),
+    "norecall": (["norecall"], "248253b9d0b0aa8d49efb313d0230902441709dfbf1e84c447221060855cec6d"),
+    "efficiency.norecall": (
+        ["efficiency", "--variant", "norecall"],
+        "25f5351ecd74578334a7face9619204b1a63e332bb16e2eca37b28e8350ea512",
+    ),
+    "fullrecall.n2.G301": (
+        ["fullrecall", "--n", "2", "--grid", "301"],
+        "fa29aa8da2f8830c7da0f29e30161ae991304257a7c7827298c30e48e579eadd",
+    ),
+    "table4.n2.G301": (
+        ["tables", "--which", "table4", "--n", "2", "--grid", "301"],
+        "9f918fbe60d01544d5d721677eca1df5bd5f5db2ed85b2c26305138a4f079936",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
+def test_cli_stdout_pinned(case, capsys):
+    argv, digest = CLI_DIGESTS[case]
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_fraction_strings_give_the_floats_of_numbers(tmp_path, capsys):
