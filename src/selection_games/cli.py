@@ -91,8 +91,10 @@ def _band_rows(d: ValueDistribution, n: int, grid: GridConfig) -> list[list]:
 
 def _ratio_rows(d: ValueDistribution, n: int, grid: GridConfig, *variants: str) -> list[list]:
     """Rows [k, one RatioReport per variant] for k = 2..n, the horizons with
-    a second arrival, which ``efficiency``, table5 and fig3a-c print."""
-    return [[k, *(eff.ratios(d, k, v, grid=grid) for v in variants)] for k in range(2, n + 1)]
+    a second arrival, which ``efficiency``, table5 and fig3a-c print: one
+    :func:`efficiency.ratio_rows` per variant, taken horizon by horizon in
+    the variants' order."""
+    return [list(row) for row in zip(range(2, n + 1), *(eff.ratio_rows(d, n, v, grid) for v in variants))]
 
 
 def _norecall_table(d: ValueDistribution, n: int) -> tuple[list[str], list[list]]:

@@ -18,12 +18,13 @@ drives both ratios to their 4/3 supremum.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .distributions import ValueDistribution, discrete, mixture_with_uniform
 from .errors import DegenerateDistributionError, InconsistencyError, SpecValidationError
 from .full_recall import GridConfig, band
-from .no_recall import no_recall_summary
+from .no_recall import no_recall_sequence
 from .prophet import max_feasible_sum
 
 _RATIO_SLACK = 1e-9
@@ -57,38 +58,49 @@ def ratios(
     """Efficiency ratios of the n-arrival game."""
     if n < 2:
         raise SpecValidationError("ratios require n >= 2")
-    top2 = d.top_two_expectation(n)
+    return next(ratio_rows(d, n, variant, grid, first=n))
+
+
+def ratio_rows(
+    d: ValueDistribution,
+    n: int,
+    variant: str,
+    grid: GridConfig | None = None,
+    first: int = 2,
+) -> Iterator[RatioReport]:
+    """The efficiency ratios of the horizons first..n, one report at a time.
+
+    With recall each horizon reads its own band; without, every horizon
+    reads one ``no_recall_sequence(d, n)`` and one ``max_feasible_sum(d, n)``,
+    computed when the first report is asked for: the recursions run forward,
+    so horizon k's entries are those a horizon-k call gives."""
     if variant == "full_recall":
-        fr = band(d, n, grid=grid)
-        if min(fr.low, fr.high) <= 1e-12:
-            raise DegenerateDistributionError("equilibrium sum is zero")
-        return RatioReport(
-            variant=variant,
-            n=n,
-            poa=top2 / (2.0 * fr.low),
-            pos=top2 / (2.0 * fr.high),
-            pr=top2 / (2.0 * fr.high),
-            numerators={"top_two": top2, "max_feasible_sum": top2},
-            denominators={"worst_sum": 2.0 * fr.low, "best_sum": 2.0 * fr.high},
-        )
-    if variant == "no_recall":
-        summary = no_recall_summary(d, n)
-        s_n = max_feasible_sum(d, n)[n]
-        if min(summary.alpha, summary.beta) <= 1e-12:
-            raise DegenerateDistributionError("equilibrium sum is zero")
-        return RatioReport(
-            variant=variant,
-            n=n,
-            poa=s_n / (2.0 * summary.alpha),
-            pos=s_n / (2.0 * summary.beta),
-            pr=top2 / (2.0 * summary.beta),
-            numerators={"top_two": top2, "max_feasible_sum": s_n},
-            denominators={
-                "worst_sum": 2.0 * summary.alpha,
-                "best_sum": 2.0 * summary.beta,
-            },
-        )
-    raise SpecValidationError(f"unknown variant {variant!r}")
+        for k in range(first, n + 1):
+            top2 = d.top_two_expectation(k)
+            fr = band(d, k, grid=grid)
+            yield _report(variant, k, top2, top2, fr.low, fr.high)
+    elif variant == "no_recall":
+        seq, s = no_recall_sequence(d, n), max_feasible_sum(d, n)
+        for k in range(first, n + 1):
+            yield _report(variant, k, d.top_two_expectation(k), s[k], seq[k - 1].alpha, seq[k - 1].beta)
+    else:
+        raise SpecValidationError(f"unknown variant {variant!r}")
+
+
+def _report(variant: str, n: int, top2: float, s_n: float, worst: float, best: float) -> RatioReport:
+    """The ratios of one horizon from the prophet's top-two sum, the feasible
+    benchmark sum s_n and the worst and best equilibrium payoffs of a player."""
+    if min(worst, best) <= 1e-12:
+        raise DegenerateDistributionError("equilibrium sum is zero")
+    return RatioReport(
+        variant=variant,
+        n=n,
+        poa=s_n / (2.0 * worst),
+        pos=s_n / (2.0 * best),
+        pr=top2 / (2.0 * best),
+        numerators={"top_two": top2, "max_feasible_sum": s_n},
+        denominators={"worst_sum": 2.0 * worst, "best_sum": 2.0 * best},
+    )
 
 
 def two_arrival_closed_forms(d: ValueDistribution) -> tuple[float, float]:

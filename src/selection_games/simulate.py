@@ -428,20 +428,25 @@ def best_response_gap(
     taken exactly; ``grid_size`` is not read.  The gap is exact up to its
     rounding to a float: an equilibrium profile's is 0.0, and a reply that
     waits past an atom has a positive one.  The states come from
-    :func:`full_recall.atom_lattice`, and a stage's continuations from one
-    gather of integer numerators through its next-state table: O(n m S)
-    integer products for m atoms and S <= (m + 1)(m + 2)/2 states a stage.
+    :func:`full_recall.atom_lattice`, each level's values are integer
+    numerators over one common denominator, and a stage's continuations come
+    from one gather of them through its next-state table: O(n m S) integer
+    products for m atoms and S <= (m + 1)(m + 2)/2 states a stage.
 
     Otherwise the states lie on a grid.  With recall, they are the nodes
     (a, b) of the triangle
     b <= a, walked by :meth:`TriangleContext.triangle_blocks`, and every
-    stage but the first updates one stored triangle of the context, the best
-    reply's, with its expectation written over it and the stage rule applied
-    to each block in place, padding included; the padding cells b > a are
-    masked off where the two replies are compared.
+    stage updates one stored triangle of the context, the best reply's, with
+    the stage rule applied to each block in place, padding included; the
+    padding cells b > a are masked off where the two replies are compared.
+    With one arrival to come (k = 1) the continuation, E_X of the even split,
+    is d_1 = (a + c_1(b))/2 on every law (:func:`pass_value`), written block
+    by block with no grid pass; every later stage writes its expectation over
+    the triangle.
     The first arrival always finds the state (X_1, 0), so the last backward
     stage (t = 1) computes only the column b = 0: E_X[v_2(a v X, med[a, 0, X])]
-    as a G-vector, and the bid rules and the stage rule once on (a, 0).  Its
+    as a G-vector (at n = 2 the G-vector (a + c_1(0))/2, so that the DP holds
+    no triangle), and the bid rules and the stage rule once on (a, 0).  Its
     entries are bitwise those of the full tables' column b = 0.
 
     The equilibrium reply's table is kept only on the rows where it differs
@@ -450,9 +455,13 @@ def best_response_gap(
     differ there.  On an atomless law row i of the expectation reads row i of
     the table alone, so the reply's expectation is computed on those rows
     only and equals the best reply's on every other row.  For an equilibrium
-    profile the rows are few (2 to 179 of 2001 for the uniform law at
-    n <= 4), and no G x G table is allocated.  On a law with atoms an atom
-    term reads other rows too, and every row is kept once any cell differs."""
+    profile the rows are few, and no G x G table is allocated: none for the
+    uniform law at n <= 4, measured at G = 2001.  With d_1 exact, bid and pass
+    pay the same at k = 1 where the two replies may choose apart, a = c_1(b),
+    and no later stage parts them there; the grid's quadrature of d_1, off by
+    rounding, parted 2 to 179 of the 2001 rows.
+    On a law with atoms an atom term reads other rows too, and every row is
+    kept once any cell differs."""
     if n < 1:
         raise SpecValidationError("n must be >= 1")
     if variant == NO_RECALL:
@@ -486,47 +495,66 @@ def _br_gap_exact(d, n, opponent, reply):
     """The full-recall gap on a law with no density, in exact arithmetic on
     the snapped atoms (:func:`oracle.atoms_from_distribution`), over the
     levels of :func:`full_recall.atom_lattice` from (0, 0); the bid
-    probabilities are the rules' floats at (float(a), float(b)), taken exactly."""
+    probabilities are the rules' floats at (float(a), float(b)), taken exactly.
+
+    Each level's values are integer numerators, one object array a reply,
+    over one common denominator ``den``: no level forms a ``Fraction``."""
     atoms = atoms_from_distribution(d)
     values, states, tables = _lattice_from_zero(atoms, n)
     scale = math.lcm(*(m.denominator for _, m in atoms))
     masses = np.array([int(m * scale) for _, m in atoms], dtype=object)
     floats = np.array([float(v) for v in values])
+    unit, X = _over_one_denominator(values)
     i, j = states[n]
     # at the last arrival every player still present bids: the even split
-    v_br = v_eq = [(values[a] + values[b]) / 2 for a, b in zip(i.tolist(), j.tolist())]
+    v_br = v_eq = X[i] + X[j]
+    den = 2 * unit
     for t in range(n - 1, 0, -1):
         k = n - t
         (i, j), nxt = states[t], tables[t]
         q = _bid_prob(opponent, t, k, floats[i], floats[j])
         p = q if reply is opponent else _bid_prob(reply, t, k, floats[i], floats[j])
-        lone = _order_max_exact(atoms, k, values)
-        w_br, w_eq = (_expect_exact(v, nxt, masses, scale) for v in (v_br, v_eq))
-        v_br, v_eq = [], []
-        for a, f, q_s, p_s, wb, we in zip(i.tolist(), j.tolist(), q.tolist(), p.tolist(), w_br, w_eq):
-            ai, c = values[a], lone[f]
-            bid = _mix(q_s, (ai + c) / 2, ai)
-            v_br.append(max(bid, _mix(q_s, c, wb)))
-            v_eq.append(_mix(p_s, bid, _mix(q_s, c, we)))
-    w_br, w_eq = (_expect_exact(v, tables[0], masses, scale)[0] for v in (v_br, v_eq))
-    return float(w_br - w_eq)
+        Q, P, D = _over_one_power_of_two(q, p)
+        cden, lone = _over_one_denominator(_order_max_exact(atoms, k, values))
+        # a, c_k(b) and the continuations E_X[v] over one denominator `base`
+        den *= scale
+        base = math.lcm(unit, cden, den)
+        A, C = X[i] * (base // unit), lone[j] * (base // cden)
+        w_br, w_eq = (_expect_exact(v, nxt, masses) * (base // den) for v in (v_br, v_eq))
+        # over 2 base D: bid = q (a + c)/2 + (1 - q) a and pass = q c + (1 - q) w
+        bid = Q * (A + C) + (D - Q) * (2 * A)
+        v_br = np.maximum(bid, Q * (2 * C) + (D - Q) * (2 * w_br)) * D
+        v_eq = P * bid + (D - P) * (Q * (2 * C) + (D - Q) * (2 * w_eq))
+        den = 2 * base * D * D
+    w_br, w_eq = (_expect_exact(v, tables[0], masses)[0] for v in (v_br, v_eq))
+    return float(Fraction(w_br - w_eq, den * scale))
 
 
-def _mix(prob: float, x: Fraction, y: Fraction) -> Fraction:
-    """prob x + (1 - prob) y, exact, with the float ``prob`` taken exactly."""
-    if prob in (0.0, 1.0):
-        return x if prob else y
-    prob = Fraction(prob)
-    return prob * x + (1 - prob) * y
+def _expect_exact(num: np.ndarray, nxt: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """num[nxt] @ masses, exact, as an object array: the integer numerators
+    ``num`` of a level gathered at each state of the next-state table ``nxt``
+    and dotted with the integer masses, in int64 where no partial sum can
+    reach 2**63, and on Python ints otherwise."""
+    if max(num.max(), -num.min()) * int(masses.sum()) < 2**63:
+        return (num.astype(np.int64)[nxt] @ masses.astype(np.int64)).astype(object)
+    return num[nxt] @ masses
 
 
-def _expect_exact(vals: list, nxt: np.ndarray, masses: np.ndarray, scale: int) -> list:
-    """E_X of exact values ``vals`` on the next level, at each state of table
-    ``nxt``: the values' numerators over one common denominator, gathered in
-    one object array, dotted with the masses over their lcm ``scale``."""
-    den = math.lcm(*(v.denominator for v in vals))
-    num = np.array([v.numerator * (den // v.denominator) for v in vals], dtype=object)
-    return [Fraction(w, scale * den) for w in (num[nxt] @ masses).tolist()]
+def _over_one_denominator(fractions: list) -> tuple[int, np.ndarray]:
+    """The lcm of the denominators of ``fractions``, and their numerators
+    over it as an object array."""
+    den = math.lcm(*(f.denominator for f in fractions))
+    return den, np.array([f.numerator * (den // f.denominator) for f in fractions], dtype=object)
+
+
+def _over_one_power_of_two(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The bid probabilities q and p, float arrays, as integer numerators
+    over the one power of two D that is their common denominator: (Q, P, D),
+    one object array each; when p is q it is converted once and P is Q."""
+    ratios = [[x.as_integer_ratio() for x in r.tolist()] for r in ((q,) if p is q else (q, p))]
+    D = max((den for r in ratios for _, den in r), default=1)
+    nums = [np.array([num * (D // den) for num, den in r], dtype=object) for r in ratios]
+    return nums[0], nums[-1], D
 
 
 def _br_stage(a, c, q, p, w_br, w_eq, same) -> None:
@@ -561,8 +589,9 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
     B = g[None, :]
     # v holds the best reply's values, stored.  The equilibrium reply's table
     # equals v except on the rows `diff`, which `eq` keeps whole, one mirrored
-    # row each; both start at the even split at t = n, so `diff` starts empty
-    v = ctx.even_split() if n > 1 else (g + g[0]) / 2.0
+    # row each; both take the even split at t = n, so `diff` starts empty.
+    # At n = 1 v is the even split on the column b = 0
+    v = (g + g[0]) / 2.0
     diff = np.empty(0, dtype=np.intp)
     eq = np.empty((0, grid_size))
     parted = []
@@ -573,14 +602,20 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
         parted = []
         # the first arrival finds b = 0, so stage t = 1 needs that column alone
         cols = 1 if t == 1 else None
-        # continuation values E_X[v(a v X, med[a, b, X])], v's over v itself
-        # (at t = 1 its column b = 0, a G-vector).  Row i of E reads row i of
-        # the table alone (atoms make `diff` every row), so the reply's rows
-        # outside `diff` are v's
-        if diff.size:
-            ctx.expect_over_arrival(eq, cols, rows=diff, out=eq[:, :cols])
-        v = ctx.expect_over_arrival(v, cols, out=None if cols else v)
         ck = ctx.lone_values(k)[None, :]
+        if k == 1:
+            # E_X of the even split is d_1 = (a + c_1(b))/2 on every law, as
+            # max(a, X) + med[a, b, X] = a + max(b, X): written block by block
+            # below (at n = 2 on the column b = 0), with no grid pass
+            v = np.empty(grid_size if cols else ctx.stored_size)
+        else:
+            # continuation values E_X[v(a v X, med[a, b, X])], v's over v
+            # itself (at t = 1 its column b = 0, a G-vector).  Row i of E reads
+            # row i of the table alone (atoms make `diff` every row), so the
+            # reply's rows outside `diff` are v's
+            if diff.size:
+                ctx.expect_over_arrival(eq, cols, rows=diff, out=eq[:, :cols])
+            v = ctx.expect_over_arrival(v, cols, out=None if cols else v)
         # the rows where the reply's values on the triangle part from v's,
         # with those values, and the rows where its mirrored table does
         in_diff = np.zeros(grid_size, dtype=bool)
@@ -591,6 +626,8 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
             p = q if reply is opponent else _bid_prob(reply, t, k, a, b, shape)
             # the block of v, a view: at t = 1 the column itself
             w_br = v[:, None] if cols else ctx.block(v, rows)
+            if k == 1:
+                w_br[...] = pass_value(d, 1, a, ck[:, :stop])
             w_eq = w_br.copy()
             lo, hi = np.searchsorted(diff, (rows.start, rows.stop))
             w_eq[diff[lo:hi] - rows.start] = eq[lo:hi, :stop]

@@ -361,3 +361,22 @@ def test_output_file(tmp_path, capsys):
     code = run(["prophet", "--n", "2", "--out", str(target)])
     assert code == 0
     assert target.read_text().splitlines()[0] == "n,c,s"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["efficiency", "--variant", "norecall"], ["tables", "--which", "table5"], ["tables", "--which", "fig3c", "--n", "20"]],
+    ids=["efficiency", "table5", "fig3c"],
+)
+def test_ratio_tables_run_one_no_recall_recursion(argv, capsys, monkeypatch):
+    # every horizon's row reads one no-recall sequence and one two-pick
+    # sequence, each run to the last horizon
+    from selection_games import efficiency
+
+    calls = []
+    for name in ("no_recall_sequence", "max_feasible_sum"):
+        original = getattr(efficiency, name)
+        monkeypatch.setattr(efficiency, name, lambda d, n, f=original, name=name: calls.append(name) or f(d, n))
+    code, _ = _capture(capsys, argv + ["--grid", "201"])
+    assert code == 0
+    assert sorted(calls) == ["max_feasible_sum", "no_recall_sequence"]

@@ -45,6 +45,8 @@ def test_ratio_report_records_terms():
 def test_ratios_validation():
     with pytest.raises(SpecValidationError):
         E.ratios(D.uniform(), 1, "no_recall")
+    with pytest.raises(SpecValidationError):
+        E.ratios(D.uniform(), 3, "partial_recall")
     with pytest.raises(UnsupportedDistributionError):
         E.ratios(D.two_point(), 3, "no_recall")
     with pytest.raises(DegenerateDistributionError):
@@ -140,3 +142,24 @@ def test_two_arrival_closed_forms_against_mpmath():
             got = E.two_arrival_closed_forms(law)
             for value, ref in zip(got, _mp_two_arrival(law)):
                 assert abs(mpmath.mpf(value) - ref) <= _TWO_ARRIVAL_ABS_ERR, (p, q, value, float(ref))
+
+
+@pytest.mark.parametrize("law", [D.uniform(), beta_distribution(2, 2)], ids=["uniform", "beta22"])
+@pytest.mark.parametrize("variant", ["no_recall", "full_recall"])
+def test_ratio_rows_equal_the_per_horizon_ratios(law, variant):
+    # one forward recursion to the last horizon gives every horizon's entries
+    rows = list(E.ratio_rows(law, 6, variant, GRID))
+    assert [r.n for r in rows] == [2, 3, 4, 5, 6]
+    for r in rows:
+        assert r == E.ratios(law, r.n, variant, grid=GRID)
+    assert list(E.ratio_rows(law, 1, variant, GRID)) == []
+
+
+def test_ratio_rows_run_each_no_recall_recursion_once(monkeypatch):
+    calls = []
+    for name in ("no_recall_sequence", "max_feasible_sum"):
+        original = getattr(E, name)
+        monkeypatch.setattr(E, name, lambda d, n, f=original, name=name: calls.append((name, n)) or f(d, n))
+    rows = list(E.ratio_rows(D.uniform(), 10, "no_recall"))
+    assert len(rows) == 9
+    assert sorted(calls) == [("max_feasible_sum", 10), ("no_recall_sequence", 10)]

@@ -149,7 +149,8 @@ def test_full_recall_gap_memory_peak():
     worst = S.spe_strategy(D.uniform(), 4, "full_recall", "worst").player1
     # the best reply's stored triangle (0.53 table at G = 801), the
     # equilibrium reply's few differing rows and the block temporaries of the
-    # bid rule, 0.05 table each (1.00 tables measured; 1.47 with a mirrored
+    # bid rule, 0.05 table each (0.91 tables measured; 0.93 while the first
+    # stage was a grid pass over an even-split triangle, 1.47 with a mirrored
     # G x G table)
     assert _traced_peak(lambda: S.spe_gap(D.uniform(), 4, "full_recall", "best", grid_size=801)) <= 1.03 * table
     # a reply that parts from the best one on every row keeps them all
@@ -162,7 +163,7 @@ def test_full_recall_gap_memory_peak():
 def test_full_recall_gap_allocates_no_square_table(law):
     # on an atomless law, an equilibrium profile's DP holds the stored
     # triangle and block temporaries: its traced peak stays under one (G, G)
-    # float64 table, which therefore was never allocated (0.55 to 0.68 of one
+    # float64 table, which therefore was never allocated (0.55 to 0.57 of one
     # measured at G = 2001)
     G = 2001
     for which in ("best", "worst"):
@@ -173,7 +174,8 @@ def test_full_recall_gap_allocates_no_square_table(law):
 def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
     """Reference for the full-recall best-response DP: both bid rules
     evaluated once per stage as G x G tables over the whole square, and the
-    stage algebra on whole rows."""
+    stage algebra on whole rows.  The first stage takes its continuation,
+    E_X of the even split, from the closed form d_1 = (a + c_1(b))/2."""
     ctx = TriangleContext(d, GridConfig(size=grid_size))
     g = ctx.g
     A = g[:, None]
@@ -184,10 +186,14 @@ def _dense_br_gap_full_recall(d, n, opponent, reply, grid_size):
         k = n - t
         q = S._bid_prob(opponent, t, k, A, B, shape)
         p = q if reply is opponent else S._bid_prob(reply, t, k, A, B, shape)
-        shared = v_eq is v_br
-        v_br = ctx.expect_over_arrival(v_br)
-        v_eq = v_br.copy() if shared else ctx.expect_over_arrival(v_eq)
         ck = ctx.lone_values(k)[None, :]
+        if k == 1:
+            v_br = pass_value(d, 1, A, ck)
+            v_eq = v_br.copy()
+        else:
+            shared = v_eq is v_br
+            v_br = ctx.expect_over_arrival(v_br)
+            v_eq = v_br.copy() if shared else ctx.expect_over_arrival(v_eq)
         for rows in ctx.row_blocks:
             S._br_stage(A[rows], ck, q[rows], p[rows], v_br[rows], v_eq[rows], p is q)
         v_br, v_eq = (ctx.mirrored(stored_triangle(ctx, v)) for v in (v_br, v_eq))
@@ -240,7 +246,9 @@ def test_full_recall_dp_matches_dense_reference(case, n):
 #: that order, and repr of the criterion-8 gaps of the DP cases at n = 4 and
 #: G = 201, recorded before the grid engine and the DP shared one block sweep;
 #: the uniform digest again once d+_2 became E_X[low_1], which moved 92 cells
-#: of d+_2..d+_5 by at most 5.6e-16
+#: of d+_2..d+_5 by at most 5.6e-16; "threshold-vs-worst" again once the DP's
+#: first stage took d_1 in closed form, which moved it by 1.1e-16 (from
+#: 0.010010641352126148)
 TRIANGLE_DIGESTS = {
     "uniform": "eeb4bbd7557e3ea911ea86245cbb981d78441412f8aa25946b535910d8e7d4b3",
     "beta22": "f7722074b81237e086a1510d7cb56a062c5711b39555d722e8ad48b5dac10d53",
@@ -249,7 +257,7 @@ TRIANGLE_DIGESTS = {
 DP_GAP_REPRS = {
     "best": "0.0",
     "worst": "0.0",
-    "threshold-vs-worst": "0.010010641352126148",
+    "threshold-vs-worst": "0.010010641352126037",
     "mixed": "0.01638648136469545",
     "atoms-worst": "0.0",
     "atoms-threshold-vs-worst": "0.022224043749894173",
@@ -267,6 +275,68 @@ def test_grid_triangles_and_dp_gaps_pinned():
         assert digest.hexdigest() == TRIANGLE_DIGESTS[name], name
     for case, (law, opponent, reply) in _dp_cases(4).items():
         assert repr(S.best_response_gap(law, 4, "full_recall", opponent, reply, 201)) == DP_GAP_REPRS[case], case
+
+
+@pytest.mark.parametrize("G", [201, 2001])
+@pytest.mark.parametrize(
+    "law",
+    [D.uniform(), beta_distribution(2, 2), ATOMS_AND_UNIFORM, tightness_family(0.1, 0.05)],
+    ids=["uniform", "beta22", "atoms_and_uniform", "tightness"],
+)
+def test_closed_form_first_stage_matches_the_grid_pass(law, G):
+    # max(a, X) + med[a, b, X] = a + max(b, X), so E_X of the even split is
+    # d_1 = (a + c_1(b))/2 on every law; the grid's quadrature misses it by
+    # rounding alone (1.32e-14 at most, measured)
+    ctx = TriangleContext(law, GridConfig(size=G))
+    grid_pass = ctx.expect_over_arrival(ctx.even_split())
+    c1 = ctx.lone_values(1)
+    for rows, stop, on_tri in ctx.triangle_blocks():
+        closed = pass_value(law, 1, ctx.g[rows, None], c1[:stop])
+        assert np.abs(closed - ctx.block(grid_pass, rows))[on_tri].max() <= 2e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_full_recall_dp_takes_its_first_stage_in_closed_form(n, monkeypatch):
+    # no even-split triangle, and one stored grid pass over v for each stage
+    # but the first: none at n <= 2, where the DP runs on G-vectors alone
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the DP built an even-split triangle")
+
+    passes = []
+    original = TriangleContext.expect_over_arrival
+
+    def counted(self, T, *args, **kwargs):
+        passes.append(T.ndim)
+        return original(self, T, *args, **kwargs)
+
+    cases = _dp_cases(n)  # the best profile at n = 4 builds grid tables
+    monkeypatch.setattr(TriangleContext, "even_split", refuse)
+    monkeypatch.setattr(TriangleContext, "expect_over_arrival", counted)
+    for case, (law, opponent, reply) in cases.items():
+        passes.clear()
+        S.best_response_gap(law, n, "full_recall", opponent, reply, 201)
+        assert passes.count(1) == max(n - 2, 0), case
+
+
+@pytest.mark.parametrize("which", ["best", "worst"])
+def test_uniform_equilibrium_replies_part_on_no_row(which, monkeypatch):
+    # with d_1 exact, the equilibrium reply's values equal the best reply's,
+    # bit for bit, on every cell b <= a of every stage
+    G = 2001
+    g = np.linspace(0.0, 1.0, G)
+    parted = []
+    original = S._br_stage
+
+    def compared(a, c, q, p, w_br, w_eq, same):
+        original(a, c, q, p, w_br, w_eq, same)
+        on_tri = g[None, : c.shape[1]] <= a
+        parted.append(int(((w_eq.view(np.int64) != w_br.view(np.int64)) & on_tri).any(axis=1).sum()))
+
+    monkeypatch.setattr(S, "_br_stage", compared)
+    for n in (1, 2, 3, 4):
+        parted.clear()
+        assert S.spe_gap(D.uniform(), n, "full_recall", which, grid_size=G) == 0.0
+        assert len(parted) >= n - 1 and not any(parted), (n, parted)
 
 
 def test_full_recall_dp_evaluates_lone_values_once_per_stage(monkeypatch):
@@ -420,6 +490,20 @@ def test_exact_certificate_matches_a_fraction_recursion(name):
         for opponent, reply in ((rule, rule), (rule, threshold), (mixed, mixed), (mixed, _one_atom_lower(rule, law))):
             got = S.best_response_gap(law, n, "full_recall", opponent, reply)
             assert got == _fraction_gap(law, n, opponent, reply), (n, opponent.name, reply.name)
+
+
+def test_exact_expectation_keeps_every_digit_past_int64():
+    # the level's numerators are dotted in int64 only while no partial sum
+    # can reach 2**63; past that on Python ints, with the same sums
+    rng = np.random.default_rng(63)
+    nxt = rng.integers(0, 50, size=(40, 7))
+    masses = np.array([int(m) for m in rng.integers(1, 1000, size=7)], dtype=object)
+    top = 2**63 // int(masses.sum())
+    for high in (top - 1, 2 * top - 1, 2**70):
+        num = np.array([high - int(x) for x in rng.integers(0, 10**6, size=50)], dtype=object)
+        got = S._expect_exact(num, nxt, masses)
+        assert got.dtype == object
+        assert got.tolist() == [sum(int(num[s]) * int(m) for s, m in zip(row, masses)) for row in nxt]
 
 
 def test_laws_with_no_density_build_no_grid(monkeypatch):
