@@ -15,11 +15,12 @@ against the density:
 * ``top_two_expectation`` adds to c_n(0) the mean of the second-largest
   sample, integrated exactly per segment from pointwise values at
   Chebyshev points;
-* ``sample`` inverts the CDF: in closed form on constant-density pieces,
-  and otherwise by Newton steps bracketed between two knots of a per-piece
-  CDF table, with bisection for the rare draw Newton leaves unsettled.  A
-  guide table over equal buckets of [0, 1] finds the knot bracket, mostly
-  with one comparison;
+* ``sample`` inverts the CDF, through ``draws_from``, which maps each
+  double to its draw: in closed form on constant-density pieces, and
+  otherwise by Newton steps bracketed between two knots of a per-piece CDF
+  table, with bisection for the rare draw Newton leaves unsettled.  A guide
+  table over equal buckets of [0, 1] finds the knot bracket, mostly with
+  one comparison;
 * ``partial_expectation`` integrates P(a) / (a + s), or P(a) alone, P a
   polynomial, in closed form: on each density piece P times the density is
   divided by (a + s) synthetically, leaving a polynomial plus r / (a + s),
@@ -349,13 +350,17 @@ class ValueDistribution:
             raise SpecValidationError("order statistic index n must be >= 1")
         ks = np.clip(np.asarray(ks, dtype=float), 0.0, 1.0)
         suffix, series = self._lone_kernel(n)
-        idx = np.searchsorted(self._seg_lows, ks, side="right") - 1
-        out = np.empty_like(ks)
-        for i, R in enumerate(series):
-            mask = idx == i
-            if np.any(mask):
-                b = ks[mask]
-                out[mask] = b + suffix[i + 1] + R(b)
+        if len(series) == 1:
+            # one segment holds every floor: no search, gather or scatter
+            out = ks + suffix[1] + series[0](ks)
+        else:
+            idx = np.searchsorted(self._seg_lows, ks, side="right") - 1
+            out = np.empty_like(ks)
+            for i, R in enumerate(series):
+                mask = idx == i
+                if np.any(mask):
+                    b = ks[mask]
+                    out[mask] = b + suffix[i + 1] + R(b)
         return np.where(ks >= 1.0, ks, out)
 
     def _lone_value(self, n: int, k: float) -> float:
@@ -430,31 +435,39 @@ class ValueDistribution:
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
         """i.i.d. draws; deterministic given the generator state.  Each draw
-        reads one double u of ``rng`` and depends on it alone: u picks a
-        component (atoms first, then pieces, in order) and is rescaled to a
-        target in that piece's CDF.  A law of one piece and no atoms skips
-        the component step, since its target (u - 0) / (1 - 0) is u itself."""
+        reads one double u of ``rng``, which :meth:`draws_from` turns into
+        the draw; it depends on u alone."""
         scalar = size is None
-        count = 1 if scalar else int(size)
-        u = rng.random(count)
-        if not self.atoms and len(self.pieces) == 1:
-            out = self._draw_piece(0, u)
-        else:
-            out = np.empty(count)
-            weights = [m for _, m in self.atoms] + [p.mass for p in self.pieces]
-            edges = np.concatenate([[0.0], np.cumsum(weights)])
-            edges[-1] = 1.0
-            comp = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(weights) - 1)
-            for i, (x, _) in enumerate(self.atoms):
-                out[comp == i] = x
-            base = len(self.atoms)
-            for j in range(len(self.pieces)):
-                mask = comp == base + j
-                if np.any(mask):
-                    target = (u[mask] - edges[base + j]) / (edges[base + j + 1] - edges[base + j])
-                    out[mask] = self._draw_piece(j, target)
+        out = self.draws_from(rng.random(1 if scalar else int(size)))
         if scalar:
             return float(out[0])
+        return out
+
+    def draws_from(self, u: np.ndarray) -> np.ndarray:
+        """The draws that :meth:`sample` makes from the doubles ``u`` in
+        [0, 1), one each, which may be overwritten.  u picks a component
+        (atoms first, then pieces, in order) and is rescaled to a target in
+        that piece's CDF.  A law of one piece and no atoms skips the
+        component step, since its target (u - 0) / (1 - 0) is u itself.
+
+        Every step is elementwise, so a draw depends on its own double alone:
+        the draws of any subset of u are those of u on the subset, bit for
+        bit, and :func:`simulate.play` turns only the doubles it reads."""
+        if not self.atoms and len(self.pieces) == 1:
+            return self._draw_piece(0, u)
+        out = np.empty(u.shape)
+        weights = [m for _, m in self.atoms] + [p.mass for p in self.pieces]
+        edges = np.concatenate([[0.0], np.cumsum(weights)])
+        edges[-1] = 1.0
+        comp = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(weights) - 1)
+        for i, (x, _) in enumerate(self.atoms):
+            out[comp == i] = x
+        base = len(self.atoms)
+        for j in range(len(self.pieces)):
+            mask = comp == base + j
+            if np.any(mask):
+                target = (u[mask] - edges[base + j]) / (edges[base + j + 1] - edges[base + j])
+                out[mask] = self._draw_piece(j, target)
         return out
 
     # -- identity ---------------------------------------------------------------
@@ -575,10 +588,21 @@ def _invert_piece(p: DensityPiece, table: _SampleTable, target: np.ndarray) -> n
 
 
 def _bisect_piece(F, target, lo, hi) -> np.ndarray:
-    """Bisection of the within-piece CDF series F on the brackets [lo, hi]."""
+    """Bisection of the within-piece CDF series F on the brackets [lo, hi].
+
+    F(mid) is computed as ``F.__call__`` computes it, op for op (Clenshaw's
+    recurrence at off + scl mid), without its per-call setup, which is most
+    of the time on the few draws that reach this fallback."""
+    off, scl = F.mapparms()
+    coef = F.coef
     for _ in range(FALLBACK_BISECTIONS):
         mid = (lo + hi) / 2.0
-        takes = F(mid) < target
+        y = off + scl * mid
+        y2 = 2 * y
+        c0, c1 = coef[-2], coef[-1]
+        for c in coef[-3::-1]:
+            c0, c1 = c - c1, c0 + c1 * y2
+        takes = c0 + c1 * y < target
         lo = np.where(takes, mid, lo)
         hi = np.where(takes, hi, mid)
     return (lo + hi) / 2.0

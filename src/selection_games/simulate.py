@@ -64,7 +64,10 @@ class Strategy:
     ``bid_prob`` must be a pure elementwise function of its arguments:
     :func:`play` calls it with the values of the live runs only (those in
     which nobody has taken an item yet), and only once per stage when both
-    seats hold the same strategy object.
+    seats hold the same strategy object.  A rule whose probabilities are all
+    0 or 1 in a block of runs reads no uniform: :func:`play` reads a seat's
+    segment of the stream (player 1's second, player 2's third) for a block
+    only once the seat's rule mixes there.
     """
 
     name: str
@@ -138,11 +141,18 @@ def play(
     Without recall, strategies act at every stage (two passes at the last
     arrival leave both players with nothing).
 
-    The draws are one Philox stream of ``seed``: the runs x n values, then
-    the runs x n uniforms of player 1, of player 2 and of the tie-break
-    coin, each row-major.  Runs are played in blocks of ``PLAY_BLOCK_RUNS``,
-    each block reading its rows of the four segments, so the result does not
-    depend on the block size and the memory touched does not grow with runs.
+    The draws are one Philox stream of ``seed``, a key in [0, 2**128): four
+    segments of runs x n doubles, each row-major, holding the values, player
+    1's uniforms, player 2's uniforms and the tie-break coin.  Runs are
+    played in blocks of ``PLAY_BLOCK_RUNS``, each block reading its own rows
+    of a segment, so the result does not depend on the block size and the
+    memory touched does not grow with runs.  Every block reads its rows of
+    the values and of the coin; a stage turns only its live runs' doubles
+    into values (:meth:`ValueDistribution.draws_from`: a draw depends on its
+    own double alone).  A block reads a player's rows only once that
+    player's bid probabilities in it take a value strictly between 0 and 1;
+    until then the player bids where p == 1, as U < p would for U in [0, 1).
+    A profile that never mixes reads the values and the coin alone.
     """
     if n < 1:
         raise SpecValidationError("n must be >= 1")
@@ -150,8 +160,11 @@ def play(
         raise SpecValidationError("runs must be >= 1")
     if variant not in (FULL_RECALL, NO_RECALL):
         raise SpecValidationError(f"unknown variant {variant!r}")
-    # one generator per segment of the stream, each read block after block
-    values, *uniforms = (_stream_at(seed, s * runs * n) for s in range(4))
+    if not 0 <= seed < 2**128:
+        raise SpecValidationError(f"seed must be in [0, 2**128), got {seed}")
+    # the value and coin segments are read block after block; a player's
+    # segment, a block's rows at a time, where that block needs them
+    values, coins = (_stream_at(seed, s * runs * n) for s in (0, 3))
     pay1 = np.zeros(runs)
     pay2 = np.zeros(runs)
     c_by_k = prophet_values(d, n).values if variant == NO_RECALL else None
@@ -159,10 +172,12 @@ def play(
     for r0 in range(0, runs, PLAY_BLOCK_RUNS):
         rows = slice(r0, min(runs, r0 + PLAY_BLOCK_RUNS))
         size = rows.stop - r0
-        X = np.asarray(d.sample(values, size * n)).reshape(size, n)
-        U1, U2, coin = (u.random((size, n)) for u in uniforms)
+        V = values.random((size, n))
+        coin = coins.random((size, n)) < 0.5
+        # where each player's rows of the block sit in the stream
+        offsets = [(s + 1) * runs * n + r0 * n for s in range(2)]
         _play_block(
-            d, n, variant, strat1, strat2, X, U1, U2, coin < 0.5, c_by_k,
+            d, n, variant, strat1, strat2, V, seed, offsets, coin, c_by_k,
             pay1[rows], pay2[rows], None if taken_stage is None else taken_stage[rows],
         )
 
@@ -181,21 +196,25 @@ def play(
     )
 
 
-def _play_block(d, n, variant, strat1, strat2, X, U1, U2, coin, c_by_k, pay1, pay2, taken_stage):
+def _play_block(d, n, variant, strat1, strat2, V, seed, offsets, coin, c_by_k, pay1, pay2, taken_stage):
     """Play one block of runs, writing into the block's views of the payoffs.
 
-    Each stage touches only the live runs: ``bid_prob`` sees their values
-    alone and is evaluated once when ``strat1 is strat2``, and the
-    survivor's lone value is computed only for runs in which someone bid.
+    Each stage touches only the live runs: it turns their value doubles
+    ``V`` alone into draws, ``bid_prob`` sees their values alone and is
+    evaluated once when ``strat1 is strat2``, and the survivor's lone value
+    is computed only for runs in which someone bid.  A player's uniforms
+    are read from ``offsets`` of the stream the first time their bid
+    probabilities take a value strictly between 0 and 1.
     """
     # runs still in play, with their (best, second-best) available values
-    live = np.arange(len(X))
-    a = np.zeros(len(X))
-    b = np.zeros(len(X)) if variant == FULL_RECALL else None
+    live = np.arange(len(V))
+    a = np.zeros(len(V))
+    b = np.zeros(len(V)) if variant == FULL_RECALL else None
+    U = [None, None]
     for t in range(1, n + 1):
         if live.size == 0:
             break
-        x = X[live, t - 1]
+        x = d.draws_from(V[live, t - 1])
         if variant == FULL_RECALL:
             a, b = np.maximum(a, x), _med(a, b, x)
         else:
@@ -206,8 +225,15 @@ def _play_block(d, n, variant, strat1, strat2, X, U1, U2, coin, c_by_k, pay1, pa
         else:
             p1 = _bid_prob(strat1, t, k, a, b)
             p2 = p1 if strat2 is strat1 else _bid_prob(strat2, t, k, a, b)
-            bid1 = U1[live, t - 1] < p1
-            bid2 = U2[live, t - 1] < p2
+            bids = []
+            for i, p in enumerate((p1, p2)):
+                if not np.any((p > 0.0) & (p < 1.0)):
+                    bids.append(p == 1.0)  # what U < p gives for U in [0, 1)
+                    continue
+                if U[i] is None:
+                    U[i] = _stream_at(seed, offsets[i]).random(V.shape)
+                bids.append(U[i][live, t - 1] < p)
+            bid1, bid2 = bids
         any_bid = bid1 | bid2
         if not np.any(any_bid):
             continue
@@ -219,11 +245,13 @@ def _play_block(d, n, variant, strat1, strat2, X, U1, U2, coin, c_by_k, pay1, pa
             lone = b[won] if k == 0 else np.asarray(d.order_max_with_vec(k, b[won]))
         else:
             lone = 0.0 if k == 0 else c_by_k[k - 1]
-        pay1[rows] = np.where(w1, a[won], lone)
-        pay2[rows] = np.where(w1, lone, a[won])
+        taken = a[won]
+        pay1[rows] = np.where(w1, taken, lone)
+        pay2[rows] = np.where(w1, lone, taken)
         if taken_stage is not None:
             taken_stage[rows] = t
-        keep = ~any_bid
+        # by index: on a mask as random as this one numpy gathers far slower
+        keep = np.flatnonzero(~any_bid)
         live, a = live[keep], a[keep]
         if b is not None:
             b = b[keep]
@@ -236,7 +264,10 @@ def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> 
     """Bid exactly where the worst (best) stage equilibrium bids, by
     :func:`stage_bids` at (a, c_k(b), d+_k); d+_k is read only where the
     worst rule bids, never for the worst profile, and on every law from
-    :func:`pass_value` for k <= 2.  For k >= 3 a law with no density reads
+    :func:`pass_value` for k <= 2: at the bidding states where a and b give
+    one state per value, as :func:`play`'s live runs do, and once per row
+    on a table's column of values a, as the best-response DP gives them.
+    For k >= 3 a law with no density reads
     the exact recursion (:func:`exact_pass_value`, each distinct state once,
     kept in a memo the rule holds), and a law with a density the grid: no
     grid is built at n <= 3, nor at any n on a law with no density.  c_k of
@@ -274,14 +305,21 @@ def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> 
         c = lone_values(k, b)
         bid = stage_bids(a, c, None, best=False)
         if best and np.any(bid):
-            a_c, b_c, c_c = (np.broadcast_to(v, bid.shape)[bid] for v in (a, b, c))
-            if k <= 2:  # c_1(a), c_2(a) on a's own shape and c = c_k(b) as kept
-                dplus = np.broadcast_to(pass_value(d, k, a, c), bid.shape)[bid]
+            # one state per value, as play's live runs give them, or a
+            # table's blocks; the runs' bidding states are read by index,
+            # which gathers faster than a mask, the blocks' by the mask
+            per_value = a.shape == bid.shape
+            at = np.nonzero(bid) if per_value else bid
+            a_c, b_c, c_c = (np.broadcast_to(v, bid.shape)[at] for v in (a, b, c))
+            if k <= 2 and per_value:  # c_1(a), c_2(a) at the bidding states
+                dplus = pass_value(d, k, a_c, c_c)
+            elif k <= 2:  # c_1(a), c_2(a) once a row, c = c_k(b) as kept
+                dplus = np.broadcast_to(pass_value(d, k, a, c), bid.shape)[at]
             elif ctx is None:
                 dplus = exact_pass_value(d, k, a_c, b_c, memo)
             else:
                 dplus = ctx.bilinear(tables[k].dplus, a_c, b_c)
-            bid[bid] = stage_bids(a_c, c_c, dplus, best=True)
+            bid[at] = stage_bids(a_c, c_c, dplus, best=True)
         return bid.astype(float)
 
     return Strategy("fr-best-threshold" if best else "fr-worst-threshold", prob)

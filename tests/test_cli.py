@@ -228,6 +228,16 @@ def test_simulate_strategy_file_refuses_a_horizon_below_one(n, tmp_path, capsys)
     assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_refuses_a_seed_outside_the_philox_keys(seed, capsys):
+    # numpy's Philox refuses such a key with a traceback
+    argv = ["simulate", "--variant", "fullrecall", "--seed", seed, "--runs", "10"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "seed" in captured.err and "Traceback" not in captured.err
+
+
 def test_simulate_strategy_file_refuses_stages_outside_the_horizon(tmp_path, capsys):
     # threshold_strategy never reads stage 0 or 9 of a 3-arrival game, so
     # the profile would bid at every stage

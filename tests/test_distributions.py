@@ -152,6 +152,61 @@ def test_order_max_vec_depends_on_floor_alone(name):
         assert [law.expect_order_max_with(k, b) for b in ks[:12]] == list(vec[:12])
 
 
+#: sha256 of the bytes of order_max_with_vec(k, floors) for k = 1..5 at the
+#: 10**4 floors of ``_pinned_floors``, recorded before the kernel read a law of
+#: one CDF segment without a segment search: that path keeps every bit
+LONE_VALUE_DIGESTS = {
+    "uniform": (
+        "3b83cd422a27aa8fac3839b82bd166abc62b3346215b44dc186a6d7b9e6ed105",
+        "7ad32ac52ac3431c60c6131e42e910cba6aebaaeb1369236c8166f21d056368f",
+        "5c62744c6ecb152fd17dba1c073370ad2df412e2e576f79cbb65197a18b42b71",
+        "419cf61182ebff3d5752b200e2b814f302bcf4f0549921b6cc7b8a624cf9ce11",
+        "74678d235d81a91530cba605120f26c4af5788169c2cbafbbdf572bee161ed78",
+    ),
+    "beta22": (
+        "917c508c99d0a15c186875a1feebe9b332307eafa291a9b97c516e043237fba2",
+        "9b5fecfd18f258b18ddc27d71a74b1d8b97c64bdcea074cb0cced0b73900dfaa",
+        "8f3ae099692cd58abd91f12a51d2aeb3d8f97e9e6590f9a735fabfae8ac746b3",
+        "e90651ce373a71a3d614461ecddac7c5620d86df35f623e13351435df0e350a0",
+        "ccfc7480c9f1166d146724331305414b74514e02b6da0b33b0a552ee1596140d",
+    ),
+    "beta35": (
+        "2497f61d9328ff1141f8d2fa176a9c9694fc6b233f857b817a4ce1c0320135f5",
+        "792b6e60cccbdcfd685bf1a3f80678929119888fc1209bb54f597622e120d431",
+        "42dd5853cde62c22bffdb6973b463b115b0d62dc99f408a0fc1c3df80bd313d3",
+        "96290106bb1122f1bb5bb5d7a7452a3575abb995adf2e2d31101d650ef303f2d",
+        "c8bc4b531616332566197c31660cc0372565544a44a5d112e31b60923c0a1a97",
+    ),
+    "tightness": (
+        "d505f3881d7e532a0b960f6b4330efa1931abeac763e6b33a7f1d332bcf7a980",
+        "3282fba7af83b459c13c1fd842c02f895ed0e4d943d4511cac624d287676eddf",
+        "4f04912e4fd17f535d6b348075f32925af2005dd501e8f3951db7454fa4f9587",
+        "d4098a8cb0c35261d8e683ef5fc835c0679ea998b44fae3c51bde017607109b5",
+        "8d3200896e2091e0fd49c1f62006cad1a8911d99ecae3402e07709035c6d3d9d",
+    ),
+}
+
+
+def _pinned_floors() -> np.ndarray:
+    floors = np.random.default_rng(2030).random(10_000)
+    floors[:2] = 0.0, 1.0
+    return floors
+
+
+@pytest.mark.parametrize("name", sorted(LONE_VALUE_DIGESTS))
+def test_lone_values_pinned(name):
+    law = {
+        "uniform": D.uniform(),
+        "beta22": beta_distribution(2, 2),
+        "beta35": beta_distribution(3, 5),
+        "tightness": tightness_family(0.1, 0.05),
+    }[name]
+    floors = _pinned_floors()
+    for k, digest in enumerate(LONE_VALUE_DIGESTS[name], start=1):
+        values = np.asarray(law.order_max_with_vec(k, floors))
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
+
+
 def test_order_max_rejects_nonpositive_order():
     for law in LAWS.values():
         for n in (0, -1):
@@ -606,6 +661,24 @@ def test_sampling_bisection_fallback_near_density_zero(monkeypatch):
     assert np.all(np.diff(got) > 0.0)
 
 
+@pytest.mark.parametrize("name", ["beta22", "beta35", "tilted-step", "atoms+beta22"])
+def test_bisection_fallback_evaluates_the_series_as_its_call_does(name):
+    # the fallback evaluates F without F.__call__'s per-call setup, op for op
+    law = SAMPLER_LAWS[name]
+    rng = np.random.default_rng(8)
+    for table in filter(None, law._sample_tables):
+        target = rng.random(5000)
+        j = D._knot_bracket(table, target)
+        lo, hi = table.knots[j], table.knots[j + 1]
+        want_lo, want_hi = lo, hi
+        for _ in range(D.FALLBACK_BISECTIONS):
+            mid = (want_lo + want_hi) / 2.0
+            takes = table.F(mid) < target
+            want_lo, want_hi = np.where(takes, mid, want_lo), np.where(takes, want_hi, mid)
+        want = (want_lo + want_hi) / 2.0
+        assert D._bisect_piece(table.F, target, lo, hi).tobytes() == want.tobytes()
+
+
 #: sha256 of the bytes of 10**5 draws from default_rng(20260), recorded from
 #: the sampler before its guide table and one-piece path: a faster sampler
 #: keeps every bit
@@ -625,6 +698,21 @@ def test_sampling_draws_pinned(name):
     law = {**SAMPLER_LAWS, "uniform": D.uniform(), "tightness": tightness_family(0.1, 0.05)}[name]
     draws = law.sample(np.random.default_rng(20260), 10**5)
     assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_draws_from_is_sample_on_its_doubles(name):
+    # play turns only the doubles of its live runs into draws: every draw
+    # must be the one sample makes from the same double, whatever else the
+    # call holds.  Doubles near 0 and 1 reach the bisection fallback.
+    law = {**SAMPLER_LAWS, "uniform": D.uniform(), "tightness": tightness_family(0.1, 0.05)}[name]
+    rng = np.random.default_rng(30)
+    u = np.concatenate([rng.random(10**5), [0.0, 1e-13, 2e-7, 0.5, 1.0 - 2e-7, 1.0 - 2.0**-53]])
+    want = law.sample(_FixedUniforms(u), u.size)
+    assert law.draws_from(u.copy()).tobytes() == want.tobytes()
+    subset = np.flatnonzero(rng.random(u.size) < 0.3)
+    subset = np.append(subset, np.arange(u.size - 6, u.size))
+    assert law.draws_from(u[subset]).tobytes() == want[subset].tobytes()
 
 
 @pytest.mark.parametrize("name", ["beta22", "beta13", "beta35", "beta67", "atoms+beta22"])

@@ -74,6 +74,22 @@ def test_spe_strategy_validation():
         S.spe_strategy(D.two_point(), 3, "no_recall", "best")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_play_refuses_a_seed_outside_the_philox_keys(seed, monkeypatch):
+    # Philox keys lie in [0, 2**128): the seed is refused before any draw
+    def no_draws(*args):
+        raise AssertionError("drew from the stream")
+
+    monkeypatch.setattr(S, "_stream_at", no_draws)
+    with pytest.raises(SpecValidationError, match="seed"):
+        S.play(D.uniform(), 2, "full_recall", S.always_bid(), S.always_bid(), 10, seed=seed)
+
+
+def test_play_takes_the_largest_philox_key():
+    rep = S.play(D.uniform(), 2, "no_recall", S.always_bid(), S.never_bid(), 10, seed=2**128 - 1)
+    assert rep.seed == 2**128 - 1
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_play_refuses_a_horizon_below_one(n):
     strat = S.threshold_strategy({1: 0.5})
@@ -667,17 +683,111 @@ def test_play_matches_dense_loop(case):
     ids=["atoms_and_uniform", "quadratic_density"],
 )
 def test_play_does_not_depend_on_block_size(law, monkeypatch):
-    # every block reads its own rows of the four draw segments of the stream
+    # every block reads its own rows of the draw segments of the stream.  A
+    # player's uniforms are read only in the blocks where their rule mixes:
+    # `band` mixes on a band of a, which a block of 7 runs often misses, so
+    # the blocks' player offsets are compared across block sizes
     grab = S.threshold_strategy({1: 0.8, 2: 0.6, 3: 0.5}, "grab")
+    band = S.Strategy("band", lambda t, k, a, b: np.where(a >= 0.75, 1.0, np.where((a > 0.4) & (a < 0.5), 0.5, 0.0)))
+    pairs = [(grab, S.never_bid()), (band, band), (grab, band)]
     reports = []
     for block in (7, 1000, 1_000_000):
         monkeypatch.setattr(S, "PLAY_BLOCK_RUNS", block)
         for variant in ("full_recall", "no_recall"):
-            reports.append(S.play(law, 4, variant, grab, S.never_bid(), 4001, seed=9, collect_traces=True))
-    for got, want in zip(reports[:4], reports[4:]):
+            for s1, s2 in pairs:
+                reports.append(S.play(law, 4, variant, s1, s2, 4001, seed=9, collect_traces=True))
+    plays = len(reports) // 3
+    for got, want in zip(reports[: 2 * plays], reports[plays:]):
         assert got.mean == want.mean and got.stderr == want.stderr
         for key in ("taken_stage", "payoff1", "payoff2"):
             np.testing.assert_array_equal(got.traces[key], want.traces[key])
+
+
+class _RecordedStream:
+    """A generator of play's stream that logs each read as (segment, first
+    double within the segment, count)."""
+
+    def __init__(self, rng, offset, segment_size, log):
+        self.rng, self.at, self.size, self.log = rng, offset, segment_size, log
+
+    def random(self, shape):
+        out = self.rng.random(shape)
+        self.log.append(("read", self.at // self.size, self.at % self.size, out.size))
+        self.at += out.size
+        return out
+
+
+def _logged_play(monkeypatch, law, n, variant, s1, s2, runs, seed):
+    """Play with every read of the stream logged, and with a ("mixed", flag)
+    entry for each bid_prob call, the flag saying whether it returned a
+    probability strictly between 0 and 1."""
+    log = []
+    stream_at = S._stream_at
+    monkeypatch.setattr(
+        S, "_stream_at", lambda key, offset: _RecordedStream(stream_at(key, offset), offset, runs * n, log)
+    )
+
+    def logged(strategy):
+        def prob(t, k, a, b):
+            p = strategy.bid_prob(t, k, a, b)
+            log.append(("mixed", bool(np.any((p > 0.0) & (p < 1.0)))))
+            return p
+
+        return S.Strategy(strategy.name, prob)
+
+    p1 = logged(s1)
+    p2 = p1 if s2 is s1 else logged(s2)
+    S.play(law, n, variant, p1, p2, runs, seed=seed)
+    return log
+
+
+@pytest.mark.parametrize(
+    "law, n, variant, which",
+    [
+        (D.uniform(), 3, "full_recall", "worst"),
+        (D.uniform(), 3, "full_recall", "best"),
+        (D.uniform(), 4, "no_recall", "best"),
+    ],
+    ids=["fr-worst", "fr-best", "nr-best"],
+)
+def test_profiles_that_never_mix_read_values_and_coins_alone(law, n, variant, which, monkeypatch):
+    prof = S.spe_strategy(law, n, variant, which)
+    runs = 2 * S.PLAY_BLOCK_RUNS + 5
+    log = _logged_play(monkeypatch, law, n, variant, prof.player1, prof.player2, runs, 4)
+    assert not any(entry[1] for entry in log if entry[0] == "mixed")
+    reads = [entry[1:] for entry in log if entry[0] == "read"]
+    assert {segment for segment, _, _ in reads} == {0, 3}
+    for segment in (0, 3):
+        starts = [(at, count) for s, at, count in reads if s == segment]
+        # the segment's rows, block after block, each double once
+        blocks = range(0, runs, S.PLAY_BLOCK_RUNS)
+        assert starts == [(r0 * n, (min(runs, r0 + S.PLAY_BLOCK_RUNS) - r0) * n) for r0 in blocks]
+
+
+def test_mixing_profile_reads_player_uniforms_where_it_mixes(monkeypatch):
+    # the no-recall worst profile mixes on a band of values at stages 1 and
+    # 2; in blocks of 3 runs some blocks meet the band and others do not
+    block, runs, n = 3, 301, 3
+    monkeypatch.setattr(S, "PLAY_BLOCK_RUNS", block)
+    prof = S.spe_strategy(D.uniform(), n, "no_recall", "worst")
+    log = _logged_play(monkeypatch, D.uniform(), n, "no_recall", prof.player1, prof.player2, runs, 12)
+    mixed_blocks, read_blocks = set(), {1: [], 2: []}
+    blocks = -1
+    for entry in log:
+        if entry[0] == "mixed":
+            if entry[1]:
+                mixed_blocks.add(blocks)
+            continue
+        _, segment, at, count = entry
+        if segment == 0:
+            blocks += 1
+        if segment in (1, 2):
+            # a player's rows of the block being played, read whole, once
+            assert at == blocks * block * n and count == (min(runs, (blocks + 1) * block) - blocks * block) * n
+            read_blocks[segment].append(blocks)
+    assert blocks + 1 == -(-runs // block)
+    assert 0 < len(mixed_blocks) < blocks + 1
+    assert read_blocks[1] == read_blocks[2] == sorted(mixed_blocks)
 
 
 def test_play_memory_stays_flat_in_runs():
