@@ -27,6 +27,7 @@ LF line endings, UTF-8.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -290,12 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.n < 1:
             raise SpecValidationError(f"--n must be at least 1, got {args.n}")
+        if args.command == "simulate":  # before the profile builds any table
+            sim.check_runs_and_seed(args.runs, args.seed)
         args.func(args)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

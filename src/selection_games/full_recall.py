@@ -414,9 +414,14 @@ class TriangleContext(GridLine):
             np.multiply(Tb[1:], phi[r0 : r1 - 1, None], out=right[: nb - 1])
             if r1 < G:
                 np.multiply(T[s[r1] : s[r1] + r1], phi[r1 - 1], out=right[-1])
-            col += right
-            for l, cell in enumerate(col, start=r0):
-                total[: l + 1] += cell[: l + 1]
+            if steps:
+                col += right
+                # row l adds to total[: l + 1] alone: zero its diagonal tile's
+                # cells i > l, start the first row from total, and sum the
+                # rows in order
+                np.copyto(col[:, r0:], 0.0, where=~self._tri_mask[:steps, G : G + nb])
+                col[0] += total[:r1]
+                np.add.reduce(col, axis=0, out=total[:r1])
             if out is not None:
                 np.subtract(diag[rows, None], crow, out=crow)  # int_(b, a] T(a, x) dF(x)
                 np.multiply(self.F[:r1], Tb, out=cells)

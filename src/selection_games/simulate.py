@@ -10,7 +10,10 @@ This changes no expectation and removes most of the variance.
 Strategies are vectorized decision rules.  ``bid_prob(t, k, a, b)`` maps
 the stage index t (1-based), the number k of arrivals still to come, the
 best available value a and (with recall) the second-best b, to a bid
-probability; all arguments broadcast as numpy arrays.
+probability; all arguments broadcast as numpy arrays.  A pure rule may
+return a boolean array instead, which :func:`play` and the best-response DP
+take as it is; every pure rule here does, and only the no-recall worst
+profile, which mixes, returns floats.  Float values are clipped to [0, 1].
 
 Equilibrium profiles built by :func:`spe_strategy`:
 
@@ -64,10 +67,13 @@ class Strategy:
     ``bid_prob`` must be a pure elementwise function of its arguments:
     :func:`play` calls it with the values of the live runs only (those in
     which nobody has taken an item yet), and only once per stage when both
-    seats hold the same strategy object.  A rule whose probabilities are all
-    0 or 1 in a block of runs reads no uniform: :func:`play` reads a seat's
-    segment of the stream (player 1's second, player 2's third) for a block
-    only once the seat's rule mixes there.
+    seats hold the same strategy object.  A pure rule may return a boolean
+    array, the mask of where it bids, which :func:`play` and the
+    best-response DP take as it is; other values are read as floats clipped
+    to [0, 1].  A rule whose probabilities are all 0 or 1 in a block of runs
+    reads no uniform: :func:`play` reads a seat's segment of the stream
+    (player 1's second, player 2's third) for a block only once the seat's
+    rule mixes there.
     """
 
     name: str
@@ -108,9 +114,12 @@ def _med(a, b, x):
 def _bid_prob(
     strategy: Strategy, t: int, k: int, a: np.ndarray, b: np.ndarray | None, shape=None
 ) -> np.ndarray:
-    """Bid probabilities clipped to [0, 1], broadcast to ``shape`` (a's shape
-    by default)."""
-    p = np.clip(np.asarray(strategy.bid_prob(t, k, a, b), dtype=float), 0.0, 1.0)
+    """Bid probabilities broadcast to ``shape`` (a's shape by default): a
+    pure rule's boolean mask as it is, other values as floats clipped to
+    [0, 1]."""
+    p = np.asarray(strategy.bid_prob(t, k, a, b))
+    if p.dtype != bool:
+        p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
     return np.broadcast_to(p, a.shape if shape is None else shape)
 
 
@@ -122,6 +131,15 @@ def _stream_at(seed: int, offset: int) -> np.random.Generator:
     rng = np.random.Generator(bits)
     rng.random(offset % 4)
     return rng
+
+
+def check_runs_and_seed(runs: int, seed: int) -> None:
+    """Refuse what :func:`play` cannot play: fewer than one run, or a seed
+    that is no Philox key, outside [0, 2**128)."""
+    if runs < 1:
+        raise SpecValidationError("runs must be >= 1")
+    if not 0 <= seed < 2**128:
+        raise SpecValidationError(f"seed must be in [0, 2**128), got {seed}")
 
 
 def play(
@@ -152,16 +170,14 @@ def play(
     own double alone).  A block reads a player's rows only once that
     player's bid probabilities in it take a value strictly between 0 and 1;
     until then the player bids where p == 1, as U < p would for U in [0, 1).
+    A rule that returns a boolean mask bids where it is True, with no scan.
     A profile that never mixes reads the values and the coin alone.
     """
     if n < 1:
         raise SpecValidationError("n must be >= 1")
-    if runs < 1:
-        raise SpecValidationError("runs must be >= 1")
     if variant not in (FULL_RECALL, NO_RECALL):
         raise SpecValidationError(f"unknown variant {variant!r}")
-    if not 0 <= seed < 2**128:
-        raise SpecValidationError(f"seed must be in [0, 2**128), got {seed}")
+    check_runs_and_seed(runs, seed)
     # the value and coin segments are read block after block; a player's
     # segment, a block's rows at a time, where that block needs them
     values, coins = (_stream_at(seed, s * runs * n) for s in (0, 3))
@@ -227,6 +243,9 @@ def _play_block(d, n, variant, strat1, strat2, V, seed, offsets, coin, c_by_k, p
             p2 = p1 if strat2 is strat1 else _bid_prob(strat2, t, k, a, b)
             bids = []
             for i, p in enumerate((p1, p2)):
+                if p.dtype == bool:  # a pure rule's mask is its bids
+                    bids.append(p)
+                    continue
                 if not np.any((p > 0.0) & (p < 1.0)):
                     bids.append(p == 1.0)  # what U < p gives for U in [0, 1)
                     continue
@@ -262,17 +281,19 @@ def _play_block(d, n, variant, strat1, strat2, V, seed, offsets, coin, c_by_k, p
 
 def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> Strategy:
     """Bid exactly where the worst (best) stage equilibrium bids, by
-    :func:`stage_bids` at (a, c_k(b), d+_k); d+_k is read only where the
-    worst rule bids, never for the worst profile, and on every law from
-    :func:`pass_value` for k <= 2: at the bidding states where a and b give
-    one state per value, as :func:`play`'s live runs do, and once per row
-    on a table's column of values a, as the best-response DP gives them.
-    For k >= 3 a law with no density reads
-    the exact recursion (:func:`exact_pass_value`, each distinct state once,
-    kept in a memo the rule holds), and a law with a density the grid: no
-    grid is built at n <= 3, nor at any n on a law with no density.  c_k of
-    the last row of floors is kept for each k, so the best-response DP,
-    whose row blocks read prefixes of one row, evaluates it once a stage."""
+    :func:`stage_bids` at (a, c_k(b), d+_k), as a boolean mask.  For k <= 2
+    d+_k comes on every law from :func:`pass_value`: on a table's block, a
+    column of values a against a row of floors b as the best-response DP
+    gives them, the rule is evaluated on the whole block with c_1(a), c_2(a)
+    once a row; where a and b give one state per value, as :func:`play`'s
+    live runs do, at the states where the worst rule bids only.  For k >= 3
+    d+_k is read only where the worst rule bids, never for the worst profile:
+    a law with no density reads the exact recursion
+    (:func:`exact_pass_value`, each distinct state once, kept in a memo the
+    rule holds), and a law with a density the grid: no grid is built at
+    n <= 3, nor at any n on a law with no density.  c_k of the last row of
+    floors is kept for each k, so the best-response DP, whose row blocks read
+    prefixes of one row, evaluates it once a stage."""
     ctx = tables = None
     memo: dict = {}
     if best and n > 3 and d.pieces:
@@ -300,27 +321,27 @@ def _fr_strategy(d: ValueDistribution, n: int, grid: GridConfig, best: bool) -> 
     def prob(t, k, a, b):
         a = np.asarray(a, dtype=float)
         if k == 0:
-            return np.ones_like(a)
+            return np.ones(a.shape, dtype=bool)
         b = np.asarray(b, dtype=float)
         c = lone_values(k, b)
+        if best and k <= 2 and a.shape != c.shape:
+            # a table's block: the rule on all of it, c_1(a), c_2(a) once a row
+            return stage_bids(a, c, pass_value(d, k, a, c), best=True)
         bid = stage_bids(a, c, None, best=False)
         if best and np.any(bid):
             # one state per value, as play's live runs give them, or a
-            # table's blocks; the runs' bidding states are read by index,
-            # which gathers faster than a mask, the blocks' by the mask
-            per_value = a.shape == bid.shape
-            at = np.nonzero(bid) if per_value else bid
+            # table's block at k >= 3; the runs' bidding states are read by
+            # index, which gathers faster than a mask, the block's by the mask
+            at = np.nonzero(bid) if a.shape == bid.shape else bid
             a_c, b_c, c_c = (np.broadcast_to(v, bid.shape)[at] for v in (a, b, c))
-            if k <= 2 and per_value:  # c_1(a), c_2(a) at the bidding states
+            if k <= 2:  # c_1(a), c_2(a) at the bidding states
                 dplus = pass_value(d, k, a_c, c_c)
-            elif k <= 2:  # c_1(a), c_2(a) once a row, c = c_k(b) as kept
-                dplus = np.broadcast_to(pass_value(d, k, a, c), bid.shape)[at]
             elif ctx is None:
                 dplus = exact_pass_value(d, k, a_c, b_c, memo)
             else:
                 dplus = ctx.bilinear(tables[k].dplus, a_c, b_c)
             bid[at] = stage_bids(a_c, c_c, dplus, best=True)
-        return bid.astype(float)
+        return bid
 
     return Strategy("fr-best-threshold" if best else "fr-worst-threshold", prob)
 
@@ -369,15 +390,11 @@ def _nr_best_profile(d: ValueDistribution, n: int) -> StrategyProfile:
 
     def bidder_prob(t, k, a, b):
         a = np.asarray(a, dtype=float)
-        if k == 0:
-            return np.ones_like(a)
-        return np.where(a > taus[k - 1], 1.0, 0.0)
+        return np.ones(a.shape, dtype=bool) if k == 0 else a > taus[k - 1]
 
     def passer_prob(t, k, a, b):
         a = np.asarray(a, dtype=float)
-        if k == 0:
-            return np.ones_like(a)
-        return np.where(a > cs[k - 1], 1.0, 0.0)
+        return np.ones(a.shape, dtype=bool) if k == 0 else a > cs[k - 1]
 
     last = seq[-1]
     return StrategyProfile(
@@ -425,11 +442,11 @@ def spe_strategy(
 
 
 def never_bid() -> Strategy:
-    return Strategy("never-bid", lambda t, k, a, b: np.zeros_like(np.asarray(a, dtype=float)))
+    return Strategy("never-bid", lambda t, k, a, b: np.zeros(np.shape(a), dtype=bool))
 
 
 def always_bid() -> Strategy:
-    return Strategy("always-bid", lambda t, k, a, b: np.ones_like(np.asarray(a, dtype=float)))
+    return Strategy("always-bid", lambda t, k, a, b: np.ones(np.shape(a), dtype=bool))
 
 
 def threshold_strategy(thresholds: dict[int, float], name: str = "threshold") -> Strategy:
@@ -437,8 +454,7 @@ def threshold_strategy(thresholds: dict[int, float], name: str = "threshold") ->
     (missing stages bid always)."""
 
     def prob(t, k, a, b):
-        thr = thresholds.get(t, 0.0)
-        return np.where(np.asarray(a, dtype=float) >= thr, 1.0, 0.0)
+        return np.asarray(a, dtype=float) >= thresholds.get(t, 0.0)
 
     return Strategy(name, prob)
 
@@ -499,7 +515,10 @@ def best_response_gap(
     and no later stage parts them there; the grid's quadrature of d_1, off by
     rounding, parted 2 to 179 of the 2001 rows.
     On a law with atoms an atom term reads other rows too, and every row is
-    kept once any cell differs."""
+    kept once any cell differs.  A block with none of those rows reads the
+    reply's continuation off v's, and a boolean rule that both replies face
+    and the equilibrium reply plays makes each stage two selections by its
+    mask (:func:`_br_stage`), with the bits of the float rule's products."""
     if n < 1:
         raise SpecValidationError("n must be >= 1")
     if variant == NO_RECALL:
@@ -595,15 +614,33 @@ def _over_one_power_of_two(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np
     return nums[0], nums[-1], D
 
 
-def _br_stage(a, c, q, p, w_br, w_eq, same) -> None:
-    """One stage of a grid best-response DP in place, with recall on a block
-    of rows, without on the grid line: the continuation values w_br and w_eq
-    become
+def _br_stage(a, c, q, p, w_br, w_eq, same, half=None) -> np.ndarray:
+    """One stage of a grid best-response DP, with recall on a block of rows,
+    without on the grid line: the continuation values w_br and w_eq become
 
         v_br = max(bid, q c + (1 - q) w_br)
         v_eq = p bid + (1 - p) (q c + (1 - q) w_eq),  bid = q (a + c) / 2 + (1 - q) a,
 
-    rounded exactly as these formulas are.  ``same`` says p is q."""
+    rounded exactly as these formulas are.  v_br is written into w_br and v_eq
+    into w_eq, both in place, and v_eq is returned; ``w_eq`` None says the
+    reply's continuation is w_br's, and v_eq is then a new array.  ``same``
+    says p is q.  For a boolean q with p is q the two are selections by q,
+    with the formulas' bits, as a product by 0 or 1 is exact and each added
+    term is +0.0: v_br = max((a + c)/2, c) and v_eq = (a + c)/2 where q, else
+    v_br = max(a, w_br) and v_eq = w_eq.  ``half``, if given, is (a + c)/2."""
+    if same and q.dtype == bool:
+        if half is None:
+            half = a + c
+            half *= 0.5  # x * 0.5 rounds as x / 2 does, and is faster
+        if w_eq is None:
+            w_eq = np.where(q, half, w_br)
+        else:
+            np.copyto(w_eq, half, where=q)
+        np.maximum(a, w_br, out=w_br)
+        np.maximum(half, c, out=w_br, where=q)
+        return w_eq
+    if w_eq is None:
+        w_eq = w_br.copy()
     not_q = 1.0 - q
     bid = a + c
     bid *= q
@@ -618,6 +655,7 @@ def _br_stage(a, c, q, p, w_br, w_eq, same) -> None:
     w_eq *= not_q if same else 1.0 - p
     bid *= p
     w_eq += bid
+    return w_eq
 
 
 def _br_gap_full_recall(d, n, opponent, reply, grid_size):
@@ -658,18 +696,23 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
         # with those values, and the rows where its mirrored table does
         in_diff = np.zeros(grid_size, dtype=bool)
         for rows, stop, on_tri in ctx.triangle_blocks(cols):
-            a, b = A[rows], B[:, :stop]
+            a, b, c = A[rows], B[:, :stop], ck[:, :stop]
             shape = (len(a), stop)
             q = _bid_prob(opponent, t, k, a, b, shape)
             p = q if reply is opponent else _bid_prob(reply, t, k, a, b, shape)
             # the block of v, a view: at t = 1 the column itself
             w_br = v[:, None] if cols else ctx.block(v, rows)
-            if k == 1:
-                w_br[...] = pass_value(d, 1, a, ck[:, :stop])
-            w_eq = w_br.copy()
+            half = None
+            if k == 1:  # d_1, which is also the bid value (a + c)/2
+                half = pass_value(d, 1, a, c)
+                w_br[...] = half
+            # the reply's continuation: v's, but on its parted rows
+            w_eq = None
             lo, hi = np.searchsorted(diff, (rows.start, rows.stop))
-            w_eq[diff[lo:hi] - rows.start] = eq[lo:hi, :stop]
-            _br_stage(a, ck[:, :stop], q, p, w_br, w_eq, p is q)
+            if hi > lo:
+                w_eq = w_br.copy()
+                w_eq[diff[lo:hi] - rows.start] = eq[lo:hi, :stop]
+            w_eq = _br_stage(a, c, q, p, w_br, w_eq, p is q, half)
             # compared bit for bit, on the triangle
             apart = w_eq.view(np.int64) != w_br.view(np.int64)
             apart &= on_tri

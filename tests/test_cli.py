@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from selection_games import cli
+from selection_games import simulate as sim
 from selection_games.cli import run
 
 
@@ -236,6 +238,39 @@ def test_simulate_refuses_a_seed_outside_the_philox_keys(seed, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "seed" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2**128)), ("--runs", "0")])
+def test_simulate_checks_seed_and_runs_before_building_the_profile(flag, value, capsys, monkeypatch):
+    # the best recall profile at n = 6 on the uniform law reads grid tables
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused seed or run count built the profile")
+
+    monkeypatch.setattr(sim, "grid_tables", refuse)
+    monkeypatch.setattr(sim, "spe_strategy", refuse)
+    argv = ["simulate", "--variant", "fullrecall", "--n", "6", "--strategy", "best", flag, value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag[2:] in captured.err and "Traceback" not in captured.err
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        assert _capture(capsys, ["prophet", "--n", "2"]) == _capture(capsys, ["prophet", "--n", "2"])
+        assert run(["norecall", "--n", "0"]) == 2
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_simulate_strategy_file_refuses_stages_outside_the_horizon(tmp_path, capsys):

@@ -703,3 +703,17 @@ def test_grid_stage_peak_is_one_work_table(law, measured):
         tracemalloc.stop()
     kept = tables[2].dminus.nbytes + tables[2].dplus.nbytes
     assert (peak - kept) / (8 * G * G) <= measured
+
+
+@pytest.mark.parametrize("G", [3, 4, 11, 2001])
+@pytest.mark.parametrize("law", [D.uniform(), tightness_family(0.1, 0.05)], ids=["uniform", "tightness"])
+def test_packed_column_sums_match_mirrored_table_at_every_block_shape(law, G, rng):
+    # the column part sums each block's rows in one ordered reduce; a last
+    # block of one row (G = 2001) has no row of column cells to add
+    ctx = FR.TriangleContext(law, FR.GridConfig(size=G))
+    if G == 2001:
+        assert ctx.row_blocks[-1].stop - ctx.row_blocks[-1].start == 1
+    stored = stored_triangle(ctx, rng.random(G * (G + 1) // 2))
+    full = ctx.expect_over_arrival(ctx.mirrored(stored))
+    assert np.array_equal(triangle_cells(ctx, ctx.expect_over_arrival(stored)), full[np.tril_indices(G)])
+    assert np.array_equal(ctx.expect_over_arrival(stored, 1), full[:, 0])

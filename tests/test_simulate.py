@@ -343,16 +343,88 @@ def test_uniform_equilibrium_replies_part_on_no_row(which, monkeypatch):
     parted = []
     original = S._br_stage
 
-    def compared(a, c, q, p, w_br, w_eq, same):
-        original(a, c, q, p, w_br, w_eq, same)
+    def compared(a, c, q, p, w_br, *args):
+        # the stage writes the best reply's values into w_br and returns the
+        # equilibrium reply's
+        w_eq = original(a, c, q, p, w_br, *args)
         on_tri = g[None, : c.shape[1]] <= a
         parted.append(int(((w_eq.view(np.int64) != w_br.view(np.int64)) & on_tri).any(axis=1).sum()))
+        return w_eq
 
     monkeypatch.setattr(S, "_br_stage", compared)
     for n in (1, 2, 3, 4):
         parted.clear()
         assert S.spe_gap(D.uniform(), n, "full_recall", which, grid_size=G) == 0.0
         assert len(parted) >= n - 1 and not any(parted), (n, parted)
+
+
+def _as_floats(rule):
+    """The same rule, its mask returned as 0/1 floats."""
+    return S.Strategy(rule.name, lambda t, k, a, b: np.asarray(rule.bid_prob(t, k, a, b)).astype(float))
+
+
+def _pure_rules(law, n, variant):
+    """Every pure rule of this module on ``law``: the equilibrium rules (the
+    no-recall best pair's two seats) and the three fixed ones."""
+    rules = {"threshold": S.threshold_strategy({1: 0.6, 2: 0.55, 3: 0.5}), "never": S.never_bid(), "always": S.always_bid()}
+    if variant == "full_recall":
+        for which in ("best", "worst"):
+            rules[which] = S.spe_strategy(law, n, variant, which, grid=GridConfig(size=201)).player1
+    else:
+        pair = S.spe_strategy(law, n, variant, "best")
+        rules["bidder"], rules["waiter"] = pair.player1, pair.player2
+    for key, rule in rules.items():
+        for k in (0, 1):
+            assert np.asarray(rule.bid_prob(n - k, k, np.array([0.3, 0.7]), np.array([0.2, 0.1]))).dtype == bool, key
+    return rules
+
+
+def _assert_same_gaps(law, n, variant, rules, G=201):
+    """Each rule against itself, against every other rule, and as the
+    opponent of each: the gaps of the boolean rules and of their float masks
+    are one float, bit for bit."""
+    floats = {key: _as_floats(rule) for key, rule in rules.items()}
+    for kq, kp in itertools.product(rules, repeat=2):
+        got = S.best_response_gap(law, n, variant, rules[kq], rules[kp], G)
+        want = S.best_response_gap(law, n, variant, floats[kq], floats[kp], G)
+        assert repr(got) == repr(want), (kq, kp)
+
+
+#: atomless, smooth but not uniform, and with atoms, on which the grid DP runs
+GRID_DP_LAWS = {"uniform": D.uniform(), "beta22": beta_distribution(2, 2), "tightness": tightness_family(0.1, 0.05)}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("name", sorted(GRID_DP_LAWS))
+def test_boolean_rules_match_their_float_masks_in_the_recall_dp(name, n):
+    # p is q selects by the mask, with the bits of the stage's products
+    law = GRID_DP_LAWS[name]
+    _assert_same_gaps(law, n, "full_recall", _pure_rules(law, n, "full_recall"))
+
+
+def test_boolean_rules_match_their_float_masks_in_the_no_recall_dp():
+    _assert_same_gaps(D.uniform(), 4, "no_recall", _pure_rules(D.uniform(), 4, "no_recall"))
+
+
+@pytest.mark.parametrize("name", ["two_point", "four_atoms"])
+def test_boolean_rules_match_their_float_masks_in_the_exact_dp(name):
+    law = NO_DENSITY_LAWS[name]
+    _assert_same_gaps(law, 4, "full_recall", _pure_rules(law, 4, "full_recall"))
+
+
+@pytest.mark.parametrize("variant", ["full_recall", "no_recall"])
+def test_boolean_rules_match_their_float_masks_in_play(variant):
+    # a float mask never mixes, so it reads no player uniform either
+    rules = _pure_rules(D.uniform(), 3, variant)
+    pairs = [(rule, rule) for rule in rules.values()]
+    if variant == "no_recall":
+        pairs += [(rules["bidder"], rules["waiter"]), (rules["waiter"], rules["bidder"])]
+    for s1, s2 in pairs:
+        f1 = _as_floats(s1)
+        f2 = f1 if s2 is s1 else _as_floats(s2)
+        got = S.play(D.uniform(), 3, variant, s1, s2, 3000, seed=5)
+        want = S.play(D.uniform(), 3, variant, f1, f2, 3000, seed=5)
+        assert repr((got.mean, got.stderr, got.stderr_sum)) == repr((want.mean, want.stderr, want.stderr_sum)), s1.name
 
 
 def test_full_recall_dp_evaluates_lone_values_once_per_stage(monkeypatch):
