@@ -40,10 +40,13 @@ rectangle, the blocks in order, so that each block is read and written in
 place as a view.  The cells b > a of a block are padding, filled with
 finite values and never read as states; they add 3 % to a stored triangle
 at G = 1001 and 5 % at G = 801 over the G(G + 1)/2 cells.  Each stage is
-built in one stored work triangle, and no G x G table is allocated.  low_k
-and high_k are derived from d-_k, d+_k and c_k on demand (L and H are one
-``np.where`` away) and are not kept; the band is :func:`lh_values` at the
-state (0, 0).
+built in one stored work triangle, and no G x G table is allocated.  One
+kernel takes the expectation over the arrival, on stored triangles alone
+(:meth:`TriangleContext.expect_over_arrival`), for the grid tables and for
+both replies of the best-response DP; a G x G table given to it is read on
+its triangle.  low_k and high_k are derived from d-_k, d+_k and c_k on
+demand (L and H are one ``np.where`` away) and are not kept; the band is
+:func:`lh_values` at the state (0, 0).
 """
 
 from __future__ import annotations
@@ -67,12 +70,12 @@ BRANCH_TOL = 1e-12
 PASS_DOMINANCE_SLACK = 1e-9
 
 #: G x G float64 tables one stage of the grid engine or of the best-response
-#: DP may hold at once, temporaries included (at most 2.13 measured at
+#: DP may hold at once, temporaries included (at most 1.58 measured at
 #: G = 801, where a stored triangle is 0.53: 1.58 in a grid stage, of which
 #: 1.05 in the two stored triangles it keeps and 0.53 in its stored work
-#: triangle; in the DP 0.82 to 1.00 for a symmetric equilibrium profile, 0.53
-#: of it its stored triangle, and 2.13 for a reply that parts from the best
-#: reply on every row, whose mirrored rows are then all kept)
+#: triangle; in the DP at n = 4 0.72 to 0.75 for a symmetric equilibrium
+#: profile, 0.53 of it its stored triangle, and 1.33 to 1.34 for a reply that
+#: parts from the best reply, which then keeps a second stored triangle)
 GRID_WORKING_TABLES = 12
 #: largest working set a triangle grid may claim, in bytes (2 GiB: G <= 4729)
 GRID_MEMORY_BUDGET = 2 * 1024**3
@@ -197,10 +200,11 @@ class TriangleContext(GridLine):
         return P[start : start + (rows.stop - rows.start) * rows.stop].reshape(-1, rows.stop)
 
     def _check_stored(self, P: np.ndarray) -> None:
-        """Refuse a 1-D table that is not a stored triangle of this grid."""
-        if P.ndim == 1 and len(P) != self.stored_size:
+        """Refuse a table that is not a stored triangle of this grid."""
+        if P.shape != (self.stored_size,):
             raise SpecValidationError(
-                f"a stored triangle of grid size {self.grid.size} has {self.stored_size} values, got {len(P)}"
+                f"a stored triangle of grid size {self.grid.size} is 1-D of {self.stored_size} values, "
+                f"got shape {P.shape}"
             )
 
     def triangle_blocks(self, cols: int | None = None):
@@ -234,19 +238,17 @@ class TriangleContext(GridLine):
             self._c_cache[k] = self.dist.order_max_with_vec(k, self.g)
         return self._c_cache[k]
 
-    def bilinear(self, T: np.ndarray, x, y):
-        """Interpolate a table at points (x, y) with x >= y: a stored triangle
-        (entry (i, j <= i) at ``row_starts[i] + j``) or a mirrored G x G
-        table, each read by flat index.
+    def bilinear(self, P: np.ndarray, x, y):
+        """Interpolate a stored triangle P (entry (i, j <= i) at
+        ``row_starts[i] + j``) at points (x, y) with x >= y.
 
         Cells on the diagonal use linear interpolation over the triangle
         {y <= x} only: the mirrored surface is continuous but kinked across
         the diagonal, and plain bilinear interpolation would smear the kink.
         So every value used lies on the triangle; the corner (i, i + 1) that
-        a diagonal cell's square form reads, padding in a stored triangle, is
-        discarded.
+        a diagonal cell's square form reads, padding, is discarded.
         """
-        self._check_stored(T)
+        self._check_stored(P)
         G = self.grid.size
         xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) / self.h
         ys = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) / self.h
@@ -254,28 +256,23 @@ class TriangleContext(GridLine):
         j = np.clip(ys.astype(int), 0, G - 2)
         fx = xs - i
         fy = ys - j
-        if T.ndim == 2:
-            T, row, below = T.reshape(-1), i * G, (i + 1) * G
-        else:
-            row, below = self.row_starts[i], self.row_starts[i + 1]
-        t00, t10 = T[row + j], T[below + j]
-        t01, t11 = T[row + j + 1], T[below + j + 1]
+        row, below = self.row_starts[i], self.row_starts[i + 1]
+        t00, t10 = P[row + j], P[below + j]
+        t01, t11 = P[row + j + 1], P[below + j + 1]
         square = t00 * (1 - fx) * (1 - fy) + t10 * fx * (1 - fy) + t01 * (1 - fx) * fy + t11 * fx * fy
         lower_tri = t00 + (t10 - t00) * (fx - fy) + (t11 - t00) * fy
         return np.where((i == j) & (fx >= fy), lower_tri, square)
 
-    def mirrored(self, P: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """The rows ``rows`` (every row by default) of the mirrored G x G table
-        of a stored triangle P, built one row at a time: P's row i up to the
-        diagonal, then its column i below it."""
+    def mirrored(self, P: np.ndarray) -> np.ndarray:
+        """The mirrored G x G table of a stored triangle P, built one row at a
+        time: P's row i up to the diagonal, then its column i below it."""
         self._check_stored(P)
         G = self.grid.size
-        index = range(G) if rows is None else np.asarray(rows).tolist()
-        T = np.empty((len(index), G))
+        T = np.empty((G, G))
         s = self.row_starts
-        for r, i in enumerate(index):
-            T[r, : i + 1] = P[s[i] : s[i] + i + 1]
-            T[r, i + 1 :] = P[s[i + 1 :] + i]
+        for i in range(G):
+            T[i, : i + 1] = P[s[i] : s[i] + i + 1]
+            T[i, i + 1 :] = P[s[i + 1 :] + i]
         return T
 
     def even_split(self, out: np.ndarray | None = None) -> np.ndarray:
@@ -288,15 +285,12 @@ class TriangleContext(GridLine):
         return out
 
     def expect_over_arrival(
-        self,
-        T: np.ndarray,
-        cols: int | None = None,
-        rows: np.ndarray | None = None,
-        out: np.ndarray | None = None,
+        self, T: np.ndarray, cols: int | None = None, out: np.ndarray | None = None
     ) -> np.ndarray:
         """E_X[T(a v X, med[a, b, X])] at every grid node (a_i, b_j), for a
-        table T on the triangle {b <= a}: a stored triangle (entry (i, j <= i)
-        at ``row_starts[i] + j``) or a mirrored G x G table (T[i, j] == T[j, i]).
+        table T on the triangle {b <= a}, stored (entry (i, j <= i) at
+        ``row_starts[i] + j``): the stored result, its padding cells finite
+        where T's are, or with ``cols == 1`` the column b = 0 as a G-vector.
 
         Splitting the arrival X at b and a gives
 
@@ -305,83 +299,60 @@ class TriangleContext(GridLine):
         computed against the density via per-cell linear interpolation of T.
         Both integrals come from running sums along the rows of the mirrored
         table, added cell by cell in sequence: for row i these cover its
-        triangle part up to the diagonal, then column i below it.  A mirrored
-        T is read one block of rows at a time; a stored T one block of
-        ``row_blocks`` at a time, in place, the column parts added down the
-        triangle a row of cells at a time.  Both give the same sums, bit for
-        bit.
+        triangle part up to the diagonal, then column i below it.  T is read
+        one block of ``row_blocks`` at a time, in place, the column parts
+        added down the triangle a row of cells at a time.
         Atoms follow the library convention (the CDF is right-continuous): an
         atom x* <= b is already inside F(b) T(a, b) and adds nothing more.  An
         atom x* > b moves the state to (a v x*, a ^ x*), which does not depend
         on b, so each atom costs one bilinear evaluation along the a axis,
         added to every column with b < x*.
 
-        A stored T gives the stored result, its padding cells finite where
-        T's are, or with ``cols == 1`` the column b = 0 as a G-vector.
         ``out`` may be T itself: the atom terms are evaluated first, and each
         block is written once it and the row after it are read, which no
-        later block reads again.
+        later block reads again.  With ``cols == 1``, T is read whole before
+        ``out`` is written, so ``out`` may be any G values of T.
 
-        For a mirrored T, with ``cols`` given, only the first ``cols`` columns
-        are computed and a G x cols table is returned, each entry bitwise
-        equal to the full table's.  Rows are local on an atomless law: row i
-        of the result reads row i of T alone.  So ``rows``, an increasing
-        array of row indices, may name the rows of the mirrored table that T
-        holds (one row of T each), and the result then holds the same rows,
-        bitwise equal to the full call's.  An atom term reads rows i +- 1 and
-        the rows near the atom, so with atoms ``rows`` must name every row.
-        ``out`` may be T itself or its leading ``cols`` columns: each block of
-        rows is read before it is written, and the atom terms are evaluated
-        before any row is.
+        A G x G table T, with neither ``cols`` nor ``out``, is copied block by
+        block into a stored triangle, and the result comes back as
+        :meth:`mirrored` gives it: T's cells b > a are not read, and the
+        result's cells b > a, which are no states, mirror its cells b < a.
+        Any other 2-D table is refused with :class:`SpecValidationError`, as
+        is a 1-D one that is not a stored triangle of this grid.
         """
-        self._check_stored(T)
         G = self.grid.size
-        stored = T.ndim == 1
-        if stored and (rows is not None or cols not in (None, 1)):
-            raise SpecValidationError("a stored triangle takes no row subset, and cols None or 1")
-        m = G if cols is None else cols
-        index = np.arange(G) if rows is None else np.asarray(rows)
-        if self.atoms and len(index) != G:
-            raise SpecValidationError("a row subset of the grid expectation needs an atomless law")
-        if out is None:
-            out = np.empty(len(T) if cols is None else G) if stored else np.empty((len(index), m))
+        square = T.ndim == 2
+        if square:
+            if T.shape != (G, G) or cols is not None or out is not None:
+                raise SpecValidationError(f"a G x G table takes shape ({G}, {G}), and no cols or out")
+            P = np.empty(self.stored_size)
+            for rows, stop, _ in self.triangle_blocks():
+                self.block(P, rows)[...] = T[rows, :stop]
+            T = out = P
+        self._check_stored(T)
+        if cols not in (None, 1):
+            raise SpecValidationError("a stored triangle takes cols None or 1")
         g = self.g
         atom_terms = [
             (mass * self.bilinear(T, np.maximum(g, x_star), np.minimum(g, x_star)), np.searchsorted(g, x_star))
             for x_star, mass in self.atoms
         ]
-        if stored and cols is None:
+        if cols is None:
+            if out is None:
+                out = np.empty(len(T))
             diag, total = self._packed_sums(T, out)
             self._packed_add(out, total - diag, atom_terms)
-            return out
-        if stored:
-            diag, total = self._packed_sums(T)
-            np.multiply(self.F[0], T[self.row_starts], out=out)
-            out += diag
-            out += total - diag
-            for u, stop in atom_terms:
-                if stop:
-                    out += u
-            return out
-        self._row_pass(T, index, m, out)
+            return self.mirrored(out) if square else out
+        if out is None:
+            out = np.empty(G)
+        diag, total = self._packed_sums(T)
+        np.multiply(self.F[0], T[self.row_starts], out=out)
+        out += diag
+        out += total - diag
         for u, stop in atom_terms:
-            out[:, : min(m, stop)] += u[:, None]
+            if stop:
+                out += u
         return out
-
-    def _running_sums(self, Tb: np.ndarray, crow: np.ndarray, cells: np.ndarray) -> None:
-        """crow[i, j] = int_0^(g_j) Tb(a_i, x) dF(x), the running sum of the
-        cells of row i of the rows Tb of r columns, up to node j; crow and
-        ``cells``, scratch, are contiguous tables of Tb's shape.  Entry j
-        reads Tb's row up to column j alone."""
-        r = Tb.shape[1]
-        np.multiply(Tb, self._rho_at[:r], out=crow)
-        np.multiply(Tb, self._phi_at[:r], out=cells)
-        # cells[i, j] = cell j - 1 of row i, rho_(j-1) T[i, j - 1] + phi_(j-1) T[i, j]:
-        # one shifted add over the rows laid end to end
-        flat = cells.reshape(-1)
-        np.add(crow.reshape(-1)[:-1], flat[1:], out=flat[1:])
-        crow[:, 0] = 0.0
-        np.cumsum(cells[:, 1:], axis=1, out=crow[:, 1:])
 
     def _packed_sums(self, T: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Each row's running sum of the mirrored table's cells up to its
@@ -405,7 +376,16 @@ class TriangleContext(GridLine):
             nb = r1 - r0
             Tb = self.block(T, rows)
             crow, cells = crow_buf[: nb * r1].reshape(nb, r1), cell_buf[: nb * r1].reshape(nb, r1)
-            self._running_sums(Tb, crow, cells)
+            # crow[i, j] = int_0^(g_j) T(a_i, x) dF(x), the running sum of row
+            # i's cells up to node j, with cells[i, j] = cell j - 1 of row i,
+            # rho_(j-1) T[i, j - 1] + phi_(j-1) T[i, j]: one shifted add over
+            # the rows laid end to end
+            np.multiply(Tb, self._rho_at[:r1], out=crow)
+            np.multiply(Tb, self._phi_at[:r1], out=cells)
+            flat = cells.reshape(-1)
+            np.add(crow.reshape(-1)[:-1], flat[1:], out=flat[1:])
+            crow[:, 0] = 0.0
+            np.cumsum(cells[:, 1:], axis=1, out=crow[:, 1:])
             diag[rows] = total[rows] = crow[np.arange(nb), np.arange(r0, r1)]
             # the column parts: cell l of row i <= l is rho_l T[l, i] + phi_l T[l + 1, i]
             steps = min(r1, G - 1) - r0
@@ -438,25 +418,6 @@ class TriangleContext(GridLine):
             for u, x_stop in atom_terms:
                 ob[:, :x_stop] += u[rows, None]
 
-    def _row_pass(self, T: np.ndarray, index: np.ndarray, m: int, out: np.ndarray) -> None:
-        """The atomless part of :meth:`expect_over_arrival` on the first ``m``
-        columns, for the rows ``index`` of a mirrored table held in T."""
-        block = self.row_blocks[0].stop
-        crow_buf, cell_buf = np.empty((2, block, self.grid.size))
-        for r0 in range(0, len(T), block):
-            rows = slice(r0, r0 + block)
-            Tb, ob = T[rows], out[rows]
-            crow, cells = crow_buf[: len(Tb)], cell_buf[: len(Tb)]
-            self._running_sums(Tb, crow, cells)
-            diag = crow[np.arange(len(Tb)), index[rows]]
-            # int_(a, 1] T(x, a) dF(x): the column pass, read off the transpose
-            col_suffix = crow[:, -1] - diag
-            head = crow[:, :m]
-            np.subtract(diag[:, None], head, out=head)  # int_(b, a] T(a, x) dF(x)
-            np.multiply(self.F[:m], Tb[:, :m], out=ob)
-            ob += head
-            ob += col_suffix[:, None]
-
 
 @dataclass(frozen=True)
 class StageTables:
@@ -471,9 +432,9 @@ class StageTables:
     (a + c_1(b))/2 at k = 2, as d_1 equals the bid payoff.  c_k(b) is cached
     by ``ctx.lone_values``.  Nothing is stored at k = 0.
     Derived on demand and not kept: ``low`` and ``high``, the worst and best
-    values as mirrored G x G tables (:meth:`TriangleContext.mirrored`): the
-    even split (a + b)/2 at k = 0, else the stage rule at (a, c_k(b), d) on
-    the grid.
+    values, the even split (a + b)/2 at k = 0, else the stage rule at
+    (a, c_k(b), d) on the grid, each built as a stored triangle and handed
+    out as its mirrored G x G table (:meth:`TriangleContext.mirrored`).
     """
 
     ctx: TriangleContext

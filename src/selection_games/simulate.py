@@ -503,22 +503,18 @@ def best_response_gap(
     no triangle), and the bid rules and the stage rule once on (a, 0).  Its
     entries are bitwise those of the full tables' column b = 0.
 
-    The equilibrium reply's table is kept only on the rows where it differs
-    from the best reply's, bit for bit, as whole rows of the mirrored table
-    built from the triangle: a differing cell (i, j) makes rows i and j
-    differ there.  On an atomless law row i of the expectation reads row i of
-    the table alone, so the reply's expectation is computed on those rows
-    only and equals the best reply's on every other row.  For an equilibrium
-    profile the rows are few, and no G x G table is allocated: none for the
-    uniform law at n <= 4, measured at G = 2001.  With d_1 exact, bid and pass
-    pay the same at k = 1 where the two replies may choose apart, a = c_1(b),
-    and no later stage parts them there; the grid's quadrature of d_1, off by
-    rounding, parted 2 to 179 of the 2001 rows.
-    On a law with atoms an atom term reads other rows too, and every row is
-    kept once any cell differs.  A block with none of those rows reads the
-    reply's continuation off v's, and a boolean rule that both replies face
-    and the equilibrium reply plays makes each stage two selections by its
-    mask (:func:`_br_stage`), with the bits of the float rule's products."""
+    The equilibrium reply's values are read off the best reply's while they
+    equal them, bit for bit, on every cell b <= a.  Once a block parts, the
+    reply keeps a second stored triangle, which every later stage takes
+    through the same expectation and stage rule block by block, so the DP
+    never holds a G x G table.  For an equilibrium profile the reply need
+    not part: with d_1 exact, bid and pass pay the same at k = 1 where the
+    two replies may choose apart, a = c_1(b), and no later stage parts them
+    there, so on the uniform law at n <= 4 it parts on no cell (measured at
+    G = 2001); the grid's quadrature of d_1, off by rounding, parted 2 to
+    179 of the 2001 rows.  A boolean rule that both replies face and the
+    equilibrium reply plays makes each stage two selections by its mask
+    (:func:`_br_stage`), with the bits of the float rule's products."""
     if n < 1:
         raise SpecValidationError("n must be >= 1")
     if variant == NO_RECALL:
@@ -663,19 +659,14 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
     g = ctx.g
     A = g[:, None]
     B = g[None, :]
-    # v holds the best reply's values, stored.  The equilibrium reply's table
-    # equals v except on the rows `diff`, which `eq` keeps whole, one mirrored
-    # row each; both take the even split at t = n, so `diff` starts empty.
-    # At n = 1 v is the even split on the column b = 0
+    # v holds the best reply's values, stored, and r the equilibrium reply's:
+    # None while they equal v's on the triangle, bit for bit, then a stored
+    # triangle of their own.  Both take the even split at t = n, and at n = 1
+    # v is the even split on the column b = 0
     v = (g + g[0]) / 2.0
-    diff = np.empty(0, dtype=np.intp)
-    eq = np.empty((0, grid_size))
-    parted = []
+    r = None
     for t in range(n - 1, 0, -1):
         k = n - t
-        # the previous stage's parted rows, read into `eq`, go before the
-        # expectations allocate
-        parted = []
         # the first arrival finds b = 0, so stage t = 1 needs that column alone
         cols = 1 if t == 1 else None
         ck = ctx.lone_values(k)[None, :]
@@ -685,65 +676,37 @@ def _br_gap_full_recall(d, n, opponent, reply, grid_size):
             # below (at n = 2 on the column b = 0), with no grid pass
             v = np.empty(grid_size if cols else ctx.stored_size)
         else:
-            # continuation values E_X[v(a v X, med[a, b, X])], v's over v
-            # itself (at t = 1 its column b = 0, a G-vector).  Row i of E reads
-            # row i of the table alone (atoms make `diff` every row), so the
-            # reply's rows outside `diff` are v's
-            if diff.size:
-                ctx.expect_over_arrival(eq, cols, rows=diff, out=eq[:, :cols])
+            # continuation values E_X[v(a v X, med[a, b, X])], each table's
+            # over itself (at t = 1 its column b = 0, a G-vector)
+            if r is not None:
+                r = ctx.expect_over_arrival(r, cols, out=None if cols else r)
             v = ctx.expect_over_arrival(v, cols, out=None if cols else v)
-        # the rows where the reply's values on the triangle part from v's,
-        # with those values, and the rows where its mirrored table does
-        in_diff = np.zeros(grid_size, dtype=bool)
         for rows, stop, on_tri in ctx.triangle_blocks(cols):
             a, b, c = A[rows], B[:, :stop], ck[:, :stop]
             shape = (len(a), stop)
             q = _bid_prob(opponent, t, k, a, b, shape)
             p = q if reply is opponent else _bid_prob(reply, t, k, a, b, shape)
-            # the block of v, a view: at t = 1 the column itself
+            # the blocks of v and r, views: at t = 1 the columns themselves
             w_br = v[:, None] if cols else ctx.block(v, rows)
+            w_eq = None if r is None else (r[:, None] if cols else ctx.block(r, rows))
             half = None
             if k == 1:  # d_1, which is also the bid value (a + c)/2
                 half = pass_value(d, 1, a, c)
-                w_br[...] = half
-            # the reply's continuation: v's, but on its parted rows
-            w_eq = None
-            lo, hi = np.searchsorted(diff, (rows.start, rows.stop))
-            if hi > lo:
-                w_eq = w_br.copy()
-                w_eq[diff[lo:hi] - rows.start] = eq[lo:hi, :stop]
+                for w in (w_br, w_eq):
+                    if w is not None:
+                        w[...] = half
             w_eq = _br_stage(a, c, q, p, w_br, w_eq, p is q, half)
-            # compared bit for bit, on the triangle
-            apart = w_eq.view(np.int64) != w_br.view(np.int64)
-            apart &= on_tri
-            hit = np.flatnonzero(apart.any(axis=1))
-            if hit.size:
-                parted.append((rows.start + hit, w_eq[hit]))
-                # a cell (i, j) puts row j there too, where it sits at column i
-                in_diff[rows.start + hit] = True
-                in_diff[:stop] |= apart.any(axis=0)
-        if t > 1:
-            del eq  # read: release the previous rows before the next are built
-            diff, eq = _reply_rows(ctx, v, parted, in_diff)
-    # the reply's column b = 0
-    col = v.copy()
-    for hit, vals in parted:
-        col[hit] = vals[:, 0]
-    return float(ctx.expect(v) - ctx.expect(col))
-
-
-def _reply_rows(ctx, v, parted, in_diff):
-    """The rows ``diff`` kept of the reply's mirrored table, and those rows,
-    built from the stored v and the reply's parted rows on the triangle.  On a
-    law with atoms every row is kept once any row parts."""
-    diff = np.arange(ctx.grid.size) if ctx.atoms and in_diff.any() else np.flatnonzero(in_diff)
-    eq = ctx.mirrored(v, diff)
-    for hit, vals in parted:
-        for i, row in zip(hit, vals):
-            at = np.searchsorted(diff, i)
-            eq[at, : i + 1] = row[: i + 1]  # row i on the triangle
-            eq[:at, i] = row[diff[:at]]  # its cell (i, j) at (j, i), kept rows j < i
-    return diff, eq
+            if r is None:
+                # compared bit for bit, on the triangle: once a block parts,
+                # r is v as it stands, every block walked equal to v's and
+                # every block to come holding v's continuation, this one's
+                # values written in
+                apart = w_eq.view(np.int64) != w_br.view(np.int64)
+                apart &= on_tri
+                if apart.any():
+                    r = v.copy()
+                    (r[:, None] if cols else ctx.block(r, rows))[...] = w_eq
+    return float(ctx.expect(v) - ctx.expect(v if r is None else r))
 
 
 def spe_gap(

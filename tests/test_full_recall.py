@@ -354,6 +354,22 @@ def test_one_arrival_worst_and_best_agree_on_the_grid(law):
         assert np.max(np.abs(triangle_cells(ctx, tables[1]._values(best)) - exact)) <= 6.9e-15
 
 
+def _dense_bilinear(ctx, T, x, y):
+    """Reference for TriangleContext.bilinear: the same interpolation read
+    off a mirrored G x G table T by its indices."""
+    G = ctx.grid.size
+    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) / ctx.h
+    ys = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) / ctx.h
+    i = np.clip(xs.astype(int), 0, G - 2)
+    j = np.clip(ys.astype(int), 0, G - 2)
+    fx = xs - i
+    fy = ys - j
+    t00, t10, t01, t11 = T[i, j], T[i + 1, j], T[i, j + 1], T[i + 1, j + 1]
+    square = t00 * (1 - fx) * (1 - fy) + t10 * fx * (1 - fy) + t01 * (1 - fx) * fy + t11 * fx * fy
+    lower_tri = t00 + (t10 - t00) * (fx - fy) + (t11 - t00) * fy
+    return np.where((i == j) & (fx >= fy), lower_tri, square)
+
+
 @pytest.mark.parametrize("law", [beta_distribution(2, 2), tightness_family(0.1, 0.05)], ids=["beta22", "tightness"])
 def test_bilinear_reads_packed_triangle_as_mirrored_table(law, rng):
     G = 201
@@ -368,7 +384,7 @@ def test_bilinear_reads_packed_triangle_as_mirrored_table(law, rng):
     assert np.all(xs >= ys)
     for st in tables[1:]:
         for stored in (st.dminus, st.dplus):
-            want = ctx.bilinear(ctx.mirrored(stored), xs, ys)
+            want = _dense_bilinear(ctx, ctx.mirrored(stored), xs, ys)
             assert np.array_equal(ctx.bilinear(stored, xs, ys), want)
 
 
@@ -419,9 +435,11 @@ def test_band_for_mixed_law_brackets_components():
 
 
 def _dense_expect_over_arrival(ctx, T):
-    """Reference for TriangleContext.expect_over_arrival: the density part as
-    the engine computes it, plus every atom evaluated cell by cell over the
-    whole G x G grid; atoms at or below b add nothing beyond F(b) T(a, b)."""
+    """Reference for TriangleContext.expect_over_arrival on a mirrored G x G
+    table T: the density part as running sums over the whole rows and columns
+    of T, plus every atom evaluated cell by cell over the whole G x G grid;
+    atoms at or below b add nothing beyond F(b) T(a, b).  The engine's stored
+    result is its cells b <= a."""
     G = ctx.grid.size
     g, rho, phi = ctx.g, ctx.rho, ctx.phi
     cells_row = T[:, :-1] * rho[None, :] + T[:, 1:] * phi[None, :]
@@ -431,12 +449,16 @@ def _dense_expect_over_arrival(ctx, T):
     pcol = np.concatenate([np.zeros((1, G)), np.cumsum(cells_col, axis=0)], axis=0)
     col_suffix = pcol[-1, np.arange(G)] - pcol[np.arange(G), np.arange(G)]
     out = ctx.F[None, :] * T + row_part + col_suffix[:, None]
+    stored = stored_triangle(ctx, T)
     for x_star, mass in ctx.atoms:
         alo = np.maximum(g, x_star)[:, None]
         mid = np.minimum(np.maximum(x_star, g[None, :]), g[:, None])
-        vals = ctx.bilinear(T, np.broadcast_to(alo, (G, G)), mid)
+        vals = ctx.bilinear(stored, np.broadcast_to(alo, (G, G)), mid)
         out = out + mass * np.where(g[None, :] < x_star, vals, 0.0)
     return out
+
+
+LOWER = np.tril_indices(201)
 
 
 @pytest.mark.parametrize(
@@ -448,10 +470,9 @@ def test_atom_path_matches_dense_reference(law, rng):
     ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
     assert 0.25 in ctx.g  # one atom sits exactly on a grid node
     for _ in range(3):
-        T = ctx.mirrored(stored_triangle(ctx, rng.random((201, 201))))
-        np.testing.assert_allclose(
-            ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T), rtol=0, atol=1e-12
-        )
+        stored = stored_triangle(ctx, rng.random((201, 201)))
+        want = _dense_expect_over_arrival(ctx, ctx.mirrored(stored))[LOWER]
+        assert np.array_equal(triangle_cells(ctx, ctx.expect_over_arrival(stored)), want)
 
 
 def test_atomless_expectation_unchanged(rng):
@@ -459,8 +480,9 @@ def test_atomless_expectation_unchanged(rng):
         # 201 rows make two row blocks of unequal height
         ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
         assert len(ctx.row_blocks) == 2
-        T = ctx.mirrored(stored_triangle(ctx, rng.random((201, 201))))
-        assert np.array_equal(ctx.expect_over_arrival(T), _dense_expect_over_arrival(ctx, T))
+        stored = stored_triangle(ctx, rng.random((201, 201)))
+        want = _dense_expect_over_arrival(ctx, ctx.mirrored(stored))[LOWER]
+        assert np.array_equal(triangle_cells(ctx, ctx.expect_over_arrival(stored)), want)
 
 
 @pytest.mark.parametrize(
@@ -472,29 +494,14 @@ def test_leading_columns_match_full_table(law, rng):
     # atoms at 0 (never added to a column), on a node, inside and at 1
     ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
     assert len(ctx.row_blocks) == 2  # of unequal height
-    T = ctx.mirrored(stored_triangle(ctx, rng.random((201, 201))))
-    full = ctx.expect_over_arrival(T)
-    # rows on both blocks and at both ends, every row, and no row
-    subsets = [np.array([0, 1, 99, 100, 101, 150, 199, 200]), np.arange(201), np.arange(0)]
-    for cols in (1, 2, 50, 51, 52, 200, 201):
-        part = ctx.expect_over_arrival(T, cols)
-        assert part.shape == (201, cols)
-        assert np.array_equal(part, full[:, :cols])
-        # written over the table it reads
-        inplace = T.copy()
-        got = ctx.expect_over_arrival(inplace, cols, out=inplace[:, :cols])
-        assert np.shares_memory(got, inplace) and np.array_equal(got, full[:, :cols])
-        # a subset of the rows, held alone, in place too
-        for rows in subsets:
-            held = T[rows]
-            if law.atoms and len(rows) < 201:
-                # an atom term reads rows other than its own
-                with pytest.raises(SpecValidationError):
-                    ctx.expect_over_arrival(held, cols, rows=rows)
-                continue
-            assert np.array_equal(ctx.expect_over_arrival(held, cols, rows=rows), full[rows, :cols])
-            ctx.expect_over_arrival(held, cols, rows=rows, out=held[:, :cols])
-            assert np.array_equal(held[:, :cols], full[rows, :cols])
+    stored = stored_triangle(ctx, rng.random((201, 201)))
+    want = _dense_expect_over_arrival(ctx, ctx.mirrored(stored))[:, 0]
+    column = ctx.expect_over_arrival(stored, 1)
+    assert column.shape == (201,) and np.array_equal(column, want)
+    # written over the leading values of the table it reads
+    inplace = stored.copy()
+    got = ctx.expect_over_arrival(inplace, 1, out=inplace[:201])
+    assert np.shares_memory(got, inplace) and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -505,25 +512,21 @@ def test_leading_columns_match_full_table(law, rng):
 def test_packed_expectation_matches_mirrored_table(law, rng):
     ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
     assert len(ctx.row_blocks) == 2  # of unequal height
-    lower = np.tril_indices(201)
     for _ in range(2):
         cells = rng.random(201 * 202 // 2)
         stored = stored_triangle(ctx, cells)
         T = ctx.mirrored(stored)
-        assert np.array_equal(T, T.T) and np.array_equal(T[lower], cells)
-        rows = np.array([0, 1, 99, 162, 163, 200])
-        assert np.array_equal(ctx.mirrored(stored, rows), T[rows])
-        full = ctx.expect_over_arrival(T)
-        # the stored result's cells are the mirrored one's lower triangle, bit for bit
+        assert np.array_equal(T, T.T) and np.array_equal(T[LOWER], cells)
+        full = _dense_expect_over_arrival(ctx, T)
+        # the stored result's cells are the dense one's lower triangle, bit for bit
         got = ctx.expect_over_arrival(stored)
-        assert got.shape == stored.shape and np.array_equal(triangle_cells(ctx, got), full[lower])
+        assert got.shape == stored.shape and np.array_equal(triangle_cells(ctx, got), full[LOWER])
         inplace = stored.copy()
         assert ctx.expect_over_arrival(inplace, out=inplace) is inplace
-        assert np.array_equal(triangle_cells(ctx, inplace), full[lower])
+        assert np.array_equal(triangle_cells(ctx, inplace), full[LOWER])
         # cols == 1: the column b = 0 as a G-vector
         column = ctx.expect_over_arrival(stored, 1)
-        assert column.shape == (201,) and np.array_equal(column, ctx.expect_over_arrival(T, 1)[:, 0])
-        assert np.array_equal(column, full[:, 0])
+        assert column.shape == (201,) and np.array_equal(column, full[:, 0])
         out = np.empty(201)
         assert ctx.expect_over_arrival(stored, 1, out=out) is out and np.array_equal(out, column)
     with pytest.raises(SpecValidationError):
@@ -532,6 +535,38 @@ def test_packed_expectation_matches_mirrored_table(law, rng):
     for read in (ctx.expect_over_arrival, ctx.mirrored, lambda P: ctx.bilinear(P, 0.5, 0.25)):
         with pytest.raises(SpecValidationError, match="stored triangle"):
             read(cells)
+
+
+def test_malformed_tables_are_refused():
+    ctx = FR.TriangleContext(D.two_point(), FR.GridConfig(size=101))
+    square, stored = np.ones((101, 101)), np.ones(ctx.stored_size)
+    # bilinear and mirrored read a stored triangle alone: no G x G table, no
+    # table of another shape, no 2-D table of the stored triangle's size
+    for table in (square, np.ones((101, 100)), stored[None, :], stored[:, None], np.float64(1.0)):
+        for read in (ctx.mirrored, lambda P: ctx.bilinear(P, 0.5, 0.25)):
+            with pytest.raises(SpecValidationError, match="stored triangle"):
+                read(table)
+    # a 2-D table must be G x G, and takes no cols or out
+    for table in (np.ones((101, 100)), np.ones((100, 101)), np.ones((102, 102))):
+        with pytest.raises(SpecValidationError, match="G x G"):
+            ctx.expect_over_arrival(table)
+    for kwargs in ({"cols": 1}, {"out": np.empty((101, 101))}):
+        with pytest.raises(SpecValidationError, match="G x G"):
+            ctx.expect_over_arrival(square, **kwargs)
+    # a table of another number of dimensions is no stored triangle
+    with pytest.raises(SpecValidationError, match="stored triangle"):
+        ctx.expect_over_arrival(np.ones((2, 101, 101)))
+
+
+@pytest.mark.parametrize("law", [D.uniform(), D.two_point()], ids=["uniform", "two_point"])
+def test_square_table_reads_its_triangle(law, rng):
+    # a G x G table is read on its cells b <= a, and the result's cells
+    # b > a, which are no states, mirror its triangle
+    ctx = FR.TriangleContext(law, FR.GridConfig(size=201))
+    T = rng.random((201, 201))
+    got = ctx.expect_over_arrival(T)
+    assert np.array_equal(got, ctx.mirrored(ctx.expect_over_arrival(stored_triangle(ctx, T))))
+    assert np.array_equal(got, got.T)
 
 
 @pytest.mark.parametrize(
@@ -714,6 +749,6 @@ def test_packed_column_sums_match_mirrored_table_at_every_block_shape(law, G, rn
     if G == 2001:
         assert ctx.row_blocks[-1].stop - ctx.row_blocks[-1].start == 1
     stored = stored_triangle(ctx, rng.random(G * (G + 1) // 2))
-    full = ctx.expect_over_arrival(ctx.mirrored(stored))
+    full = _dense_expect_over_arrival(ctx, ctx.mirrored(stored))
     assert np.array_equal(triangle_cells(ctx, ctx.expect_over_arrival(stored)), full[np.tril_indices(G)])
     assert np.array_equal(ctx.expect_over_arrival(stored, 1), full[:, 0])

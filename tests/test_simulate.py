@@ -169,10 +169,18 @@ def test_full_recall_gap_memory_peak():
     # stage was a grid pass over an even-split triangle, 1.47 with a mirrored
     # G x G table)
     assert _traced_peak(lambda: S.spe_gap(D.uniform(), 4, "full_recall", "best", grid_size=801)) <= 1.03 * table
-    # a reply that parts from the best one on every row keeps them all
-    # (2.13 tables measured; 2.66 with a mirrored G x G table)
+    # a reply that parts from the best one keeps a second stored triangle
+    # (1.34 tables measured; 2.12 while it kept its parted rows mirrored, 2.66
+    # with a mirrored G x G table)
     never = lambda: S.best_response_gap(D.uniform(), 4, "full_recall", worst, S.never_bid(), 801)  # noqa: E731
-    assert _traced_peak(never) <= 2.24 * table
+    assert _traced_peak(never) <= 1.41 * table
+    # on a law with atoms too (1.33 tables measured; 2.12 while a parted
+    # reply kept every row mirrored)
+    tight = tightness_family(0.1, 0.05)
+    tight_worst = S.spe_strategy(tight, 4, "full_recall", "worst").player1
+    threshold = S.threshold_strategy({1: 0.6, 2: 0.55, 3: 0.5})
+    parts = lambda: S.best_response_gap(tight, 4, "full_recall", tight_worst, threshold, 801)  # noqa: E731
+    assert _traced_peak(parts) <= 1.40 * table
 
 
 @pytest.mark.parametrize("law", [D.uniform(), beta_distribution(2, 2)], ids=["uniform", "beta22"])
@@ -239,6 +247,8 @@ def _dp_cases(n):
 
 
 _DP_CASES = ["best", "worst", "threshold-vs-worst", "mixed", "atoms-worst", "atoms-threshold-vs-worst"]
+#: the cases whose reply is no equilibrium one
+PARTING_CASES = ("threshold-vs-worst", "mixed", "atoms-threshold-vs-worst")
 
 
 @pytest.mark.parametrize(
@@ -253,7 +263,7 @@ def test_full_recall_dp_matches_dense_reference(case, n):
     assert len(TriangleContext(law, GridConfig(size=201)).row_blocks) == 2
     got = S.best_response_gap(law, n, "full_recall", opponent, reply, 201)
     assert got == _dense_br_gap_full_recall(law, n, opponent, reply, 201)
-    if case in ("threshold-vs-worst", "mixed", "atoms-threshold-vs-worst") and n > 1:
+    if case in PARTING_CASES and n > 1:
         assert got > 1e-3  # the gap depends on every stage's bid table
 
 
@@ -314,24 +324,60 @@ def test_closed_form_first_stage_matches_the_grid_pass(law, G):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_full_recall_dp_takes_its_first_stage_in_closed_form(n, monkeypatch):
     # no even-split triangle, and one stored grid pass over v for each stage
-    # but the first: none at n <= 2, where the DP runs on G-vectors alone
+    # but the first (none at n <= 2, where the DP runs on G-vectors alone),
+    # plus one over the reply's stored triangle for each stage after the one
+    # where it first parts from the best reply
     def refuse(self, *args, **kwargs):
         raise AssertionError("the DP built an even-split triangle")
 
-    passes = []
-    original = TriangleContext.expect_over_arrival
+    passes, parted, stage = [], [], [0]
+    original, bid_prob, br_stage = TriangleContext.expect_over_arrival, S._bid_prob, S._br_stage
+    g = np.linspace(0.0, 1.0, 201)
 
     def counted(self, T, *args, **kwargs):
         passes.append(T.ndim)
         return original(self, T, *args, **kwargs)
 
+    def staged(strategy, t, k, *args):
+        stage[0] = k
+        return bid_prob(strategy, t, k, *args)
+
+    def compared(a, c, q, p, w_br, *args):
+        w_eq = br_stage(a, c, q, p, w_br, *args)
+        on_tri = g[None, : c.shape[1]] <= a
+        if ((w_eq.view(np.int64) != w_br.view(np.int64)) & on_tri).any():
+            parted.append(stage[0])
+        return w_eq
+
     cases = _dp_cases(n)  # the best profile at n = 4 builds grid tables
     monkeypatch.setattr(TriangleContext, "even_split", refuse)
     monkeypatch.setattr(TriangleContext, "expect_over_arrival", counted)
+    monkeypatch.setattr(S, "_bid_prob", staged)
+    monkeypatch.setattr(S, "_br_stage", compared)
     for case, (law, opponent, reply) in cases.items():
         passes.clear()
+        parted.clear()
         S.best_response_gap(law, n, "full_recall", opponent, reply, 201)
-        assert passes.count(1) == max(n - 2, 0), case
+        reply_passes = n - 1 - min(parted) if parted else 0
+        assert passes.count(1) == max(n - 2, 0) + reply_passes, case
+        if case in PARTING_CASES and n > 1:
+            assert min(parted) == 1, case  # a reply that is no equilibrium one parts at once
+        else:
+            assert not parted, case
+
+
+def test_full_recall_dp_mirrors_no_table(monkeypatch):
+    # the reply, parted or not, is held as a stored triangle
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the DP built a mirrored table")
+
+    cases = {n: _dp_cases(n) for n in (1, 2, 3, 4)}
+    monkeypatch.setattr(TriangleContext, "mirrored", refuse)
+    for n, by_case in cases.items():
+        for case, (law, opponent, reply) in by_case.items():
+            gap = S.best_response_gap(law, n, "full_recall", opponent, reply, 201)
+            if n == 4:
+                assert repr(gap) == DP_GAP_REPRS[case], case
 
 
 @pytest.mark.parametrize("which", ["best", "worst"])
